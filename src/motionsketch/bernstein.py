@@ -111,22 +111,20 @@ def power_matrix(n: int, t: np.ndarray) -> np.ndarray:
     return rows
 
 
-def basis_matrix(
-    kind: BasisKind, n: int, t: np.ndarray, direct_max_degree: int | None = None
-) -> np.ndarray:
+def basis_matrix(kind: BasisKind, n: int, t: np.ndarray) -> np.ndarray:
     """Basis rows at many parameters, routing Bernstein by degree.
 
-    Bernstein rows use the direct recurrence up to `direct_max_degree`
-    (default ``DIRECT_EVAL_MAX_DEGREE``) and the log-space formula beyond it.
+    Bernstein rows use the direct recurrence up to ``DIRECT_EVAL_MAX_DEGREE``
+    and the log-space formula beyond it. Every parameter must lie in [0, 1];
+    NaN is rejected.
     """
     _check_degree(n)
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if t.size and (t.min() < 0.0 or t.max() > 1.0):
+    if t.size and not (t.min() >= 0.0 and t.max() <= 1.0):
         raise DomainError("all parameters must lie in [0, 1]")
     if kind is BasisKind.POWER:
         return power_matrix(n, t)
-    limit = DIRECT_EVAL_MAX_DEGREE if direct_max_degree is None else direct_max_degree
-    if n <= limit:
+    if n <= DIRECT_EVAL_MAX_DEGREE:
         return bernstein_matrix_direct(n, t)
     return bernstein_matrix_log(n, t)
 

@@ -119,7 +119,6 @@ def _build_parser() -> _Parser:
     opt.add_argument("--epsilon", type=float, default=1e-8)
     opt.add_argument("--points-per-stroke", type=int, default=8)
     opt.add_argument("--w-s", type=float, default=1.0)
-    opt.add_argument("--w-g", type=float, default=0.0)
     opt.add_argument("--w-c", type=float, default=0.5)
     opt.add_argument("--log", help="write the loss log CSV here")
     opt.add_argument("--log-every", type=int, default=10)
@@ -140,9 +139,8 @@ def _build_parser() -> _Parser:
     grad.add_argument("--model", required=True)
     grad.add_argument("--tracks", required=True)
     grad.add_argument("--points-per-stroke", type=int, default=8)
-    grad.add_argument("--step", type=float, default=1e-3)
+    grad.add_argument("--step", type=float, default=1e-1)
     grad.add_argument("--w-s", type=float, default=1.0)
-    grad.add_argument("--w-g", type=float, default=0.0)
     grad.add_argument("--w-c", type=float, default=0.5)
     grad.add_argument("--tolerance", type=float, default=None)
     return parser
@@ -227,7 +225,7 @@ def _cmd_optimize(args) -> int:
     anim = load_model(args.model)
     tracks = load_tracks(args.tracks)
     targets = derive_attachment_targets(anim, tracks)
-    weights = LossWeights(w_s=args.w_s, w_g=args.w_g, w_c=args.w_c)
+    weights = LossWeights(w_s=args.w_s, w_c=args.w_c)
     config = OptimConfig(
         iterations=args.iterations,
         step_size=args.step,
@@ -281,7 +279,7 @@ def _cmd_check_grad(args) -> int:
     anim = load_model(args.model)
     tracks = load_tracks(args.tracks)
     targets = derive_attachment_targets(anim, tracks)
-    weights = LossWeights(w_s=args.w_s, w_g=args.w_g, w_c=args.w_c)
+    weights = LossWeights(w_s=args.w_s, w_c=args.w_c)
     error = finite_difference_check(
         anim, tracks, targets, weights, args.points_per_stroke, args.step
     )

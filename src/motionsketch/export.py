@@ -104,8 +104,10 @@ def load_model(path: str) -> SketchAnimation:
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: model document must be a JSON object")
     version = doc.get("format_version")
-    if not isinstance(version, int):
+    if not isinstance(version, int) or isinstance(version, bool):
         raise ParseError(f"{path}: missing integer format_version")
+    if version < 1:
+        raise ParseError(f"{path}: format_version must be at least 1, got {version}")
     if version > FORMAT_VERSION:
         raise UnsupportedVersionError(
             f"{path}: format_version {version} is newer than supported {FORMAT_VERSION}"

@@ -13,7 +13,7 @@ independent of how the frame count scales the pairwise (i, t) expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,63 +70,121 @@ class LossBreakdown:
     component_history: tuple = field(default=(), repr=False)
 
 
-def _stroke_bases(anim: SketchAnimation, n_p: int):
-    """(B_t, B_u): trajectory-basis rows at frame times, curve rows at the u grid."""
-    first = anim.strokes[0]
-    b_t = basis_matrix(first.basis, first.trajectory_degree, anim.frame_times())
-    u = np.linspace(0.0, 1.0, n_p)
-    b_u = basis_matrix(BasisKind.BERNSTEIN, first.curve_degree, u)
-    return b_t, b_u
-
-
 def _curve_samples(q: np.ndarray, b_t: np.ndarray, b_u: np.ndarray) -> np.ndarray:
     """Sampled stroke points, shape (N_f, N_s, N_p, 2)."""
     return np.einsum("fb,ka,jabc->fjkc", b_t, b_u, q)
 
 
-def _validate_tracks(anim: SketchAnimation, tracks: TrackSet) -> None:
-    if tracks.num_frames != anim.num_frames:
-        raise ValidationError(
-            f"track frames ({tracks.num_frames}) != animation frames ({anim.num_frames})"
+class _Objective:
+    """The weighted objective w_s*attachment + w_g*geometry + w_c*consistency.
+
+    Checks its inputs and precomputes the bases once: trajectory rows at the
+    frame times (B_t), curve rows at the N_p-point u grid (B_u) and the
+    midpoint row (u = 0.5). Zero-weight terms need no inputs and are skipped.
+    """
+
+    def __init__(
+        self,
+        anim: SketchAnimation,
+        tracks: TrackSet | None,
+        targets: np.ndarray | None,
+        weights: LossWeights,
+        n_p: int,
+        geometry_term=None,
+    ):
+        if weights.w_c > 0:
+            if tracks is None:
+                raise ValidationError("consistency weight is positive but no tracks given")
+            if tracks.num_frames != anim.num_frames:
+                raise ValidationError(
+                    f"track frames ({tracks.num_frames}) != animation frames "
+                    f"({anim.num_frames})"
+                )
+        if weights.w_s > 0:
+            if targets is None:
+                raise ValidationError("attachment weight is positive but no targets given")
+            targets = np.asarray(targets, dtype=np.float64)
+            expected = (anim.num_strokes, anim.num_frames, 2)
+            if targets.shape != expected:
+                raise ValidationError(
+                    f"targets must have shape {expected}, got {targets.shape}"
+                )
+        if weights.w_g > 0 and geometry_term is None:
+            raise ValidationError("geometry weight is positive but no geometry term given")
+        self.anim, self.tracks, self.targets = anim, tracks, targets
+        self.weights, self.geometry_term = weights, geometry_term
+        first = anim.strokes[0]
+        self.b_t = basis_matrix(first.basis, first.trajectory_degree, anim.frame_times())
+        self.b_u = basis_matrix(
+            BasisKind.BERNSTEIN, first.curve_degree, np.linspace(0.0, 1.0, n_p)
         )
+        self.b_mid = basis_row(BasisKind.BERNSTEIN, first.curve_degree, 0.5).values
+
+    def assign(self, q: np.ndarray) -> np.ndarray | None:
+        """Nearest tracked-point row per sampled stroke point, shape (N_f, N_s, N_p);
+        None when the consistency term is off."""
+        if self.weights.w_c == 0:
+            return None
+        samples = _curve_samples(q, self.b_t, self.b_u)
+        return np.stack([nearest_rows(samples[f], f, self.tracks) for f in range(len(samples))])
+
+    def consistency(self, q: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
+        num_frames, n_p = self.b_t.shape[0], self.b_u.shape[0]
+        samples = _curve_samples(q, self.b_t, self.b_u)
+        scale = 1.0 / (n_p * num_frames)
+        value = 0.0
+        point_grad = np.zeros_like(samples)
+        for i in range(num_frames):
+            anchors = np.moveaxis(self.tracks.coords[rows[i]], 2, 0)
+            offsets = samples - anchors  # stroke point minus its frame-i anchor, per frame
+            residuals = offsets[i][None] - offsets
+            value += scale * float(np.sum(residuals * residuals))
+            point_grad[i] += (2.0 * scale) * residuals.sum(axis=0)
+            point_grad -= (2.0 * scale) * residuals
+        grad = np.einsum("fjkc,ka,fb->jabc", point_grad, self.b_u, self.b_t)
+        return value, grad
+
+    def attachment(self, q: np.ndarray) -> tuple[float, np.ndarray]:
+        num_frames, num_strokes = self.b_t.shape[0], q.shape[0]
+        mids = np.einsum("fb,a,jabc->fjc", self.b_t, self.b_mid, q)
+        diff = mids - self.targets.transpose(1, 0, 2)
+        scale = 1.0 / (num_frames * num_strokes)
+        value = scale * float(np.sum(diff * diff))
+        grad = np.einsum("fjc,a,fb->jabc", (2.0 * scale) * diff, self.b_mid, self.b_t)
+        return value, grad
+
+    def value_grad(self, q: np.ndarray, rows: np.ndarray | None):
+        """(LossBreakdown, gradient) at coefficients `q`, assignments `rows` frozen."""
+        w = self.weights
+        grad = np.zeros_like(q)
+        consistency = attachment = geometry = 0.0
+        if w.w_c > 0:
+            consistency, g = self.consistency(q, rows)
+            grad += w.w_c * g
+        if w.w_s > 0:
+            attachment, g = self.attachment(q)
+            grad += w.w_s * g
+        if w.w_g > 0:
+            geometry, g = self.geometry_term(replace_coefficients(self.anim, q))
+            grad += w.w_g * g
+        total = w.w_s * attachment + w.w_g * geometry + w.w_c * consistency
+        breakdown = LossBreakdown(
+            total=total, consistency=consistency, attachment=attachment, geometry=geometry
+        )
+        return breakdown, grad
+
+
+# Weights that select a single term, for the per-term entry points.
+_CONSISTENCY_ONLY = LossWeights(w_s=0.0, w_c=1.0)
+_ATTACHMENT_ONLY = LossWeights(w_s=1.0, w_c=0.0)
 
 
 def consistency_assignments(
     anim: SketchAnimation, tracks: TrackSet, n_p: int
 ) -> np.ndarray:
     """Nearest tracked-point row per sampled stroke point, shape (N_f, N_s, N_p)."""
-    _validate_tracks(anim, tracks)
-    b_t, b_u = _stroke_bases(anim, n_p)
-    samples = _curve_samples(animation_coefficients(anim), b_t, b_u)
-    return np.stack(
-        [nearest_rows(samples[f], f, tracks) for f in range(anim.num_frames)]
-    )
-
-
-def _consistency_core(
-    q: np.ndarray,
-    b_t: np.ndarray,
-    b_u: np.ndarray,
-    tracks: TrackSet,
-    assignment_rows: np.ndarray,
-    frame_order=None,
-) -> tuple[float, np.ndarray]:
-    num_frames = b_t.shape[0]
-    n_p = b_u.shape[0]
-    samples = _curve_samples(q, b_t, b_u)
-    scale = 1.0 / (n_p * num_frames)
-    value = 0.0
-    point_grad = np.zeros_like(samples)
-    order = range(num_frames) if frame_order is None else frame_order
-    for i in order:
-        anchors = np.moveaxis(tracks.coords[assignment_rows[i]], 2, 0)
-        offsets = samples - anchors  # stroke point minus its frame-i anchor, per frame
-        residuals = offsets[i][None] - offsets
-        value += scale * float(np.sum(residuals * residuals))
-        point_grad[i] += (2.0 * scale) * residuals.sum(axis=0)
-        point_grad -= (2.0 * scale) * residuals
-    grad = np.einsum("fjkc,ka,fb->jabc", point_grad, b_u, b_t)
-    return value, grad
+    objective = _Objective(anim, tracks, None, _CONSISTENCY_ONLY, n_p)
+    return objective.assign(animation_coefficients(anim))
 
 
 def consistency_loss_grad(
@@ -134,7 +192,6 @@ def consistency_loss_grad(
     tracks: TrackSet,
     n_p: int,
     assignments: np.ndarray | None = None,
-    frame_order=None,
 ) -> tuple[float, np.ndarray]:
     """Temporal consistency loss and its exact gradient (frozen assignments).
 
@@ -142,32 +199,10 @@ def consistency_loss_grad(
     nearest tracked point does. `assignments` freezes the nearest-point choice
     (as the per-iteration optimizer does); when omitted it is computed here.
     """
-    _validate_tracks(anim, tracks)
-    if assignments is None:
-        assignments = consistency_assignments(anim, tracks, n_p)
+    objective = _Objective(anim, tracks, None, _CONSISTENCY_ONLY, n_p)
     q = animation_coefficients(anim)
-    b_t, b_u = _stroke_bases(anim, n_p)
-    return _consistency_core(q, b_t, b_u, tracks, assignments, frame_order)
-
-
-def _attachment_core(
-    q: np.ndarray, b_t: np.ndarray, b_mid: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray]:
-    num_frames, num_strokes = b_t.shape[0], q.shape[0]
-    mids = np.einsum("fb,a,jabc->fjc", b_t, b_mid, q)
-    diff = mids - targets.transpose(1, 0, 2)
-    scale = 1.0 / (num_frames * num_strokes)
-    value = scale * float(np.sum(diff * diff))
-    grad = np.einsum("fjc,a,fb->jabc", (2.0 * scale) * diff, b_mid, b_t)
-    return value, grad
-
-
-def _check_targets(anim: SketchAnimation, targets: np.ndarray) -> np.ndarray:
-    targets = np.asarray(targets, dtype=np.float64)
-    expected = (anim.num_strokes, anim.num_frames, 2)
-    if targets.shape != expected:
-        raise ValidationError(f"targets must have shape {expected}, got {targets.shape}")
-    return targets
+    rows = objective.assign(q) if assignments is None else assignments
+    return objective.consistency(q, rows)
 
 
 def attachment_loss_grad(
@@ -178,11 +213,8 @@ def attachment_loss_grad(
     `targets` has shape (N_s, N_f, 2). This is the pluggable data term standing
     in the semantic-loss slot; its gradient is exact (the map is linear).
     """
-    targets = _check_targets(anim, targets)
-    q = animation_coefficients(anim)
-    b_t, _ = _stroke_bases(anim, 2)
-    b_mid = basis_row(BasisKind.BERNSTEIN, anim.strokes[0].curve_degree, 0.5).values
-    return _attachment_core(q, b_t, b_mid, targets)
+    objective = _Objective(anim, None, targets, _ATTACHMENT_ONLY, 2)
+    return objective.attachment(animation_coefficients(anim))
 
 
 def total_loss(
@@ -194,30 +226,15 @@ def total_loss(
     geometry_term=None,
     assignments: np.ndarray | None = None,
 ) -> tuple[LossBreakdown, np.ndarray]:
-    """Weighted sum of the loss components; zero-weight components are skipped."""
+    """Weighted sum of the loss components; zero-weight components are skipped.
+
+    A positive `w_g` needs `geometry_term`, a callable mapping the animation
+    to (value, gradient with the packed-coefficient shape).
+    """
+    objective = _Objective(anim, tracks, targets, weights, n_p, geometry_term)
     q = animation_coefficients(anim)
-    grad = np.zeros_like(q)
-    consistency = attachment = geometry = 0.0
-    if weights.w_c > 0:
-        if tracks is None:
-            raise ValidationError("consistency weight is positive but no tracks given")
-        consistency, g = consistency_loss_grad(anim, tracks, n_p, assignments)
-        grad += weights.w_c * g
-    if weights.w_s > 0:
-        if targets is None:
-            raise ValidationError("attachment weight is positive but no targets given")
-        attachment, g = attachment_loss_grad(anim, targets)
-        grad += weights.w_s * g
-    if weights.w_g > 0 and geometry_term is not None:
-        geometry, g = geometry_term(anim)
-        grad += weights.w_g * g
-    total = weights.w_s * attachment + weights.w_g * geometry + weights.w_c * consistency
-    return (
-        LossBreakdown(
-            total=total, consistency=consistency, attachment=attachment, geometry=geometry
-        ),
-        grad,
-    )
+    rows = objective.assign(q) if assignments is None else assignments
+    return objective.value_grad(q, rows)
 
 
 def optimize_animation(
@@ -235,54 +252,23 @@ def optimize_animation(
     DivergenceError (with the iteration) if the loss or gradient goes
     non-finite.
     """
-    if weights.w_c > 0:
-        if tracks is None:
-            raise ValidationError("consistency weight is positive but no tracks given")
-        _validate_tracks(anim, tracks)
-    if weights.w_s > 0:
-        if targets is None:
-            raise ValidationError("attachment weight is positive but no targets given")
-        targets = _check_targets(anim, targets)
+    objective = _Objective(anim, tracks, targets, weights, config.n_p, geometry_term)
     q = animation_coefficients(anim).copy()
-    b_t, b_u = _stroke_bases(anim, config.n_p)
-    b_mid = basis_row(BasisKind.BERNSTEIN, anim.strokes[0].curve_degree, 0.5).values
-
     moment1 = np.zeros_like(q)
     moment2 = np.zeros_like(q)
     beta1, beta2 = config.moment_decay_1, config.moment_decay_2
     history: list[tuple[int, float]] = []
     components: list[tuple[int, float, float, float]] = []
 
-    def evaluate(q_now: np.ndarray) -> tuple[float, float, float, float, np.ndarray]:
-        grad = np.zeros_like(q_now)
-        consistency = attachment = geometry = 0.0
-        if weights.w_c > 0:
-            samples = _curve_samples(q_now, b_t, b_u)
-            rows = np.stack(
-                [nearest_rows(samples[f], f, tracks) for f in range(anim.num_frames)]
-            )
-            consistency, g = _consistency_core(q_now, b_t, b_u, tracks, rows)
-            grad += weights.w_c * g
-        if weights.w_s > 0:
-            attachment, g = _attachment_core(q_now, b_t, b_mid, targets)
-            grad += weights.w_s * g
-        if weights.w_g > 0 and geometry_term is not None:
-            geometry, g = geometry_term(replace_coefficients(anim, q_now))
-            grad += weights.w_g * g
-        total = (
-            weights.w_s * attachment + weights.w_g * geometry + weights.w_c * consistency
-        )
-        return total, consistency, attachment, geometry, grad
-
     for it in range(1, config.iterations + 1):
-        total, consistency, attachment, geometry, grad = evaluate(q)
-        if not (np.isfinite(total) and np.all(np.isfinite(grad))):
+        loss, grad = objective.value_grad(q, objective.assign(q))
+        if not (np.isfinite(loss.total) and np.all(np.isfinite(grad))):
             raise DivergenceError(
                 f"non-finite loss or gradient at iteration {it}", iteration=it
             )
         if it == 1 or it % config.log_every == 0 or it == config.iterations:
-            history.append((it, total))
-            components.append((it, total, consistency, attachment))
+            history.append((it, loss.total))
+            components.append((it, loss.total, loss.consistency, loss.attachment))
         # A gradient at roundoff scale means converged; the scale-free moment
         # normalization would otherwise amplify numerical noise into drift.
         if np.abs(grad).max() <= 1e-12 * max(1.0, np.abs(q).max()):
@@ -293,15 +279,8 @@ def optimize_animation(
         corrected2 = moment2 / (1.0 - beta2**it)
         q = q - config.step_size * corrected1 / (np.sqrt(corrected2) + config.epsilon)
 
-    total, consistency, attachment, geometry, _ = evaluate(q)
-    breakdown = LossBreakdown(
-        total=total,
-        consistency=consistency,
-        attachment=attachment,
-        geometry=geometry,
-        history=tuple(history),
-        component_history=tuple(components),
-    )
+    final, _ = objective.value_grad(q, objective.assign(q))
+    breakdown = replace(final, history=tuple(history), component_history=tuple(components))
     return replace_coefficients(anim, q), breakdown
 
 
@@ -311,49 +290,24 @@ def finite_difference_check(
     targets: np.ndarray | None,
     weights: LossWeights,
     n_p: int,
-    step: float = 1e-3,
+    step: float = 1e-1,
 ) -> float:
     """Worst relative error between the analytic gradient and central differences.
 
     Assignments are frozen across all evaluations, which makes the objective
-    exactly quadratic; central differences then carry no truncation error, so
-    the default step is chosen large enough to keep cancellation noise small.
-    Small instances check every coefficient coordinate; large ones check a
-    deterministic random 5% subset. Coordinates where both gradients are
-    numerically zero contribute 0.
+    exactly quadratic: central differences carry no truncation error at any
+    step, and the only error left is cancellation in f(q+h) - f(q-h), which
+    shrinks as the step grows. Hence the large default step. Small instances check
+    every coefficient coordinate; large ones check a deterministic random 5%
+    subset. Coordinates where both gradients are numerically zero contribute 0.
+    A positive `w_g` is rejected: this check has no geometry term.
     """
     if step <= 0:
         raise ValidationError(f"step must be positive, got {step}")
+    objective = _Objective(anim, tracks, targets, weights, n_p)
     q0 = animation_coefficients(anim)
-    b_t, b_u = _stroke_bases(anim, n_p)
-    b_mid = basis_row(BasisKind.BERNSTEIN, anim.strokes[0].curve_degree, 0.5).values
-    rows = None
-    if weights.w_c > 0:
-        _validate_tracks(anim, tracks)
-        samples = _curve_samples(q0, b_t, b_u)
-        rows = np.stack(
-            [nearest_rows(samples[f], f, tracks) for f in range(anim.num_frames)]
-        )
-    if weights.w_s > 0:
-        targets = _check_targets(anim, targets)
-
-    def value_at(q_now: np.ndarray) -> float:
-        total = 0.0
-        if weights.w_c > 0:
-            v, _ = _consistency_core(q_now, b_t, b_u, tracks, rows)
-            total += weights.w_c * v
-        if weights.w_s > 0:
-            v, _ = _attachment_core(q_now, b_t, b_mid, targets)
-            total += weights.w_s * v
-        return total
-
-    grad = np.zeros_like(q0)
-    if weights.w_c > 0:
-        _, g = _consistency_core(q0, b_t, b_u, tracks, rows)
-        grad += weights.w_c * g
-    if weights.w_s > 0:
-        _, g = _attachment_core(q0, b_t, b_mid, targets)
-        grad += weights.w_s * g
+    rows = objective.assign(q0)
+    _, grad = objective.value_grad(q0, rows)
 
     flat_grad = grad.reshape(-1)
     size = flat_grad.size
@@ -368,9 +322,9 @@ def finite_difference_check(
     for idx in indices:
         bumped = flat_q.copy()
         bumped[idx] += step
-        f_plus = value_at(bumped.reshape(q0.shape))
+        f_plus = objective.value_grad(bumped.reshape(q0.shape), rows)[0].total
         bumped[idx] -= 2.0 * step
-        f_minus = value_at(bumped.reshape(q0.shape))
+        f_minus = objective.value_grad(bumped.reshape(q0.shape), rows)[0].total
         fd = (f_plus - f_minus) / (2.0 * step)
         denom = max(abs(fd), abs(flat_grad[idx]))
         if denom < 1e-9:

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import (
-    DIRECT_EVAL_MAX_DEGREE,
-    BasisKind,
-    basis_matrix,
-    basis_row,
-    basis_row_log,
-)
+from .bernstein import BasisKind, basis_matrix, basis_row
 from .errors import DomainError, ValidationError
 
 
@@ -133,20 +127,13 @@ def default_trajectory_degree(num_frames: int) -> int:
     return math.ceil(num_frames / 2) - 1
 
 
-def _trajectory_basis_values(kind: BasisKind, n: int, t: float) -> np.ndarray:
-    if kind is BasisKind.BERNSTEIN and n > DIRECT_EVAL_MAX_DEGREE:
-        return basis_row_log(n, t).values
-    return basis_row(kind, n, t).values
-
-
 def eval_trajectory(traj: TrajectoryPoly, t: float) -> np.ndarray:
     """Position of the control point at normalized time t (2-vector).
 
     Bernstein trajectories above degree ``DIRECT_EVAL_MAX_DEGREE`` route
-    through the log-space row.
+    through the log-space row, as ``basis_matrix`` does.
     """
-    row = _trajectory_basis_values(traj.basis, traj.degree, t)
-    return row @ traj.coeffs
+    return basis_matrix(traj.basis, traj.degree, t)[0] @ traj.coeffs
 
 
 def eval_curve_point(stroke: Stroke, u: float, t: float) -> np.ndarray:
@@ -184,7 +171,7 @@ def coefficient_jacobian_row(traj: TrajectoryPoly, t: float) -> np.ndarray:
     Evaluation is linear in the coefficients, so the Jacobian row is exactly
     the row used by ``eval_trajectory`` (same degree routing).
     """
-    return _trajectory_basis_values(traj.basis, traj.degree, t)
+    return basis_matrix(traj.basis, traj.degree, t)[0]
 
 
 def trajectory_velocity(traj: TrajectoryPoly, t: float) -> np.ndarray:
@@ -194,8 +181,7 @@ def trajectory_velocity(traj: TrajectoryPoly, t: float) -> np.ndarray:
         return np.zeros(2)
     if traj.basis is BasisKind.BERNSTEIN:
         diffs = n * (traj.coeffs[1:] - traj.coeffs[:-1])
-        row = _trajectory_basis_values(BasisKind.BERNSTEIN, n - 1, t)
-        return row @ diffs
+        return basis_matrix(BasisKind.BERNSTEIN, n - 1, t)[0] @ diffs
     i = np.arange(1, n + 1, dtype=np.float64)
     row = i * basis_matrix(BasisKind.POWER, n - 1, np.array([t]))[0]
     return row @ traj.coeffs[1:]

@@ -109,6 +109,16 @@ class TestBasisRowLog:
             assert abs(float(r32.sum()) - float(r64.sum())) < 1e-3
 
 
+class TestBasisMatrix:
+    @pytest.mark.parametrize(
+        "kind, n", [(BasisKind.BERNSTEIN, 3), (BasisKind.BERNSTEIN, 61), (BasisKind.POWER, 3)]
+    )
+    @pytest.mark.parametrize("ts", [[np.nan], [0.5, np.nan], [-0.1, 0.5], [0.5, 1.5]])
+    def test_domain_error(self, kind, n, ts):
+        with pytest.raises(DomainError):
+            basis_matrix(kind, n, np.array(ts))
+
+
 class TestInvariants:
     def test_partition_of_unity(self):
         ts = np.linspace(0.0, 1.0, 101)

@@ -55,6 +55,20 @@ class TestExitCodes:
         assert main(["export", "--model", str(model), "--animated",
                      str(tmp_path / "a.svg")]) == 2
 
+    def test_bad_model_version(self, tmp_path):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"format_version": True}))
+        assert main(["export", "--model", str(model), "--animated",
+                     str(tmp_path / "a.svg")]) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["optimize", "--model", "m.json", "--tracks", "t.json", "--out", "o.json"],
+        ["check-grad", "--model", "m.json", "--tracks", "t.json"],
+    ])
+    def test_geometry_weight_flag_is_usage_error(self, capsys, command):
+        assert main([*command, "--w-g", "1"]) == 1
+        assert "--w-g" in capsys.readouterr().err
+
     def test_validation_error_exit_one(self, tmp_path, tracks_path):
         code = main([
             "init", "--tracks", tracks_path, "--canvas", "32x32",

@@ -58,6 +58,15 @@ class TestModelFile:
         with pytest.raises(UnsupportedVersionError):
             load_model(str(path))
 
+    @pytest.mark.parametrize("version", [True, 0, -3])
+    def test_bad_version_is_parse_error(self, tmp_path, rng, version):
+        path = tmp_path / "model.json"
+        doc = save_model(random_animation(rng), str(path))
+        doc["format_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            load_model(str(path))
+
     def test_truncated_file(self, tmp_path, rng):
         anim = random_animation(rng)
         path = tmp_path / "model.json"

@@ -54,6 +54,12 @@ class TestEvalTrajectory:
         with pytest.raises(DomainError):
             eval_trajectory(traj, 1.2)
 
+    @pytest.mark.parametrize("n", [3, 199])
+    def test_nan_time_is_domain_error(self, n):
+        traj = constant_trajectory(np.array([1.0, 1.0]), n=n)
+        with pytest.raises(DomainError):
+            eval_trajectory(traj, float("nan"))
+
     def test_convex_hull_property(self, rng):
         # Half-space oracle: inside iff a.x + b <= 0 for every hull facet.
         for _ in range(10):
