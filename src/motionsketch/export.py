@@ -2,10 +2,10 @@
 
 The model file is JSON (format_version 1) carrying everything needed to
 re-evaluate the animation: canvas, widths, and per-stroke trajectory
-coefficients. Per-frame and animated exports share one path-data builder, so
-the k-th key geometry of an animated SVG is byte-identical to the standalone
-frame export at the same time. Numbers are written with 6 decimals,
-locale-independent.
+coefficients. Per-frame and animated exports share one path-data builder, fed
+by one basis product per stroke over all the times it renders, so the k-th key
+geometry of an animated SVG is byte-identical to the standalone frame export
+at the same time. Numbers are written with 6 decimals, locale-independent.
 """
 
 from __future__ import annotations
@@ -18,13 +18,7 @@ import numpy as np
 
 from .bernstein import BasisKind, basis_matrix, solve_control_points
 from .errors import DomainError, ParseError, UnsupportedVersionError, ValidationError
-from .trajectory import (
-    SketchAnimation,
-    Stroke,
-    TrajectoryPoly,
-    eval_curve_point,
-    eval_trajectory,
-)
+from .trajectory import SketchAnimation, Stroke, TrajectoryPoly
 
 FORMAT_VERSION = 1
 
@@ -147,39 +141,51 @@ def _fmt_point(point: np.ndarray) -> str:
     return f"{_fmt(point[0])},{_fmt(point[1])}"
 
 
-def _piecewise_cubics(stroke: Stroke, t: float) -> list[np.ndarray]:
-    """Approximate a degree-m>3 stroke at time t by cubics through on-curve points.
+def _control_points(stroke: Stroke, times: np.ndarray) -> np.ndarray:
+    """The stroke's control points at each time, shape (T, m+1, 2).
+
+    One basis product for all times. It is summed by einsum rather than BLAS,
+    whose result for a row depends on how many rows are multiplied together;
+    this way a key of an animated export equals the frame export bit for bit.
+    """
+    coeffs = np.stack([traj.coeffs for traj in stroke.control_trajectories], axis=1)
+    rows = basis_matrix(stroke.basis, stroke.trajectory_degree, times)
+    return np.einsum("tb,bac->tac", rows, coeffs)
+
+
+def _piecewise_cubics(points: np.ndarray) -> np.ndarray:
+    """Approximate the degree-m>3 Bezier curve with control `points` by cubics
+    through on-curve points, shape (segments, 4, 2).
 
     Segment endpoints (and the two interior collocation points defining each
     cubic) lie exactly on the curve; segment count doubles until the parsed
-    curve deviates less than the subdivision tolerance.
+    curve deviates less than the subdivision tolerance. Each round evaluates
+    every segment's on-curve and check points with one curve-basis product and
+    solves all segments' collocation systems at once.
     """
-    m = stroke.curve_degree
+    m = points.shape[0] - 1
     segments = max(2, (m + 2) // 3)
     check_u = np.linspace(0.0, 1.0, 9)
     check_rows = basis_matrix(BasisKind.BERNSTEIN, 3, check_u)
     while True:
         cuts = np.linspace(0.0, 1.0, segments + 1)
-        cubics = []
-        worst = 0.0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            local_u = a + (b - a) * _CUBIC_NODES
-            on_curve = np.stack([eval_curve_point(stroke, u, t) for u in local_u])
-            ctrl = solve_control_points(on_curve, _CUBIC_NODES)
-            exact = np.stack(
-                [eval_curve_point(stroke, a + (b - a) * u, t) for u in check_u]
-            )
-            worst = max(worst, float(np.max(np.abs(check_rows @ ctrl - exact))))
-            cubics.append(ctrl)
+        a, span = cuts[:-1, None], np.diff(cuts)[:, None]
+        u = np.concatenate([a + span * _CUBIC_NODES, a + span * check_u], axis=1)
+        on_curve = basis_matrix(BasisKind.BERNSTEIN, m, u.reshape(-1)) @ points
+        on_curve = on_curve.reshape(segments, -1, 2)
+        nodes, exact = on_curve[:, :4], on_curve[:, 4:]
+        rhs = nodes.transpose(1, 0, 2).reshape(4, -1)
+        cubics = solve_control_points(rhs, _CUBIC_NODES).reshape(4, segments, 2)
+        cubics = cubics.transpose(1, 0, 2)
+        worst = float(np.max(np.abs(check_rows @ cubics - exact)))
         if worst <= _SUBDIVISION_TOLERANCE or segments >= 1024:
             return cubics
         segments *= 2
 
 
-def stroke_path_data(stroke: Stroke, t: float) -> str:
-    """SVG path `d` for the stroke at time t (L/Q/C for m = 1/2/3, cubics above)."""
-    points = np.stack([eval_trajectory(traj, t) for traj in stroke.control_trajectories])
-    m = stroke.curve_degree
+def _path_data(points: np.ndarray) -> str:
+    """SVG path `d` for the Bezier curve with control `points` (m+1, 2)."""
+    m = points.shape[0] - 1
     if m == 1:
         return f"M {_fmt_point(points[0])} L {_fmt_point(points[1])}"
     if m == 2:
@@ -191,11 +197,16 @@ def stroke_path_data(stroke: Stroke, t: float) -> str:
             f"M {_fmt_point(points[0])} C {_fmt_point(points[1])} "
             f"{_fmt_point(points[2])} {_fmt_point(points[3])}"
         )
-    cubics = _piecewise_cubics(stroke, t)
+    cubics = _piecewise_cubics(points)
     parts = [f"M {_fmt_point(cubics[0][0])}"]
     for ctrl in cubics:
         parts.append(f"C {_fmt_point(ctrl[1])} {_fmt_point(ctrl[2])} {_fmt_point(ctrl[3])}")
     return " ".join(parts)
+
+
+def stroke_path_data(stroke: Stroke, t: float) -> str:
+    """SVG path `d` for the stroke at time t (L/Q/C for m = 1/2/3, cubics above)."""
+    return _path_data(_control_points(stroke, np.array([t]))[0])
 
 
 def width_at(anim: SketchAnimation, t: float) -> float:
@@ -248,7 +259,7 @@ def render_animated_svg(anim: SketchAnimation, plan: FrameRatePlan) -> str:
         f'viewBox="0 0 {w} {h}">',
     ]
     for stroke in anim.strokes:
-        keys = [stroke_path_data(stroke, t) for t in times]
+        keys = [_path_data(points) for points in _control_points(stroke, times)]
         lines.append(
             f'  <path d="{keys[0]}" fill="none" stroke="black" '
             f'stroke-width="{widths[0]}" stroke-linecap="round">'

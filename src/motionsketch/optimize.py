@@ -6,9 +6,12 @@ is the nearest-tracked-point assignment inside the consistency loss; it is
 piecewise constant, so it is recomputed once per iteration and *frozen* during
 each gradient evaluation, which makes the gradient exact almost everywhere.
 
-Per-frame contributions are accumulated one source frame at a time and the
-intermediate residual buffers are released between frames, keeping peak memory
-independent of how the frame count scales the pairwise (i, t) expansion.
+The consistency term sums, over every source frame i and target frame t,
+the squared mismatch between a sampled point's displacement and that of the
+track row it was assigned in frame i. Grouped by (sample point, track row)
+pair, the sum over t is a sum of squares centered about the pair's own mean,
+so no N_f x N_f expansion is formed and nothing cancels. Pairs are processed
+in bounded chunks, keeping peak memory independent of the frame count.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .bernstein import BasisKind, basis_matrix, basis_row
 from .errors import DivergenceError, ValidationError
-from .tracking import TrackSet, nearest_rows
+from .tracking import _KDTREE_MIN_POINTS, TrackSet, nearest_rows, nearest_rows_per_frame
 from .trajectory import SketchAnimation, animation_coefficients, replace_coefficients
 
 
@@ -70,9 +73,21 @@ class LossBreakdown:
     component_history: tuple = field(default=(), repr=False)
 
 
-def _curve_samples(q: np.ndarray, b_t: np.ndarray, b_u: np.ndarray) -> np.ndarray:
-    """Sampled stroke points, shape (N_f, N_s, N_p, 2)."""
-    return np.einsum("fb,ka,jabc->fjkc", b_t, b_u, q)
+# Elements (pairs x frames) per chunk of the consistency term's temporaries.
+_PAIR_CHUNK_ELEMENTS = 1 << 16
+
+
+def _at_frames(q: np.ndarray, b_t: np.ndarray) -> np.ndarray:
+    """Control points at the frame times, shape (N_f, N_s, m+1, 2)."""
+    flat = q.transpose(2, 0, 1, 3).reshape(q.shape[2], -1)
+    return (b_t @ flat).reshape(b_t.shape[0], q.shape[0], q.shape[1], 2)
+
+
+def _to_coefficients(g: np.ndarray, b_t: np.ndarray) -> np.ndarray:
+    """Adjoint of `_at_frames`: (N_f, N_s, m+1, 2) -> (N_s, m+1, n+1, 2)."""
+    num_frames, num_strokes, m1, _ = g.shape
+    flat = b_t.T @ g.reshape(num_frames, -1)
+    return flat.reshape(-1, num_strokes, m1, 2).transpose(1, 2, 0, 3)
 
 
 class _Objective:
@@ -119,39 +134,80 @@ class _Objective:
             BasisKind.BERNSTEIN, first.curve_degree, np.linspace(0.0, 1.0, n_p)
         )
         self.b_mid = basis_row(BasisKind.BERNSTEIN, first.curve_degree, 0.5).values
+        if weights.w_c > 0:
+            # Track motion relative to frame 0, shape (K, 2, N_f): a static
+            # point and a static track then differ by exact zeros.
+            coords = tracks.coords.transpose(0, 2, 1)
+            self.track_motion = np.subtract(coords, coords[:, :, :1], out=np.empty(coords.shape))
 
     def assign(self, q: np.ndarray) -> np.ndarray | None:
         """Nearest tracked-point row per sampled stroke point, shape (N_f, N_s, N_p);
         None when the consistency term is off."""
         if self.weights.w_c == 0:
             return None
-        samples = _curve_samples(q, self.b_t, self.b_u)
+        samples = self.b_u @ _at_frames(q, self.b_t)
+        if self.tracks.num_points < _KDTREE_MIN_POINTS:
+            return nearest_rows_per_frame(samples, self.tracks)
         return np.stack([nearest_rows(samples[f], f, self.tracks) for f in range(len(samples))])
 
     def consistency(self, q: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
+        """Value and gradient of
+
+            1/(N_p N_f) * sum_{i, p, t} |D_pr(i) - D_pr(t)|^2,  r = rows[i, p],
+
+        where D_pr(t) is sample point p minus track row r at frame t. For a
+        pair (p, r) assigned in the frames I, with C = D - mean_t D, the sum
+        over i in I and all t is |I| sum_t |C(t)|^2 + N_f sum_{i in I} |C(i)|^2.
+        """
         num_frames, n_p = self.b_t.shape[0], self.b_u.shape[0]
-        samples = _curve_samples(q, self.b_t, self.b_u)
-        scale = 1.0 / (n_p * num_frames)
+        samples = self.b_u @ _at_frames(q, self.b_t)  # (N_f, N_s, N_p, 2)
+        motion = np.ascontiguousarray(samples.reshape(num_frames, -1, 2).transpose(1, 2, 0))
+        motion -= motion[:, :, :1]  # (P, 2, N_f), relative to frame 0 like track_motion
+        num_points, num_rows = motion.shape[0], self.track_motion.shape[0]
+
+        # Sort the (frame, point) entries by (point, row) pair: the entries of
+        # a pair, and the pairs and entries of a point, are then contiguous.
+        keys = (rows.reshape(num_frames, -1) + np.arange(num_points) * num_rows).reshape(-1)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        pair_point, pair_row = np.divmod(keys[starts], num_rows)
+        bounds = np.append(starts, keys.size)
+
         value = 0.0
-        point_grad = np.zeros_like(samples)
-        for i in range(num_frames):
-            anchors = np.moveaxis(self.tracks.coords[rows[i]], 2, 0)
-            offsets = samples - anchors  # stroke point minus its frame-i anchor, per frame
-            residuals = offsets[i][None] - offsets
-            value += scale * float(np.sum(residuals * residuals))
-            point_grad[i] += (2.0 * scale) * residuals.sum(axis=0)
-            point_grad -= (2.0 * scale) * residuals
-        grad = np.einsum("fjkc,ka,fb->jabc", point_grad, self.b_u, self.b_t)
-        return value, grad
+        grad = np.zeros_like(motion)
+        chunk = max(1, _PAIR_CHUNK_ELEMENTS // num_frames)
+        for a in range(0, pair_point.size, chunk):
+            b = min(a + chunk, pair_point.size)
+            p = pair_point[a:b]
+            centered = motion[p]
+            centered -= self.track_motion[pair_row[a:b]]
+            centered -= centered.mean(axis=2, keepdims=True)  # C per pair, (pairs, 2, N_f)
+            counts = np.diff(bounds[a : b + 1])
+            weighted = counts[:, None, None] * centered
+            frames, owner = np.divmod(order[bounds[a] : bounds[b]], num_points)
+            at_source = centered[np.repeat(np.arange(b - a), counts), :, frames]  # C(i)
+            value += float(np.vdot(weighted, centered))
+            value += num_frames * float(np.vdot(at_source, at_source))
+            # d/dD(t) of a pair's terms: 2 (|I| C(t) + N_f C(t) [t in I] - sum_I C(i)).
+            first = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
+            grad[p[first]] += np.add.reduceat(weighted, first, axis=0)
+            grad[owner, :, frames] += num_frames * at_source
+            first = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+            grad[owner[first]] -= np.add.reduceat(at_source, first, axis=0)[:, :, None]
+
+        scale = 1.0 / (n_p * num_frames)
+        point_grad = (2.0 * scale) * grad.transpose(2, 0, 1).reshape(samples.shape)
+        return scale * value, _to_coefficients(self.b_u.T @ point_grad, self.b_t)
 
     def attachment(self, q: np.ndarray) -> tuple[float, np.ndarray]:
         num_frames, num_strokes = self.b_t.shape[0], q.shape[0]
-        mids = np.einsum("fb,a,jabc->fjc", self.b_t, self.b_mid, q)
+        mids = self.b_mid @ _at_frames(q, self.b_t)  # (N_f, N_s, 2)
         diff = mids - self.targets.transpose(1, 0, 2)
         scale = 1.0 / (num_frames * num_strokes)
         value = scale * float(np.sum(diff * diff))
-        grad = np.einsum("fjc,a,fb->jabc", (2.0 * scale) * diff, self.b_mid, self.b_t)
-        return value, grad
+        ctrl_grad = self.b_mid[:, None] * ((2.0 * scale) * diff)[:, :, None, :]
+        return value, _to_coefficients(ctrl_grad, self.b_t)
 
     def value_grad(self, q: np.ndarray, rows: np.ndarray | None):
         """(LossBreakdown, gradient) at coefficients `q`, assignments `rows` frozen."""

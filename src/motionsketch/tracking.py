@@ -113,13 +113,23 @@ def _tracks_from_mapping(points: dict[int, list]) -> TrackSet:
     return TrackSet(ids=np.array(ids), coords=coords)
 
 
+def _xy_to_array(obj: dict) -> dict:
+    # Each point's coordinates become an array as soon as its object is
+    # parsed, so the file's nested lists of floats (several times the size of
+    # the array) never exist all at once.
+    xy = obj.get("xy")
+    if isinstance(xy, list):
+        obj["xy"] = np.asarray(xy, dtype=np.float64)
+    return obj
+
+
 def _load_tracks_json(path: str) -> TrackSet:
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw.strip():
         raise ValidationError("no points: track file is empty")
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, object_hook=_xy_to_array)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     try:
@@ -244,15 +254,12 @@ def build_motion_heatmap(
         raise ValidationError(f"bandwidth must be positive, got {bandwidth}")
     weights = motion_weights(tracks)
     sites = tracks.coords[:, site_frame, :]
-    xs = np.arange(width) + 0.5
-    values = np.empty((height, width))
+    # The Gaussian factors into x and y kernels, so the Shepard sums over all
+    # sites are two matrix products instead of H*W*K exponentials.
     inv = 1.0 / (2.0 * bandwidth * bandwidth)
-    for y in range(height):
-        centers = np.stack([xs, np.full(width, y + 0.5)], axis=1)
-        d2 = np.sum((centers[:, None, :] - sites[None, :, :]) ** 2, axis=2)
-        kernels = np.exp(-d2 * inv)
-        denom = kernels.sum(axis=1)
-        values[y] = (kernels @ weights) / (denom + _SHEPARD_EPS)
+    kx = np.exp(-((np.arange(width) + 0.5)[:, None] - sites[None, :, 0]) ** 2 * inv)
+    ky = np.exp(-((np.arange(height) + 0.5)[:, None] - sites[None, :, 1]) ** 2 * inv)
+    values = ((ky * weights) @ kx.T) / (ky @ kx.T + _SHEPARD_EPS)
     lo, hi = values.min(), values.max()
     if hi == lo:
         # No spatial variation (e.g. every tracked point is static): all zero.
@@ -260,19 +267,58 @@ def build_motion_heatmap(
     return MotionHeatmap(width=width, height=height, values=(values - lo) / (hi - lo))
 
 
+# Elements (frames x queries x points) per block of the batched scan.
+_SCAN_BLOCK_ELEMENTS = 1 << 18
+
+# Relative gap below which a KD-tree answer is rechecked by a full scan: the
+# tree's distances may round differently from the scan's, so a near tie is
+# settled by the scan's arithmetic and its lowest-row rule.
+_TIE_TOLERANCE = 1e-9
+
+
+def _scan_rows(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Argmin over the sites axis of squared distances; ties go to the lowest row.
+
+    `points` (..., Q, 2) and `sites` (..., K, 2) broadcast over leading axes.
+    """
+    d2 = np.sum((points[..., :, None, :] - sites[..., None, :, :]) ** 2, axis=-1)
+    return np.argmin(d2, axis=-1)
+
+
 def nearest_rows(points: np.ndarray, frame: int, tracks: TrackSet) -> np.ndarray:
     """Row indices of the nearest tracked point for each query (batched).
 
-    Uses a per-frame KD-tree once the track set is large; small sets use a
-    vectorized scan whose argmin picks the lowest row (= lowest id) on ties.
+    Uses a per-frame KD-tree once the track set is large, and a vectorized scan
+    for small sets. Both pick the lowest row (= lowest id) on ties.
     """
     points = np.asarray(points, dtype=np.float64)
     flat = points.reshape(-1, 2)
-    if tracks.num_points >= _KDTREE_MIN_POINTS:
-        _, rows = tracks._tree(frame).query(flat)
-    else:
-        d2 = np.sum((flat[:, None, :] - tracks.coords[None, :, frame, :]) ** 2, axis=2)
-        rows = np.argmin(d2, axis=1)
+    sites = tracks.coords[:, frame, :]
+    if tracks.num_points < _KDTREE_MIN_POINTS:
+        return _scan_rows(flat, sites).reshape(points.shape[:-1])
+    dist, rows = tracks._tree(frame).query(flat, k=2)
+    rows = rows[:, 0]
+    tied = np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1.0 + _TIE_TOLERANCE))
+    if tied.size:
+        rows[tied] = _scan_rows(flat[tied], sites)
+    return rows.reshape(points.shape[:-1])
+
+
+def nearest_rows_per_frame(points: np.ndarray, tracks: TrackSet) -> np.ndarray:
+    """``nearest_rows(points[f], f, tracks)`` for every frame f, stacked.
+
+    Scans a block of frames at a time, with the same arithmetic as the
+    per-frame scan, so the rows match ``nearest_rows`` exactly. The work is
+    frames x queries x points, so large track sets are better served by
+    ``nearest_rows``' KD-trees one frame at a time.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    flat = points.reshape(len(points), -1, 2)
+    sites = tracks.coords.transpose(1, 0, 2)
+    block = max(1, _SCAN_BLOCK_ELEMENTS // max(1, flat.shape[1] * tracks.num_points))
+    rows = np.concatenate(
+        [_scan_rows(flat[f : f + block], sites[f : f + block]) for f in range(0, len(flat), block)]
+    )
     return rows.reshape(points.shape[:-1])
 
 

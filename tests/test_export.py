@@ -185,13 +185,20 @@ class TestAnimatedSvg:
         assert len(keys) == 5
 
     def test_keys_match_frame_exports(self, rng):
-        anim = random_animation(rng, num_frames=4)
-        plan = resample_framerate(anim, 8.0, 8.0)
-        svg = render_animated_svg(anim, plan)
-        for stroke, (times, keys) in zip(anim.strokes, parse_animated_keys(svg)):
-            for t, key in zip(plan.output_frame_times, keys):
-                frame_paths = parse_frame_paths(render_frame_svg(anim, float(t)))
-                assert key in frame_paths  # byte-identical path data
+        # Quadratic strokes, and quintic ones (piecewise cubics) whose degree-61
+        # trajectories take the log-space basis route; 4 -> 7 frames puts
+        # keys between the model's frames.
+        for curve_degree, trajectory_degree in ((2, 3), (5, 61)):
+            anim = random_animation(rng, num_frames=4, curve_degree=curve_degree,
+                                    trajectory_degree=trajectory_degree)
+            plan = resample_framerate(anim, 4.0, 8.0)
+            svg = render_animated_svg(anim, plan)
+            for stroke, (times, keys) in zip(anim.strokes, parse_animated_keys(svg)):
+                assert len(keys) == plan.num_output_frames
+                for t, key in zip(plan.output_frame_times, keys):
+                    frame_paths = parse_frame_paths(render_frame_svg(anim, float(t)))
+                    assert key in frame_paths  # byte-identical path data
+                    assert key == stroke_path_data(stroke, float(t))
 
     def test_static_animation_identical_keys(self):
         anim = static_animation()

@@ -43,6 +43,23 @@ def riding_animation_and_tracks():
     return anim, tracks
 
 
+def per_point_consistency(anim, tracks, n_p):
+    """Consistency loss from its definition on the per-point path
+    (eval_curve_point samples, a brute-force nearest track per point)."""
+    times = anim.frame_times()
+    coords = tracks.coords
+    consistency = 0.0
+    for stroke in anim.strokes:
+        for k in range(n_p):
+            points = [eval_curve_point(stroke, k / (n_p - 1), t) for t in times]
+            for i, p_i in enumerate(points):
+                row = int(np.argmin([np.sum((p_i - c) ** 2) for c in coords[:, i]]))
+                for t, p_t in enumerate(points):
+                    moved = (p_t - p_i) - (coords[row, t] - coords[row, i])
+                    consistency += float(moved @ moved)
+    return consistency / (n_p * len(times))
+
+
 class TestConsistencyLoss:
     def test_zero_when_riding_tracks(self):
         anim, tracks = riding_animation_and_tracks()
@@ -67,6 +84,19 @@ class TestConsistencyLoss:
             anim, tracks, None, LossWeights(w_s=0.0, w_c=1.0), 3
         )
         assert error < 1e-5
+
+    def test_switching_rows_match_per_point_definition(self, rng):
+        # 300 tracks take the KD-tree route; in a dense random field every
+        # sampled point changes its nearest row from frame to frame.
+        anim = random_animation(rng, num_strokes=2, num_frames=5, curve_degree=2,
+                                trajectory_degree=3)
+        tracks = random_tracks(rng, num_points=300, num_frames=5)
+        rows = consistency_assignments(anim, tracks, 4)
+        assert np.all(rows[1:] != rows[:-1])
+        value, _ = consistency_loss_grad(anim, tracks, 4, assignments=rows)
+        assert value == pytest.approx(per_point_consistency(anim, tracks, 4), rel=1e-10)
+        error = finite_difference_check(anim, tracks, None, LossWeights(w_s=0.0, w_c=1.0), 4)
+        assert error < 1e-6
 
     def test_frame_count_mismatch(self, rng):
         anim = random_animation(rng, num_frames=3)
@@ -206,7 +236,7 @@ class TestTotalLoss:
         num_points, n_p, w_s, w_c, seed,
     ):
         # Oracle: each term recomputed from its definition on the per-point
-        # path (eval_curve_point and a brute-force nearest track per point).
+        # path.
         rng = np.random.default_rng(seed)
         coeffs = rng.uniform(0, 100, (num_strokes, curve_degree + 1, trajectory_degree + 1, 2))
         anim = make_animation(coeffs, num_frames, canvas=(100, 100), basis=basis)
@@ -217,17 +247,7 @@ class TestTotalLoss:
         )
 
         times = anim.frame_times()
-        coords = tracks.coords
-        consistency = 0.0
-        for stroke in anim.strokes:
-            for k in range(n_p):
-                points = [eval_curve_point(stroke, k / (n_p - 1), t) for t in times]
-                for i, p_i in enumerate(points):
-                    row = int(np.argmin([np.sum((p_i - c) ** 2) for c in coords[:, i]]))
-                    for t, p_t in enumerate(points):
-                        moved = (p_t - p_i) - (coords[row, t] - coords[row, i])
-                        consistency += float(moved @ moved)
-        consistency /= n_p * num_frames
+        consistency = per_point_consistency(anim, tracks, n_p)
         attachment = sum(
             float(np.sum((eval_curve_point(stroke, 0.5, t) - targets[j, f]) ** 2))
             for j, stroke in enumerate(anim.strokes)

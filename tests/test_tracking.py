@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from motionsketch import (
@@ -13,6 +15,7 @@ from motionsketch import (
     build_motion_heatmap,
     load_tracks,
     motion_weight,
+    motion_weights,
     nearest_sample,
     save_tracks,
     transfer_point,
@@ -27,6 +30,26 @@ def simple_tracks():
         ]
     )
     return TrackSet(ids=np.array([3, 7]), coords=coords)
+
+
+def per_row_heatmap(tracks, width, height, bandwidth):
+    """Unnormalized Shepard map from its definition: one exp per pixel and site."""
+    weights = motion_weights(tracks)
+    sites = tracks.coords[:, 0, :]
+    xs = np.arange(width) + 0.5
+    values = np.empty((height, width))
+    inv = 1.0 / (2.0 * bandwidth * bandwidth)
+    for y in range(height):
+        centers = np.stack([xs, np.full(width, y + 0.5)], axis=1)
+        d2 = np.sum((centers[:, None, :] - sites[None, :, :]) ** 2, axis=2)
+        kernels = np.exp(-d2 * inv)
+        values[y] = (kernels @ weights) / (kernels.sum(axis=1) + 1e-12)
+    return values
+
+
+def brute_force_rows(queries, sites):
+    d2 = np.sum((queries[:, None, :] - sites[None, :, :]) ** 2, axis=2)
+    return np.argmin(d2, axis=1)
 
 
 class TestLoading:
@@ -163,6 +186,39 @@ class TestHeatmap:
         assert heatmap.values.min() == 0.0
         assert heatmap.values.max() == 1.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_points=st.integers(1, 6),
+        width=st.integers(1, 24),
+        height=st.integers(1, 24),
+        bandwidth=st.sampled_from([0.3, 0.7, 2.0, 6.0]),
+        spread=st.sampled_from([1.0, 30.0, 80.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(num_points=1, width=20, height=16, bandwidth=0.3, spread=1.0, seed=0)
+    @example(num_points=3, width=24, height=24, bandwidth=0.3, spread=80.0, seed=1)
+    def test_separable_matches_per_row_formula(
+        self, num_points, width, height, bandwidth, spread, seed
+    ):
+        # Sites spread up to 80 px around the canvas with bandwidths down to
+        # 0.3 px leave most pixels far from every site.
+        rng = np.random.default_rng(seed)
+        start = rng.uniform(-spread, 24 + spread, (num_points, 2))
+        coords = np.stack([start, start + rng.uniform(-5, 5, (num_points, 2))], axis=1)
+        tracks = TrackSet(ids=np.arange(num_points), coords=coords)
+        raw = per_row_heatmap(tracks, width, height, bandwidth)
+        lo, hi = raw.min(), raw.max()
+        values = build_motion_heatmap(tracks, width, height, bandwidth=bandwidth).values
+        if hi == lo:
+            assert not values.any()
+            return
+        # Normalization magnifies roundoff by max/spread; below these floors
+        # both maps are rounding noise (a near-constant map, or one whose
+        # every pixel is a subnormal-scale kernel tail).
+        if hi - lo < 1e-6 * hi or hi < 1e-250:
+            return
+        assert_allclose(values, (raw - lo) / (hi - lo), rtol=0, atol=1e-8)
+
     def test_bad_bandwidth(self):
         with pytest.raises(ValidationError):
             build_motion_heatmap(simple_tracks(), 8, 8, bandwidth=0.0)
@@ -201,6 +257,45 @@ class TestNearestSample:
         rows = nearest_rows(queries, 1, tracks)
         d2 = np.sum((queries[:, None, :] - coords[None, :, 1, :]) ** 2, axis=2)
         assert np.array_equal(rows, np.argmin(d2, axis=1))
+
+    @pytest.mark.parametrize("side", [10, 20])
+    def test_lattice_ties_pick_lowest_row(self, side):
+        # 100 points take the scan, 400 the KD-tree. Queries at lattice
+        # points, edge midpoints and cell centers are equidistant from 1, 2
+        # and 4 sites; rows are shuffled so the lowest row is anywhere.
+        from motionsketch.tracking import nearest_rows
+
+        grid = np.stack(np.meshgrid(np.arange(side), np.arange(side)), axis=-1).reshape(-1, 2)
+        sites = 2.0 * grid[np.random.default_rng(side).permutation(len(grid))]
+        coords = np.repeat(sites[:, None, :], 2, axis=1)
+        tracks = TrackSet(ids=np.arange(len(sites)), coords=coords)
+        offsets = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+        queries = np.concatenate([2.0 * grid[:60] + off for off in offsets])
+        rows = nearest_rows(queries, 1, tracks)
+        assert np.array_equal(rows, brute_force_rows(queries, sites))
+
+    def test_kdtree_three_way_tie(self):
+        # Rows 5, 7 and 250 are equidistant from the query; the rest are far.
+        from motionsketch.tracking import nearest_rows
+
+        sites = np.full((300, 2), 1000.0) + np.arange(300)[:, None]
+        sites[[5, 7, 250]] = [(3.0, 0.0), (0.0, 3.0), (-3.0, 0.0)]
+        tracks = TrackSet(ids=np.arange(300), coords=sites[:, None, :])
+        assert nearest_rows(np.zeros((1, 2)), 0, tracks)[0] == 5
+
+    @pytest.mark.parametrize("num_points", [40, 300])
+    def test_per_frame_rows_match_nearest_rows(self, rng, num_points):
+        from motionsketch.tracking import nearest_rows, nearest_rows_per_frame
+
+        coords = np.round(rng.uniform(0, 20, (num_points, 7, 2)))  # many exact ties
+        tracks = TrackSet(ids=np.arange(num_points), coords=coords)
+        points = np.round(rng.uniform(0, 20, (7, 3, 5, 2)) * 2) / 2
+        rows = nearest_rows_per_frame(points, tracks)
+        assert rows.shape == (7, 3, 5)
+        for f in range(7):
+            assert np.array_equal(rows[f], nearest_rows(points[f], f, tracks))
+            flat = brute_force_rows(points[f].reshape(-1, 2), coords[:, f])
+            assert np.array_equal(rows[f].reshape(-1), flat)
 
     def test_frame_out_of_range(self):
         with pytest.raises(ValidationError):
