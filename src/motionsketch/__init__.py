@@ -51,6 +51,7 @@ from .fitting import (
     fit_interpolation,
     fit_least_squares,
     fit_ridge,
+    fit_ridge_columns,
     fit_trajectory,
     run_fit_benchmark,
 )

@@ -1,7 +1,7 @@
 """Model files, SVG export, and continuous-time frame-rate resampling.
 
-The model file is JSON (format_version 1) carrying everything needed to
-re-evaluate the animation: canvas, widths, and per-stroke trajectory
+The model file is single-line JSON (format_version 1) carrying everything
+needed to re-evaluate the animation: canvas, widths, and per-stroke trajectory
 coefficients. Per-frame and animated exports share one path-data builder, fed
 by one basis product per stroke over all the times it renders, so the k-th key
 geometry of an animated SVG is byte-identical to the standalone frame export
@@ -81,10 +81,14 @@ def model_document(anim: SketchAnimation) -> dict:
 
 
 def save_model(anim: SketchAnimation, path: str) -> dict:
+    """Write the model document as one line of JSON and return the document.
+
+    One-shot ``json.dumps`` without indentation runs the C encoder; streaming
+    ``json.dump`` or an indent would take the pure-Python one.
+    """
     doc = model_document(anim)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
     return doc
 
 

@@ -111,7 +111,12 @@ def _lstsq(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _ridge_solve(design: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
-    """Augmented least squares: stack sqrt(lam)*I under the design matrix."""
+    """Augmented least squares: stack sqrt(lam)*I under the design matrix.
+
+    Every column of `rhs` is fitted in the one solve.
+    """
+    if not lam >= 0.0:
+        raise DomainError(f"ridge lambda must be nonnegative, got {lam}")
     if lam == 0.0:
         return _lstsq(design, rhs)
     k = design.shape[1]
@@ -147,15 +152,31 @@ def fit_least_squares(
     return TrajectoryPoly(basis, _lstsq(design, samples.positions))
 
 
+def fit_ridge_columns(
+    times: np.ndarray, values: np.ndarray, n: int, lam: float = DEFAULT_RIDGE_LAMBDA,
+    basis: BasisKind = BasisKind.BERNSTEIN,
+) -> np.ndarray:
+    """Ridge-fit every column of `values` (N_f, K) at `times`; returns (n+1, K).
+
+    All columns share one design matrix, so one solve fits them all. Column k
+    of the result is what fitting column k alone gives, up to roundoff.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[0] != np.size(times):
+        raise ValidationError(
+            f"values must have shape (N_f, K) with N_f = {np.size(times)}, got {values.shape}"
+        )
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("samples must be finite")
+    return _ridge_solve(basis_matrix(basis, n, times), values, lam)
+
+
 def fit_ridge(
     samples: FitSamples, n: int, lam: float = DEFAULT_RIDGE_LAMBDA,
     basis: BasisKind = BasisKind.BERNSTEIN,
 ) -> TrajectoryPoly:
     """L2-regularized fit; full rank for any lam > 0. The penalty includes all coefficients."""
-    if lam < 0:
-        raise DomainError(f"ridge lambda must be nonnegative, got {lam}")
-    design = basis_matrix(basis, n, samples.times)
-    return TrajectoryPoly(basis, _ridge_solve(design, samples.positions, lam))
+    return TrajectoryPoly(basis, fit_ridge_columns(samples.times, samples.positions, n, lam, basis))
 
 
 def fit_trajectory(

@@ -15,10 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bernstein import BasisKind, basis_matrix, basis_row
 from .errors import DegenerateInputError, ParseError, ValidationError
-from .fitting import DEFAULT_RIDGE_LAMBDA, FitSamples, fit_ridge
+from .fitting import DEFAULT_RIDGE_LAMBDA, fit_ridge_columns
 from .tracking import MotionHeatmap, TrackSet, nearest_rows
-from .trajectory import SketchAnimation, Stroke, default_trajectory_degree
+from .trajectory import (
+    SketchAnimation,
+    Stroke,
+    TrajectoryPoly,
+    animation_coefficients,
+    default_trajectory_degree,
+)
 
 
 @dataclass(frozen=True)
@@ -62,6 +69,8 @@ class InitConfig:
             raise ValidationError(f"beta must lie in [0, 1], got {self.beta}")
         if self.curve_degree < 1:
             raise ValidationError("curve degree must be at least 1")
+        if not self.ridge_lambda >= 0.0:
+            raise ValidationError(f"ridge lambda must be nonnegative, got {self.ridge_lambda}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +175,8 @@ def init_animation(
     Each stroke is a short, near-degenerate segment through its seed; the m+1
     control targets are the seed's target trajectory shifted by fixed offsets
     along a random direction (perpendicular jitter up to span/8), and each
-    control trajectory is ridge-fitted to its target.
+    control trajectory is ridge-fitted to its target. All N_s*(m+1) fits share
+    one design matrix and are solved together.
     """
     widths = np.asarray(widths, dtype=np.float64)
     num_frames = tracks.num_frames
@@ -190,7 +200,7 @@ def init_animation(
     seeds = sample_stroke_seeds(density, config.num_strokes, config.rng_seed)
     targets = assign_track_targets(seeds, tracks)
 
-    strokes = []
+    offsets = np.empty((config.num_strokes, m + 1, 2))
     for j in range(config.num_strokes):
         rng = np.random.default_rng((config.rng_seed, 1, j))
         angle = rng.uniform(0.0, 2.0 * math.pi)
@@ -198,14 +208,18 @@ def init_animation(
         perp = np.array([-direction[1], direction[0]])
         along = (np.arange(m + 1) / m - 0.5) * span
         across = rng.uniform(-span / 8.0, span / 8.0, size=m + 1)
-        offsets = along[:, None] * direction + across[:, None] * perp
+        offsets[j] = along[:, None] * direction + across[:, None] * perp
 
-        trajs = []
-        for a in range(m + 1):
-            ctrl_positions = targets[j] + offsets[a]
-            samples = FitSamples(times=times, positions=ctrl_positions)
-            trajs.append(fit_ridge(samples, n, config.ridge_lambda))
-        strokes.append(Stroke(tuple(trajs)))
+    # Control target (j, a) at frame i is targets[j, i] + offsets[j, a]; one
+    # column pair per control point, all fitted in one solve.
+    ctrl_targets = targets[:, None, :, :] + offsets[:, :, None, :]  # (N_s, m+1, N_f, 2)
+    rhs = ctrl_targets.transpose(2, 0, 1, 3).reshape(num_frames, -1)
+    coeffs = fit_ridge_columns(times, rhs, n, config.ridge_lambda)
+    coeffs = coeffs.reshape(n + 1, config.num_strokes, m + 1, 2).transpose(1, 2, 0, 3)
+    strokes = [
+        Stroke(tuple(TrajectoryPoly(BasisKind.BERNSTEIN, ctrl) for ctrl in stroke_coeffs))
+        for stroke_coeffs in coeffs
+    ]
 
     return SketchAnimation(
         strokes=tuple(strokes),
@@ -222,13 +236,14 @@ def derive_attachment_targets(anim: SketchAnimation, tracks: TrackSet) -> np.nda
     Returns shape (N_s, N_f, 2). Used by the CLI, whose model files do not
     carry the targets chosen at initialization time.
     """
-    from .trajectory import eval_curve_point
-
     if tracks.num_frames != anim.num_frames:
         raise ValidationError(
             f"track frames ({tracks.num_frames}) != animation frames ({anim.num_frames})"
         )
-    mids = np.stack([eval_curve_point(s, 0.5, 0.0) for s in anim.strokes])
+    first = anim.strokes[0]
+    at_zero = basis_matrix(first.basis, first.trajectory_degree, np.zeros(1))[0]
+    points = at_zero @ animation_coefficients(anim)  # (N_s, m+1, 2) at frame 0
+    mids = basis_row(BasisKind.BERNSTEIN, first.curve_degree, 0.5).values @ points
     return assign_track_targets(mids, tracks)
 
 

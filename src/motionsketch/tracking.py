@@ -126,7 +126,7 @@ def _xy_to_array(obj: dict) -> dict:
 def _load_tracks_json(path: str) -> TrackSet:
     with open(path, "rb") as fh:
         raw = fh.read()
-    if not raw.strip():
+    if not raw or raw.isspace():
         raise ValidationError("no points: track file is empty")
     try:
         doc = json.loads(raw, object_hook=_xy_to_array)

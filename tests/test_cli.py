@@ -76,6 +76,17 @@ class TestExitCodes:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["init", "fit-bench"])
+    def test_negative_ridge_lambda_exit_one(self, capsys, tmp_path, tracks_path, command):
+        args = [command, "--tracks", tracks_path, "--lambda", "-1"]
+        if command == "init":
+            args += ["--canvas", "32x32", "--out", str(tmp_path / "m.json")]
+        else:
+            args += ["--configs", "8:3"]
+        assert main(args) == 1
+        assert "ridge lambda must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 

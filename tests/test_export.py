@@ -1,6 +1,7 @@
 """Model files, SVG rendering, animated export, frame-rate resampling."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from motionsketch import (
     export_animated_svg,
     export_frame_svg,
     load_model,
+    model_document,
     render_animated_svg,
     render_frame_svg,
     resample_framerate,
@@ -40,7 +42,48 @@ def static_animation(num_frames=3, widths=None):
     return make_animation([controls], num_frames, canvas=(128, 128), widths=widths)
 
 
+def assert_same_document(got, want):
+    """Equal JSON values with matching types, floats compared bit for bit."""
+    assert type(got) is type(want)
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_same_document(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same_document(a, b)
+    elif isinstance(want, float):
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+    else:
+        assert got == want
+
+
 class TestModelFile:
+    def test_file_is_the_document_bit_for_bit(self, tmp_path, rng):
+        edge = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 2.2250738585072014e-308, 0.1]
+        coeffs = rng.uniform(-1e3, 1e3, (2, 3, 4, 2))
+        coeffs.reshape(-1)[: len(edge)] = edge
+        widths = np.array([-0.0, 5e-324, 1e300, 1.0 / 3.0])
+        anim = make_animation(coeffs, 4, canvas=(640, 480), widths=widths)
+        path = tmp_path / "model.json"
+        doc = save_model(anim, str(path))
+        text = path.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        loaded = json.loads(text)
+        assert_same_document(loaded, model_document(anim))
+        assert_same_document(doc, model_document(anim))
+        ctrl = np.array([stroke["control_trajectories"] for stroke in loaded["strokes"]])
+        assert ctrl.tobytes() == coeffs.tobytes()
+        assert np.array(loaded["widths"]).tobytes() == widths.tobytes()
+
+    def test_load_save_reproduces_bytes(self, tmp_path, rng):
+        anim = random_animation(rng, num_strokes=3, curve_degree=4, trajectory_degree=61)
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(anim, str(first))
+        save_model(load_model(str(first)), str(second))
+        assert first.read_bytes() == second.read_bytes()
+
     def test_round_trip_is_coefficient_exact(self, tmp_path, rng):
         anim = random_animation(rng, num_strokes=3, trajectory_degree=7)
         path = tmp_path / "model.json"

@@ -17,6 +17,7 @@ from motionsketch import (
     fit_interpolation,
     fit_least_squares,
     fit_ridge,
+    fit_ridge_columns,
     fit_trajectory,
     make_benchmark_tracks,
     run_fit_benchmark,
@@ -137,9 +138,31 @@ class TestRidge:
         assert np.abs(traj.coeffs).max() < 1e-3
 
     def test_negative_lambda_rejected(self, rng):
+        # Every ridge path shares one solve, and the solve rejects the value.
         samples = noisy_sinusoid_samples(rng, 10)
-        with pytest.raises(DomainError):
-            fit_ridge(samples, 3, -1.0)
+        tracks = make_benchmark_tracks(2, 20)
+        for lam in (-1.0, float("nan")):
+            with pytest.raises(DomainError):
+                fit_ridge(samples, 3, lam)
+            with pytest.raises(DomainError):
+                fit_ridge_columns(samples.times, np.zeros((10, 6)), 3, lam)
+            with pytest.raises(DomainError):
+                run_fit_benchmark(tracks, configs=((20, 3),), ridge_lambda=lam)
+
+    def test_columns_match_per_column_fits(self, rng):
+        times = np.linspace(0.0, 1.0, 30)
+        values = rng.uniform(-50.0, 50.0, (30, 8))
+        stacked = fit_ridge_columns(times, values, 6, 1e-3)
+        for k in range(0, 8, 2):
+            single = fit_ridge(FitSamples(times, values[:, k : k + 2]), 6, 1e-3).coeffs
+            assert_allclose(stacked[:, k : k + 2], single, rtol=0, atol=1e-9 * np.abs(single).max())
+
+    def test_columns_reject_bad_values(self):
+        times = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValidationError):
+            fit_ridge_columns(times, np.zeros((4, 2)), 2)
+        with pytest.raises(ValidationError):
+            fit_ridge_columns(times, np.full((5, 2), np.inf), 2)
 
     def test_high_degree_stays_accurate_and_bounded(self, rng):
         samples = noisy_sinusoid_samples(rng, 400)

@@ -1,11 +1,18 @@
 """Density maps, seed sampling, target assignment, animation init, widths."""
 
+import math
+
 import numpy as np
 import pytest
+from conftest import make_animation
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from motionsketch import (
+    BasisKind,
     DegenerateInputError,
+    FitSamples,
     InitConfig,
     MaskAreas,
     TrackSet,
@@ -14,7 +21,9 @@ from motionsketch import (
     assign_track_targets,
     compose_density_map,
     consistency_loss_grad,
+    derive_attachment_targets,
     eval_curve_point,
+    fit_ridge,
     init_animation,
     load_mask_areas,
     load_pgm,
@@ -24,6 +33,30 @@ from motionsketch import (
     stroke_width_schedule,
     uniform_map,
 )
+
+
+def per_point_init_coefficients(config, density, tracks):
+    """Oracle: init_animation's control trajectories, one fit_ridge call per
+    control point, shape (N_s, m+1, n+1, 2). The config must fix the degree
+    and the span."""
+    m, n, span = config.curve_degree, config.trajectory_degree, config.initial_stroke_span
+    times = np.linspace(0.0, 1.0, tracks.num_frames)
+    seeds = sample_stroke_seeds(density, config.num_strokes, config.rng_seed)
+    targets = assign_track_targets(seeds, tracks)
+    out = []
+    for j in range(config.num_strokes):
+        rng = np.random.default_rng((config.rng_seed, 1, j))
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        direction = np.array([math.cos(angle), math.sin(angle)])
+        perp = np.array([-direction[1], direction[0]])
+        along = (np.arange(m + 1) / m - 0.5) * span
+        across = rng.uniform(-span / 8.0, span / 8.0, size=m + 1)
+        offsets = along[:, None] * direction + across[:, None] * perp
+        out.append([
+            fit_ridge(FitSamples(times, targets[j] + offsets[a]), n, config.ridge_lambda).coeffs
+            for a in range(m + 1)
+        ])
+    return np.array(out)
 
 
 def circle_tracks(num_points=8, num_frames=6, center=(32.0, 32.0), radius=12.0):
@@ -157,11 +190,50 @@ class TestWidthSchedule:
             MaskAreas(areas=np.array([65 * 48]), canvas=(64, 48))
 
 
+class TestInitConfig:
+    @pytest.mark.parametrize("lam", [-1.0, -1e-300, float("nan")])
+    def test_rejects_bad_ridge_lambda(self, lam):
+        with pytest.raises(ValidationError, match="ridge lambda"):
+            InitConfig(num_strokes=1, ridge_lambda=lam)
+
+
 class TestInitAnimation:
     def density(self, w=64, h=64):
         return compose_density_map(
             uniform_map(w, h), uniform_map(w, h), uniform_map(w, h), 0.5
         )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        num_strokes=st.integers(1, 4),
+        curve_degree=st.integers(1, 5),
+        trajectory_degree=st.sampled_from([1, 4, 24, 59, 60, 61, 62, 99]),
+        extra_frames=st.integers(0, 40),
+        ridge_lambda=st.sampled_from([0.0, 1e-6, 1e-3, 1.0]),
+        span=st.floats(0.0, 30.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_control_point_fits(
+        self, num_strokes, curve_degree, trajectory_degree, extra_frames, ridge_lambda,
+        span, seed,
+    ):
+        # One stacked solve against one fit_ridge call per control point, on
+        # the same targets; N_f >= n+1 so lambda = 0 is a determined fit.
+        num_frames = trajectory_degree + 1 + extra_frames
+        rng = np.random.default_rng(seed)
+        walk = np.cumsum(rng.normal(0.0, 1.5, (3, num_frames, 2)), axis=1)
+        tracks = TrackSet(ids=np.arange(3), coords=rng.uniform(8, 56, (3, 1, 2)) + walk)
+        config = InitConfig(
+            num_strokes=num_strokes, trajectory_degree=trajectory_degree,
+            ridge_lambda=ridge_lambda, rng_seed=seed, curve_degree=curve_degree,
+            initial_stroke_span=span,
+        )
+        anim = init_animation(config, self.density(), tracks, np.ones(num_frames))
+        got = animation_coefficients(anim)
+        want = per_point_init_coefficients(config, self.density(), tracks)
+        assert got.shape == want.shape
+        scale = np.abs(want).max(axis=(2, 3), keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-9 * scale)
 
     def test_static_tracks_constant_trajectories(self):
         coords = np.repeat(np.array([[[30.0, 30.0]]]), 6, axis=1)
@@ -218,6 +290,27 @@ class TestInitAnimation:
             random_anim = replace_coefficients(anim, rng.uniform(0, 64, shape))
             random_loss, _ = consistency_loss_grad(random_anim, tracks, 4)
             assert init_loss <= random_loss
+
+
+class TestDeriveAttachmentTargets:
+    @pytest.mark.parametrize("basis", list(BasisKind))
+    @pytest.mark.parametrize("curve_degree", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("trajectory_degree", [0, 3, 61])
+    def test_matches_per_point_midpoints(self, rng, basis, curve_degree, trajectory_degree):
+        # Frame 0 is a unit basis row in both bases, and the curve row meets
+        # the same (m+1, 2) points as in eval_curve_point: exact equality.
+        coeffs = rng.uniform(-300.0, 300.0, (9, curve_degree + 1, trajectory_degree + 1, 2))
+        anim = make_animation(coeffs, 5, basis=basis)
+        tracks = TrackSet(ids=np.arange(6), coords=rng.uniform(0.0, 64.0, (6, 5, 2)))
+        mids = np.stack([eval_curve_point(s, 0.5, 0.0) for s in anim.strokes])
+        got = derive_attachment_targets(anim, tracks)
+        assert np.array_equal(got, assign_track_targets(mids, tracks))
+        assert np.array_equal(got[:, 0], mids)
+
+    def test_frame_count_mismatch(self, rng):
+        anim = make_animation(rng.uniform(0, 9, (1, 2, 3, 2)), 5)
+        with pytest.raises(ValidationError):
+            derive_attachment_targets(anim, circle_tracks(num_frames=4))
 
 
 class TestFileIngestion:

@@ -100,6 +100,12 @@ class TestLoading:
         with pytest.raises(ValidationError, match="no points"):
             load_tracks(str(path))
 
+    def test_whitespace_only_file(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(" \n\t\r\n  ")
+        with pytest.raises(ValidationError, match="no points"):
+            load_tracks(str(path))
+
     def test_malformed_json_parse_error(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text('{"num_frames": 3, ')
