@@ -292,9 +292,12 @@ def resample_framerate(
 ) -> FrameRatePlan:
     """Uniform output times with the endpoint-preserving frame count
     round((N_f - 1) * output_fps / input_fps) + 1."""
-    if input_fps <= 0 or output_fps <= 0:
-        raise DomainError("frame rates must be positive")
-    count = int(round((anim.num_frames - 1) * output_fps / input_fps)) + 1
+    if not (0.0 < input_fps < np.inf and 0.0 < output_fps < np.inf):
+        raise DomainError(f"frame rates must be positive and finite, got {input_fps}, {output_fps}")
+    intervals = (anim.num_frames - 1) * output_fps / input_fps
+    if not intervals < np.inf:
+        raise DomainError(f"output frame count overflows at {output_fps}/{input_fps} fps")
+    count = int(round(intervals)) + 1
     return FrameRatePlan(
         input_fps=float(input_fps),
         output_fps=float(output_fps),

@@ -8,8 +8,11 @@ Three strategies with very different conditioning behavior:
   blow up once the design matrix is numerically rank deficient),
 * ridge regression, which bounds the coefficients at the price of a small bias.
 
-``run_fit_benchmark`` reproduces the trade-off table across
-(frame count, degree) configurations.
+Each method's solve is written once, in ``_fit_columns``, which fits any
+number of columns against one shared design matrix; the per-trajectory fits
+and ``run_fit_benchmark`` (the trade-off table across (frame count, degree)
+configurations) both call it, and both report errors through one column
+report.
 """
 
 from __future__ import annotations
@@ -125,31 +128,59 @@ def _ridge_solve(design: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
     return _lstsq(augmented, padded)
 
 
+def _fit_columns(method: FitMethod, design: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
+    """Fit every column of `rhs` (N_f, K) against one design matrix; returns (n+1, K)."""
+    num_frames, num_coeffs = design.shape
+    if method is FitMethod.INTERPOLATION:
+        idx = interpolation_frame_indices(num_frames, num_coeffs - 1)
+        try:
+            return np.linalg.solve(design[idx], rhs[idx])
+        except np.linalg.LinAlgError as exc:
+            raise ConditioningError(
+                f"interpolation system is singular: {exc}",
+                condition=_design_condition(design[idx]),
+            ) from exc
+    if method is FitMethod.LEAST_SQUARES:
+        if num_frames < num_coeffs:
+            raise ConditioningError(
+                f"underdetermined fit: {num_frames} frames for {num_coeffs} coefficients"
+            )
+        return _lstsq(design, rhs)
+    return _ridge_solve(design, rhs, lam)
+
+
+def fit_trajectory(
+    samples: FitSamples,
+    n: int,
+    method: FitMethod,
+    ridge_lambda: float = DEFAULT_RIDGE_LAMBDA,
+    basis: BasisKind = BasisKind.BERNSTEIN,
+) -> TrajectoryPoly:
+    """Fit a degree-n trajectory to the samples with `method`."""
+    design = basis_matrix(basis, n, samples.times)
+    return TrajectoryPoly(basis, _fit_columns(method, design, samples.positions, ridge_lambda))
+
+
 def fit_interpolation(
     samples: FitSamples, n: int, basis: BasisKind = BasisKind.BERNSTEIN
 ) -> TrajectoryPoly:
     """Interpolate through n+1 uniformly chosen frames (exact there, wild elsewhere)."""
-    idx = interpolation_frame_indices(samples.num_frames, n)
-    matrix = basis_matrix(basis, n, samples.times[idx])
-    try:
-        coeffs = np.linalg.solve(matrix, samples.positions[idx])
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(
-            f"interpolation system is singular: {exc}", condition=_design_condition(matrix)
-        ) from exc
-    return TrajectoryPoly(basis, coeffs)
+    return fit_trajectory(samples, n, FitMethod.INTERPOLATION, basis=basis)
 
 
 def fit_least_squares(
     samples: FitSamples, n: int, basis: BasisKind = BasisKind.BERNSTEIN
 ) -> TrajectoryPoly:
     """Minimize the summed squared error over all frames (SVD, never normal equations)."""
-    if samples.num_frames < n + 1:
-        raise ConditioningError(
-            f"underdetermined fit: {samples.num_frames} frames for {n + 1} coefficients"
-        )
-    design = basis_matrix(basis, n, samples.times)
-    return TrajectoryPoly(basis, _lstsq(design, samples.positions))
+    return fit_trajectory(samples, n, FitMethod.LEAST_SQUARES, basis=basis)
+
+
+def fit_ridge(
+    samples: FitSamples, n: int, lam: float = DEFAULT_RIDGE_LAMBDA,
+    basis: BasisKind = BasisKind.BERNSTEIN,
+) -> TrajectoryPoly:
+    """L2-regularized fit; full rank for any lam > 0. The penalty includes all coefficients."""
+    return fit_trajectory(samples, n, FitMethod.RIDGE, lam, basis)
 
 
 def fit_ridge_columns(
@@ -168,39 +199,32 @@ def fit_ridge_columns(
         )
     if not np.all(np.isfinite(values)):
         raise ValidationError("samples must be finite")
-    return _ridge_solve(basis_matrix(basis, n, times), values, lam)
+    return _fit_columns(FitMethod.RIDGE, basis_matrix(basis, n, times), values, lam)
 
 
-def fit_ridge(
-    samples: FitSamples, n: int, lam: float = DEFAULT_RIDGE_LAMBDA,
-    basis: BasisKind = BasisKind.BERNSTEIN,
-) -> TrajectoryPoly:
-    """L2-regularized fit; full rank for any lam > 0. The penalty includes all coefficients."""
-    return TrajectoryPoly(basis, fit_ridge_columns(samples.times, samples.positions, n, lam, basis))
+def _column_report(
+    design: np.ndarray, coeffs: np.ndarray, positions: np.ndarray
+) -> tuple[float, float, float]:
+    """Mean-over-tracks (mae, avg_abs_coeff, max_abs_error) of column-stacked fits.
 
-
-def fit_trajectory(
-    samples: FitSamples,
-    n: int,
-    method: FitMethod,
-    ridge_lambda: float = DEFAULT_RIDGE_LAMBDA,
-    basis: BasisKind = BasisKind.BERNSTEIN,
-) -> TrajectoryPoly:
-    if method is FitMethod.INTERPOLATION:
-        return fit_interpolation(samples, n, basis)
-    if method is FitMethod.LEAST_SQUARES:
-        return fit_least_squares(samples, n, basis)
-    return fit_ridge(samples, n, ridge_lambda, basis)
+    `coeffs` is (n+1, 2K), one (x, y) column pair per track; `positions` is
+    (N_f, K, 2). The mae averages the errors of all frames of all tracks.
+    """
+    fitted = (design @ coeffs).reshape(design.shape[0], -1, 2)
+    errors = np.linalg.norm(fitted - positions, axis=2)
+    per_track_coeff = np.mean(np.abs(coeffs.reshape(coeffs.shape[0], -1, 2)), axis=(0, 2))
+    return (
+        float(np.mean(errors)),
+        float(np.mean(per_track_coeff)),
+        float(np.mean(np.max(errors, axis=0))),
+    )
 
 
 def evaluate_fit(traj: TrajectoryPoly, samples: FitSamples) -> FitReport:
     """Frame-wise Euclidean errors of the fitted trajectory against the samples."""
     design = basis_matrix(traj.basis, traj.degree, samples.times)
-    errors = np.linalg.norm(design @ traj.coeffs - samples.positions, axis=1)
     return FitReport(
-        mae=float(np.mean(errors)),
-        avg_abs_coeff=float(np.mean(np.abs(traj.coeffs))),
-        max_abs_error=float(np.max(errors)),
+        *_column_report(design, traj.coeffs, samples.positions[:, None, :]),
         condition_estimate=_design_condition(design),
     )
 
@@ -232,7 +256,7 @@ class BenchmarkResult:
         return buf.getvalue()
 
     def to_markdown(self) -> str:
-        methods = [FitMethod.INTERPOLATION, FitMethod.LEAST_SQUARES, FitMethod.RIDGE]
+        methods = list(FitMethod)
         labels = {
             FitMethod.INTERPOLATION: "interp",
             FitMethod.LEAST_SQUARES: "lstsq",
@@ -252,25 +276,6 @@ class BenchmarkResult:
             cells += [f"{by_key[(frames, degree, m)].avg_abs_coeff:.3e}" for m in methods]
             lines.append("| " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
-
-
-def _batched_reports(
-    design: np.ndarray,
-    coeffs: np.ndarray,
-    positions: np.ndarray,
-) -> tuple[float, float, float]:
-    """Mean-over-tracks (mae, avg_abs_coeff, max_abs_error).
-
-    `coeffs` is (n+1, 2K) column-stacked per track, `positions` (N_f, K, 2).
-    """
-    fitted = (design @ coeffs).reshape(design.shape[0], -1, 2)
-    errors = np.linalg.norm(fitted - positions, axis=2)
-    per_track_coeff = np.mean(np.abs(coeffs.reshape(coeffs.shape[0], -1, 2)), axis=(0, 2))
-    return (
-        float(np.mean(errors)),
-        float(np.mean(per_track_coeff)),
-        float(np.mean(np.max(errors, axis=0))),
-    )
 
 
 def run_fit_benchmark(
@@ -297,36 +302,17 @@ def run_fit_benchmark(
             skipped.append((frames, degree, f"{frames} frames cannot support degree {degree}"))
             continue
         times = np.linspace(0.0, 1.0, frames)
-        positions = tracks.coords[:, :frames, :]  # (K, frames, 2)
-        rhs = positions.transpose(1, 0, 2).reshape(frames, -1)  # (frames, 2K)
-        by_frame = positions.transpose(1, 0, 2)
-
+        by_frame = tracks.coords[:, :frames, :].transpose(1, 0, 2)  # (frames, K, 2)
+        rhs = by_frame.reshape(frames, -1)  # (frames, 2K)
         design = basis_matrix(basis, degree, times)
         condition = _design_condition(design)
-
-        idx = interpolation_frame_indices(frames, degree)
-        try:
-            interp_coeffs = np.linalg.solve(design[idx], rhs[idx])
-        except np.linalg.LinAlgError:
-            interp_coeffs = np.full((degree + 1, rhs.shape[1]), np.inf)
-        ls_coeffs = _lstsq(design, rhs)
-        ridge_coeffs = _ridge_solve(design, rhs, ridge_lambda)
-
-        for method, coeffs in (
-            (FitMethod.INTERPOLATION, interp_coeffs),
-            (FitMethod.LEAST_SQUARES, ls_coeffs),
-            (FitMethod.RIDGE, ridge_coeffs),
-        ):
-            mae, avg_coeff, max_err = _batched_reports(design, coeffs, by_frame)
-            rows.append(
-                BenchmarkRow(
-                    frames=frames,
-                    degree=degree,
-                    method=method,
-                    mae=mae,
-                    avg_abs_coeff=avg_coeff,
-                    max_abs_error=max_err,
-                    condition_estimate=condition,
-                )
-            )
+        for method in FitMethod:
+            try:
+                coeffs = _fit_columns(method, design, rhs, ridge_lambda)
+            except ConditioningError:
+                if method is not FitMethod.INTERPOLATION:
+                    raise
+                coeffs = np.full((degree + 1, rhs.shape[1]), np.inf)
+            report = _column_report(design, coeffs, by_frame)
+            rows.append(BenchmarkRow(frames, degree, method, *report, condition))
     return BenchmarkResult(rows=tuple(rows), skipped=tuple(skipped))

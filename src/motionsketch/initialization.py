@@ -71,6 +71,9 @@ class InitConfig:
             raise ValidationError("curve degree must be at least 1")
         if not self.ridge_lambda >= 0.0:
             raise ValidationError(f"ridge lambda must be nonnegative, got {self.ridge_lambda}")
+        span = self.initial_stroke_span
+        if span is not None and not 0.0 <= span < math.inf:
+            raise ValidationError(f"stroke span must be finite and nonnegative, got {span}")
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,8 @@ class LossWeights:
     w_c: float = 0.5
 
     def __post_init__(self):
-        if self.w_s < 0 or self.w_g < 0 or self.w_c < 0:
-            raise ValidationError("loss weights must be nonnegative")
+        if not all(0.0 <= w < np.inf for w in (self.w_s, self.w_g, self.w_c)):
+            raise ValidationError("loss weights must be finite and nonnegative")
         if self.w_s == 0 and self.w_g == 0 and self.w_c == 0:
             raise ValidationError("at least one loss weight must be positive")
 
@@ -356,14 +356,17 @@ def finite_difference_check(
     shrinks as the step grows. Hence the large default step. Small instances check
     every coefficient coordinate; large ones check a deterministic random 5%
     subset. Coordinates where both gradients are numerically zero contribute 0.
-    A positive `w_g` is rejected: this check has no geometry term.
+    A positive `w_g` is rejected: this check has no geometry term. A non-finite
+    gradient or central difference raises ``DivergenceError``, never a silent 0.
     """
-    if step <= 0:
-        raise ValidationError(f"step must be positive, got {step}")
+    if not 0.0 < step < np.inf:
+        raise ValidationError(f"step must be positive and finite, got {step}")
     objective = _Objective(anim, tracks, targets, weights, n_p)
     q0 = animation_coefficients(anim)
     rows = objective.assign(q0)
     _, grad = objective.value_grad(q0, rows)
+    if not np.all(np.isfinite(grad)):
+        raise DivergenceError("analytic gradient is not finite")
 
     flat_grad = grad.reshape(-1)
     size = flat_grad.size
@@ -382,6 +385,8 @@ def finite_difference_check(
         bumped[idx] -= 2.0 * step
         f_minus = objective.value_grad(bumped.reshape(q0.shape), rows)[0].total
         fd = (f_plus - f_minus) / (2.0 * step)
+        if not np.isfinite(fd):
+            raise DivergenceError(f"central difference at coordinate {idx} is not finite")
         denom = max(abs(fd), abs(flat_grad[idx]))
         if denom < 1e-9:
             continue

@@ -98,28 +98,19 @@ class MotionHeatmap:
         object.__setattr__(self, "values", values)
 
 
-def _tracks_from_mapping(points: dict[int, list]) -> TrackSet:
-    if not points:
-        raise ValidationError("no points in track file")
-    lengths = {pid: len(xy) for pid, xy in points.items()}
-    distinct = set(lengths.values())
-    if len(distinct) != 1:
-        bad = min(pid for pid, n in lengths.items() if n != max(distinct))
-        raise ValidationError(
-            f"ragged track: point id {bad} has {lengths[bad]} frames, others differ"
-        )
-    ids = sorted(points)
-    coords = np.array([points[pid] for pid in ids], dtype=np.float64)
-    return TrackSet(ids=np.array(ids), coords=coords)
-
-
-def _xy_to_array(obj: dict) -> dict:
+def _xy_to_array(obj: dict, path: str) -> dict:
     # Each point's coordinates become an array as soon as its object is
     # parsed, so the file's nested lists of floats (several times the size of
     # the array) never exist all at once.
-    xy = obj.get("xy")
-    if isinstance(xy, list):
-        obj["xy"] = np.asarray(xy, dtype=np.float64)
+    if "xy" in obj:
+        xy = obj["xy"]
+        try:
+            array = np.asarray(xy, dtype=np.float64) if isinstance(xy, list) else None
+        except (TypeError, ValueError, OverflowError):
+            array = None
+        if array is None or (xy and array.shape[1:] != (2,)):
+            raise ParseError(f"{path}: point {obj.get('id')!r}: 'xy' is not a list of [x, y] pairs")
+        obj["xy"] = array
     return obj
 
 
@@ -129,20 +120,20 @@ def _load_tracks_json(path: str) -> TrackSet:
     if not raw or raw.isspace():
         raise ValidationError("no points: track file is empty")
     try:
-        doc = json.loads(raw, object_hook=_xy_to_array)
+        doc = json.loads(raw, object_hook=lambda obj: _xy_to_array(obj, path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     try:
         num_frames = int(doc["num_frames"])
-        entries = doc["points"]
-    except (KeyError, TypeError) as exc:
+        entries = list(doc["points"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: expected object with 'num_frames' and 'points'") from exc
-    points: dict[int, list] = {}
+    points: dict[int, np.ndarray] = {}
     for entry in entries:
         try:
             pid = int(entry["id"])
             xy = entry["xy"]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{path}: each point needs 'id' and 'xy'") from exc
         if pid in points:
             raise ValidationError(f"duplicate point id {pid}")
@@ -151,7 +142,11 @@ def _load_tracks_json(path: str) -> TrackSet:
                 f"ragged track: point id {pid} has {len(xy)} frames, expected {num_frames}"
             )
         points[pid] = xy
-    return _tracks_from_mapping(points)
+    if not points:
+        raise ValidationError("no points in track file")
+    ids = sorted(points)
+    coords = np.array([points[pid] for pid in ids], dtype=np.float64)
+    return TrackSet(ids=np.array(ids), coords=coords)
 
 
 def _load_tracks_csv(path: str) -> TrackSet:
@@ -208,16 +203,15 @@ def load_tracks(path: str, format: str | None = None) -> TrackSet:
 
 def save_tracks(tracks: TrackSet, path: str) -> None:
     """Write a track set in the JSON track format."""
-    doc = {
-        "num_frames": tracks.num_frames,
-        "points": [
-            {"id": int(pid), "xy": tracks.coords[k].tolist()}
-            for k, pid in enumerate(tracks.ids)
-        ],
-    }
+    # Each point goes through json.dumps (the C encoder) on its own: the bytes
+    # equal one dump of the whole document, which is never held in memory.
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(f'{{"num_frames": {tracks.num_frames}, "points": [')
+        for k, pid in enumerate(tracks.ids):
+            if k:
+                fh.write(", ")
+            fh.write(json.dumps({"id": int(pid), "xy": tracks.coords[k].tolist()}))
+        fh.write("]}\n")
 
 
 def motion_weight(tracks: TrackSet, point_id: int) -> float:
@@ -250,7 +244,7 @@ def build_motion_heatmap(
         raise ValidationError(f"canvas must be at least 1x1, got {width}x{height}")
     if bandwidth is None:
         bandwidth = 0.05 * max(width, height)
-    if bandwidth <= 0:
+    if not bandwidth > 0:
         raise ValidationError(f"bandwidth must be positive, got {bandwidth}")
     weights = motion_weights(tracks)
     sites = tracks.coords[:, site_frame, :]
@@ -289,7 +283,8 @@ def nearest_rows(points: np.ndarray, frame: int, tracks: TrackSet) -> np.ndarray
     """Row indices of the nearest tracked point for each query (batched).
 
     Uses a per-frame KD-tree once the track set is large, and a vectorized scan
-    for small sets. Both pick the lowest row (= lowest id) on ties.
+    for small sets. Both pick the lowest row on ties, which is the lowest id
+    only when the ids are sorted (as in every loaded track set).
     """
     points = np.asarray(points, dtype=np.float64)
     flat = points.reshape(-1, 2)
@@ -323,12 +318,14 @@ def nearest_rows_per_frame(points: np.ndarray, tracks: TrackSet) -> np.ndarray:
 
 
 def nearest_sample(p: np.ndarray, i: int, tracks: TrackSet) -> int:
-    """Id of the tracked point nearest to p in frame i; ties go to the lowest id."""
+    """Id of the tracked point nearest to p in frame i; ties go to the lowest row,
+    which is the lowest id when the ids are sorted (as in every loaded track set)."""
     if not (0 <= i < tracks.num_frames):
         raise ValidationError(f"frame index {i} outside 0..{tracks.num_frames - 1}")
     p = np.asarray(p, dtype=np.float64)
-    d2 = np.sum((tracks.coords[:, i, :] - p) ** 2, axis=1)
-    return int(tracks.ids[int(np.argmin(d2))])
+    if not np.all(np.isfinite(p)):
+        raise ValidationError(f"query point must be finite, got {p}")
+    return int(tracks.ids[nearest_rows(p, i, tracks)])
 
 
 def transfer_point(p: np.ndarray, i: int, t: int, tracks: TrackSet) -> np.ndarray:

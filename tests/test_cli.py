@@ -87,6 +87,34 @@ class TestExitCodes:
         assert "ridge lambda must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("check-grad", "--step", "nan"),
+        ("check-grad", "--step", "inf"),
+        ("check-grad", "--w-s", "nan"),
+        ("optimize", "--w-c", "inf"),
+        ("init", "--span", "nan"),
+        ("init", "--span", "-5"),
+        ("init", "--bandwidth", "nan"),
+        ("interp", "--fps-in", "nan"),
+        ("interp", "--fps-out", "inf"),
+        ("export", "--fps", "nan"),
+    ])
+    def test_non_finite_flag_exit_one(self, capsys, tmp_path, tracks_path, model_path,
+                                      command, flag, value):
+        out = str(tmp_path / "out")
+        args = {
+            "check-grad": ["--model", model_path, "--tracks", tracks_path, "--tolerance", "1"],
+            "optimize": ["--model", model_path, "--tracks", tracks_path, "--out", out,
+                         "--iterations", "1"],
+            "init": ["--tracks", tracks_path, "--canvas", "32x32", "--out", out],
+            "interp": ["--model", model_path, "--fps-in", "6", "--fps-out", "12", "--out", out],
+            "export": ["--model", model_path, "--animated", out],
+        }[command]
+        capsys.readouterr()
+        assert main([command, *args, flag, value]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 

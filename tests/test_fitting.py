@@ -87,6 +87,18 @@ class TestInterpolation:
         with pytest.raises(DomainError):
             fit_interpolation(samples, 4)
 
+    @pytest.mark.parametrize("basis", list(BasisKind))
+    @pytest.mark.parametrize("degree", [5, 60, 61, 99])
+    def test_nodes_of_full_design_are_bit_exact(self, rng, basis, degree):
+        # The fit solves on rows taken from the all-frames design matrix; they
+        # must equal the basis evaluated at the chosen frames alone.
+        samples = noisy_sinusoid_samples(rng, 2 * degree + 3)
+        idx = interpolation_frame_indices(samples.num_frames, degree)
+        nodes = basis_matrix(basis, degree, samples.times[idx])
+        assert np.array_equal(basis_matrix(basis, degree, samples.times)[idx], nodes)
+        expected = np.linalg.solve(nodes, samples.positions[idx])
+        assert np.array_equal(fit_interpolation(samples, degree, basis).coeffs, expected)
+
 
 class TestLeastSquares:
     def test_exact_polynomial_zero_residual(self, rng):
@@ -303,20 +315,36 @@ class TestBenchmark:
         assert lines[0].startswith("| frames | degree | MAE")
         assert len(lines) == 4
 
-    def test_matches_per_track_fit(self):
+    @pytest.mark.parametrize("method", list(FitMethod))
+    def test_matches_per_track_fit(self, method):
         # The batched benchmark must agree with the public per-track fits.
         tracks = make_benchmark_tracks(5, 50, seed=9)
         result = run_fit_benchmark(tracks, configs=((50, 10),), ridge_lambda=1e-3)
         times = np.linspace(0.0, 1.0, 50)
         reports = [
             evaluate_fit(
-                fit_trajectory(FitSamples(times, tracks.coords[k]), 10, FitMethod.RIDGE),
+                fit_trajectory(FitSamples(times, tracks.coords[k]), 10, method),
                 FitSamples(times, tracks.coords[k]),
             )
             for k in range(5)
         ]
-        ridge_row = next(r for r in result.rows if r.method is FitMethod.RIDGE)
-        assert ridge_row.mae == pytest.approx(np.mean([r.mae for r in reports]), rel=1e-9)
-        assert ridge_row.avg_abs_coeff == pytest.approx(
-            np.mean([r.avg_abs_coeff for r in reports]), rel=1e-9
-        )
+        row = next(r for r in result.rows if r.method is method)
+        for name in ("mae", "avg_abs_coeff", "max_abs_error"):
+            expected = np.mean([getattr(r, name) for r in reports])
+            assert getattr(row, name) == pytest.approx(expected, rel=1e-9), name
+
+    def test_singular_interpolation(self, monkeypatch):
+        # The per-track fit raises; the benchmark keeps its row, filled with inf.
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        tracks = make_benchmark_tracks(3, 50, seed=9)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(ConditioningError) as info:
+            fit_interpolation(FitSamples(np.linspace(0.0, 1.0, 50), tracks.coords[0]), 10)
+        assert info.value.condition > 1.0
+        with np.errstate(invalid="ignore"):  # inf coefficients times zero basis entries
+            rows = {r.method: r for r in run_fit_benchmark(tracks, configs=((50, 10),)).rows}
+        assert rows[FitMethod.INTERPOLATION].avg_abs_coeff == np.inf
+        assert np.isfinite(rows[FitMethod.RIDGE].mae)
+        assert np.isfinite(rows[FitMethod.LEAST_SQUARES].mae)

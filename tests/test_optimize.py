@@ -147,6 +147,25 @@ class TestAttachmentLoss:
         )
         assert error < 1e-6
 
+    @pytest.mark.parametrize("step", [0.0, np.nan, np.inf])
+    def test_finite_difference_rejects_bad_step(self, rng, step):
+        anim = random_animation(rng, num_strokes=2, num_frames=4)
+        targets = rng.uniform(0, 100, (2, 4, 2))
+        with pytest.raises(ValidationError, match="step"):
+            finite_difference_check(anim, None, targets, LossWeights(w_c=0.0), 3, step=step)
+
+    @pytest.mark.parametrize("w_s, scale, what", [
+        (1.0, 1e200, "central difference"), (1e10, 1e300, "analytic gradient"),
+    ])
+    def test_finite_difference_non_finite_raises(self, rng, w_s, scale, what):
+        # An overflowing loss or gradient must not read as a perfect match.
+        anim = random_animation(rng, num_strokes=2, num_frames=4)
+        targets = np.full((2, 4, 2), scale)
+        weights = LossWeights(w_s=w_s, w_c=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match=what):
+                finite_difference_check(anim, None, targets, weights, 3)
+
     def test_target_count_mismatch(self, rng):
         anim = random_animation(rng, num_strokes=2, num_frames=4)
         with pytest.raises(ValidationError):
@@ -185,6 +204,11 @@ class TestTotalLoss:
             LossWeights(w_s=0.0, w_g=0.0, w_c=0.0)
         with pytest.raises(ValidationError):
             LossWeights(w_s=-1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                LossWeights(w_s=bad)
+            with pytest.raises(ValidationError, match="finite"):
+                LossWeights(w_c=bad)
 
     def test_geometry_plugin_term(self, rng):
         # Any callable providing (value, gradient) can occupy the w_g slot.

@@ -60,6 +60,18 @@ class TestLoading:
         assert loaded.num_frames == 3 and loaded.num_points == 2
         assert_allclose(loaded.coords, simple_tracks().coords)
 
+    @pytest.mark.parametrize("ids", [[5], [-3, 0, 2**40]])
+    def test_json_bytes_match_one_dump(self, tmp_path, ids):
+        values = [-0.0, 5e-324, 1e300, 0.1, -7.25, 3.0]
+        coords = np.resize(values, (len(ids), 3, 2))
+        tracks = TrackSet(ids=np.array(ids), coords=coords)
+        path = tmp_path / "tracks.json"
+        save_tracks(tracks, str(path))
+        doc = {"num_frames": 3, "points": [
+            {"id": pid, "xy": coords[k].tolist()} for k, pid in enumerate(ids)
+        ]}
+        assert path.read_text() == json.dumps(doc) + "\n"
+
     def test_json_two_points_three_frames(self, tmp_path):
         doc = {
             "num_frames": 3,
@@ -109,6 +121,23 @@ class TestLoading:
     def test_malformed_json_parse_error(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text('{"num_frames": 3, ')
+        with pytest.raises(ParseError):
+            load_tracks(str(path))
+
+    @pytest.mark.parametrize("doc", [
+        '{"num_frames": 1, "points": [{"id": 0, "xy": 5}]}',
+        '{"num_frames": 1, "points": [{"id": 0, "xy": [["a", "b"]]}]}',
+        '{"num_frames": 2, "points": [{"id": 0, "xy": [[1, 2], [3]]}]}',
+        '{"num_frames": 1, "points": [{"id": 0, "xy": [[1, 2]]}, {"id": 1, "xy": [[1, 2, 3]]}]}',
+        '{"num_frames": "one", "points": []}',
+        '{"num_frames": 1e999, "points": []}',
+        '{"num_frames": 1, "points": 5}',
+        '{"num_frames": 1, "points": [{"id": "a", "xy": [[1, 2]]}]}',
+    ], ids=["xy-number", "xy-strings", "xy-ragged", "xy-widths", "frames-text", "frames-inf",
+            "points-number", "id-text"])
+    def test_malformed_points_parse_error(self, tmp_path, doc):
+        path = tmp_path / "t.json"
+        path.write_text(doc)
         with pytest.raises(ParseError):
             load_tracks(str(path))
 
@@ -241,17 +270,26 @@ class TestNearestSample:
         assert nearest_sample(np.array([5.0, 5.0]), 0, tracks) == 3
 
     def test_brute_force_oracle(self, rng):
-        coords = rng.uniform(0, 100, (300, 4, 2))
-        tracks = TrackSet(ids=np.arange(300), coords=coords)
-        for _ in range(200):
-            p = rng.uniform(0, 100, 2)
-            frame = int(rng.integers(0, 4))
-            best, best_d = None, np.inf
-            for k in range(300):
-                d = float(np.sum((coords[k, frame] - p) ** 2))
-                if d < best_d:
-                    best, best_d = k, d
-            assert nearest_sample(p, frame, tracks) == best
+        # 16 points take the scan, 300 and 600 the KD-tree; the lattice has exact
+        # ties, which go to the lowest row (not the lowest id when ids are reversed).
+        for num_points, lattice, reverse_ids in ((16, False, False), (300, False, False),
+                                                 (600, True, True)):
+            coords = rng.uniform(0, 100, (num_points, 4, 2))
+            if lattice:
+                coords = np.round(coords / 10) * 10
+            ids = np.arange(num_points)[::-1] if reverse_ids else np.arange(num_points)
+            tracks = TrackSet(ids=ids, coords=coords)
+            for _ in range(200):
+                p = rng.uniform(0, 100, 2)
+                if lattice:
+                    p = np.round(p / 5) * 5
+                frame = int(rng.integers(0, 4))
+                best, best_d = None, np.inf
+                for k in range(num_points):
+                    d = float(np.sum((coords[k, frame] - p) ** 2))
+                    if d < best_d:
+                        best, best_d = k, d
+                assert nearest_sample(p, frame, tracks) == ids[best]
 
     def test_kdtree_path_matches_scan(self, rng):
         # Enough points to engage the KD-tree inside batched queries.
@@ -306,6 +344,13 @@ class TestNearestSample:
     def test_frame_out_of_range(self):
         with pytest.raises(ValidationError):
             nearest_sample(np.array([0.0, 0.0]), 5, simple_tracks())
+
+    @pytest.mark.parametrize("num_points", [2, 300])
+    def test_non_finite_point_rejected(self, rng, num_points):
+        tracks = TrackSet(ids=np.arange(num_points), coords=rng.uniform(0, 9, (num_points, 2, 2)))
+        for p in ([np.nan, 1.0], [1.0, np.inf]):
+            with pytest.raises(ValidationError, match="finite"):
+                nearest_sample(np.array(p), 0, tracks)
 
 
 class TestTransferPoint:
