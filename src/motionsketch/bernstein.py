@@ -83,9 +83,10 @@ def bernstein_matrix_log(n: int, t: np.ndarray, dtype=np.float64) -> np.ndarray:
 
     Boundary parameters (t exactly 0 or 1) are emitted exactly without taking
     any logarithm. `dtype` may be float32 to mirror 32-bit arithmetic; all
-    intermediate logs are then computed in float32 as well.
+    intermediate logs are then computed in float32 as well, and a parameter
+    that rounds to 0 or 1 in float32 is a boundary parameter.
     """
-    t = np.asarray(t)
+    t = np.asarray(t).astype(dtype, copy=False)
     out = np.zeros((t.size, n + 1), dtype=dtype)
     i = np.arange(n + 1, dtype=dtype)
     log_binom = gammaln(np.asarray(n + 1, dtype=dtype)) - gammaln(i + 1) - gammaln(n - i + 1)
@@ -96,7 +97,7 @@ def bernstein_matrix_log(n: int, t: np.ndarray, dtype=np.float64) -> np.ndarray:
     out[at_zero, 0] = 1.0
     out[at_one, n] = 1.0
     if np.any(interior):
-        ti = t[interior].astype(dtype)[:, None]
+        ti = t[interior][:, None]
         logs = log_binom[None, :] + i[None, :] * np.log(ti) + (n - i)[None, :] * np.log1p(-ti)
         out[interior, :] = np.exp(logs)
     return out

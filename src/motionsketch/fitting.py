@@ -312,7 +312,10 @@ def run_fit_benchmark(
             except ConditioningError:
                 if method is not FitMethod.INTERPOLATION:
                     raise
-                coeffs = np.full((degree + 1, rhs.shape[1]), np.inf)
-            report = _column_report(design, coeffs, by_frame)
+                # No fit: every metric reads inf (inf coefficients through
+                # the design's exact zeros would give nan errors).
+                report = (np.inf, np.inf, np.inf)
+            else:
+                report = _column_report(design, coeffs, by_frame)
             rows.append(BenchmarkRow(frames, degree, method, *report, condition))
     return BenchmarkResult(rows=tuple(rows), skipped=tuple(skipped))

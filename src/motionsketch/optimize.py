@@ -5,13 +5,33 @@ the trajectory coefficients, so their gradients are exact. The one nonlinearity
 is the nearest-tracked-point assignment inside the consistency loss; it is
 piecewise constant, so it is recomputed once per iteration and *frozen* during
 each gradient evaluation, which makes the gradient exact almost everywhere.
+The sampled stroke points are formed once per evaluation and shared by the
+assignment and the consistency term.
 
 The consistency term sums, over every source frame i and target frame t,
 the squared mismatch between a sampled point's displacement and that of the
-track row it was assigned in frame i. Grouped by (sample point, track row)
-pair, the sum over t is a sum of squares centered about the pair's own mean,
-so no N_f x N_f expansion is formed and nothing cancels. Pairs are processed
-in bounded chunks, keeping peak memory independent of the frame count.
+track row it was assigned in frame i.
+
+- Value: grouped by (sample point, track row) pair, the sum over t is a sum
+  of squares centered about the pair's own mean, so no N_f x N_f expansion is
+  formed and nothing cancels (the expanded form cancels, and a zero loss would
+  read as roundoff). Pairs are processed in bounded chunks, keeping peak
+  memory independent of the frame count.
+- Gradient: closed form, with no per-pair pass. With X and Y the sample and
+  track motions centered over the frames, r_i a point's row in frame i and A
+  the sparse (points x tracks) count matrix of the rows, the gradient with
+  respect to sample point p at frame s is
+
+      2/(N_p N_f) * (2 N_f X_p(s) - N_f Y_{r_s}(s) + sum_i Y_{r_i}(i) - (A @ Y)_p(s)).
+
+The value costs several times the gradient, so the optimizer computes it
+only where it is read: at logged iterations (the first, every `log_every`-th
+and the last) and for the final breakdown. `total_loss`,
+`consistency_loss_grad` and the central differences of
+`finite_difference_check` always compute it. The attachment value is computed
+in every iteration, so a non-finite attachment value or gradient stops the
+optimizer at once; a consistency value that overflows while its gradient
+stays finite is caught at the next logged iteration.
 """
 
 from __future__ import annotations
@@ -19,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .bernstein import BasisKind, basis_matrix, basis_row
 from .errors import DivergenceError, ValidationError
@@ -139,34 +160,33 @@ class _Objective:
             # point and a static track then differ by exact zeros.
             coords = tracks.coords.transpose(0, 2, 1)
             self.track_motion = np.subtract(coords, coords[:, :, :1], out=np.empty(coords.shape))
+            self.track_centered = self.track_motion - self.track_motion.mean(axis=2, keepdims=True)
 
-    def assign(self, q: np.ndarray) -> np.ndarray | None:
-        """Nearest tracked-point row per sampled stroke point, shape (N_f, N_s, N_p);
-        None when the consistency term is off."""
-        if self.weights.w_c == 0:
-            return None
-        samples = self.b_u @ _at_frames(q, self.b_t)
+    def samples(self, q: np.ndarray) -> np.ndarray:
+        """Sampled stroke points at the frame times, shape (N_f, N_s, N_p, 2)."""
+        return self.b_u @ _at_frames(q, self.b_t)
+
+    def assign(self, samples: np.ndarray) -> np.ndarray:
+        """Nearest tracked-point row per sampled stroke point, shape (N_f, N_s, N_p)."""
         if self.tracks.num_points < _KDTREE_MIN_POINTS:
             return nearest_rows_per_frame(samples, self.tracks)
         return np.stack([nearest_rows(samples[f], f, self.tracks) for f in range(len(samples))])
 
-    def consistency(self, q: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
-        """Value and gradient of
+    def consistency_value(self, motion: np.ndarray, rows: np.ndarray) -> float:
+        """The consistency value
 
             1/(N_p N_f) * sum_{i, p, t} |D_pr(i) - D_pr(t)|^2,  r = rows[i, p],
 
-        where D_pr(t) is sample point p minus track row r at frame t. For a
-        pair (p, r) assigned in the frames I, with C = D - mean_t D, the sum
-        over i in I and all t is |I| sum_t |C(t)|^2 + N_f sum_{i in I} |C(i)|^2.
+        where D_pr(t) is sample point p minus track row r at frame t, from the
+        sample motion (P, 2, N_f) relative to frame 0. For a pair (p, r)
+        assigned in the frames I, with C = D - mean_t D, the sum over i in I
+        and all t is |I| sum_t |C(t)|^2 + N_f sum_{i in I} |C(i)|^2.
         """
         num_frames, n_p = self.b_t.shape[0], self.b_u.shape[0]
-        samples = self.b_u @ _at_frames(q, self.b_t)  # (N_f, N_s, N_p, 2)
-        motion = np.ascontiguousarray(samples.reshape(num_frames, -1, 2).transpose(1, 2, 0))
-        motion -= motion[:, :, :1]  # (P, 2, N_f), relative to frame 0 like track_motion
         num_points, num_rows = motion.shape[0], self.track_motion.shape[0]
 
         # Sort the (frame, point) entries by (point, row) pair: the entries of
-        # a pair, and the pairs and entries of a point, are then contiguous.
+        # a pair are then contiguous.
         keys = (rows.reshape(num_frames, -1) + np.arange(num_points) * num_rows).reshape(-1)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
@@ -175,30 +195,43 @@ class _Objective:
         bounds = np.append(starts, keys.size)
 
         value = 0.0
-        grad = np.zeros_like(motion)
         chunk = max(1, _PAIR_CHUNK_ELEMENTS // num_frames)
         for a in range(0, pair_point.size, chunk):
             b = min(a + chunk, pair_point.size)
-            p = pair_point[a:b]
-            centered = motion[p]
+            centered = motion[pair_point[a:b]]
             centered -= self.track_motion[pair_row[a:b]]
             centered -= centered.mean(axis=2, keepdims=True)  # C per pair, (pairs, 2, N_f)
             counts = np.diff(bounds[a : b + 1])
-            weighted = counts[:, None, None] * centered
-            frames, owner = np.divmod(order[bounds[a] : bounds[b]], num_points)
+            frames = order[bounds[a] : bounds[b]] // num_points
             at_source = centered[np.repeat(np.arange(b - a), counts), :, frames]  # C(i)
-            value += float(np.vdot(weighted, centered))
+            value += float(np.vdot(counts[:, None, None] * centered, centered))
             value += num_frames * float(np.vdot(at_source, at_source))
-            # d/dD(t) of a pair's terms: 2 (|I| C(t) + N_f C(t) [t in I] - sum_I C(i)).
-            first = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
-            grad[p[first]] += np.add.reduceat(weighted, first, axis=0)
-            grad[owner, :, frames] += num_frames * at_source
-            first = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
-            grad[owner[first]] -= np.add.reduceat(at_source, first, axis=0)[:, :, None]
+        scale = 1.0 / (n_p * num_frames)
+        return scale * value
+
+    def consistency_grad(self, motion: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Coefficient gradient of the consistency value, from the closed form
+        in the module docstring; the count matrix A is a sparse product."""
+        num_frames, n_p = self.b_t.shape[0], self.b_u.shape[0]
+        num_points, num_rows = motion.shape[0], self.track_centered.shape[0]
+        point_rows = rows.reshape(num_frames, num_points).T  # r_i per point, (P, N_f)
+        # Each point's N_f rows form one CSR row; repeated rows add up in the product.
+        counts = csr_matrix(
+            (np.ones(point_rows.size), point_rows.reshape(-1),
+             np.arange(0, point_rows.size + 1, num_frames)),
+            shape=(num_points, num_rows),
+        )
+        y = self.track_centered
+        shared = (counts @ y.reshape(num_rows, -1)).reshape(motion.shape)  # (A @ Y)(s)
+        own = y[point_rows, :, np.arange(num_frames)].transpose(0, 2, 1)  # Y_{r_s}(s)
+        grad = (2.0 * num_frames) * (motion - motion.mean(axis=2, keepdims=True))
+        grad -= num_frames * own
+        grad += own.sum(axis=2, keepdims=True)
+        grad -= shared
 
         scale = 1.0 / (n_p * num_frames)
-        point_grad = (2.0 * scale) * grad.transpose(2, 0, 1).reshape(samples.shape)
-        return scale * value, _to_coefficients(self.b_u.T @ point_grad, self.b_t)
+        point_grad = (2.0 * scale) * grad.transpose(2, 0, 1).reshape(num_frames, -1, n_p, 2)
+        return _to_coefficients(self.b_u.T @ point_grad, self.b_t)
 
     def attachment(self, q: np.ndarray) -> tuple[float, np.ndarray]:
         num_frames, num_strokes = self.b_t.shape[0], q.shape[0]
@@ -209,21 +242,42 @@ class _Objective:
         ctrl_grad = self.b_mid[:, None] * ((2.0 * scale) * diff)[:, :, None, :]
         return value, _to_coefficients(ctrl_grad, self.b_t)
 
-    def value_grad(self, q: np.ndarray, rows: np.ndarray | None):
-        """(LossBreakdown, gradient) at coefficients `q`, assignments `rows` frozen."""
+    def value_grad(
+        self,
+        q: np.ndarray,
+        rows: np.ndarray | None = None,
+        *,
+        consistency_value: bool = True,
+        gradient: bool = True,
+    ) -> tuple[LossBreakdown, np.ndarray | None]:
+        """(LossBreakdown, gradient) at coefficients `q`, assignment `rows`
+        frozen (assigned at `q` when None). ``gradient=False`` returns None for
+        the gradient. ``consistency_value=False`` skips the consistency value:
+        the breakdown reads it as nan and its total covers the other terms."""
         w = self.weights
-        grad = np.zeros_like(q)
+        grad = np.zeros_like(q) if gradient else None
         consistency = attachment = geometry = 0.0
         if w.w_c > 0:
-            consistency, g = self.consistency(q, rows)
-            grad += w.w_c * g
+            samples = self.samples(q)
+            if rows is None:
+                rows = self.assign(samples)
+            num_frames = samples.shape[0]
+            motion = np.ascontiguousarray(samples.reshape(num_frames, -1, 2).transpose(1, 2, 0))
+            motion -= motion[:, :, :1]  # (P, 2, N_f), relative to frame 0 like track_motion
+            if gradient:
+                grad += w.w_c * self.consistency_grad(motion, rows)
+            consistency = self.consistency_value(motion, rows) if consistency_value else np.nan
         if w.w_s > 0:
             attachment, g = self.attachment(q)
-            grad += w.w_s * g
+            if gradient:
+                grad += w.w_s * g
         if w.w_g > 0:
             geometry, g = self.geometry_term(replace_coefficients(self.anim, q))
-            grad += w.w_g * g
-        total = w.w_s * attachment + w.w_g * geometry + w.w_c * consistency
+            if gradient:
+                grad += w.w_g * g
+        total = w.w_s * attachment + w.w_g * geometry
+        if consistency_value:
+            total += w.w_c * consistency
         breakdown = LossBreakdown(
             total=total, consistency=consistency, attachment=attachment, geometry=geometry
         )
@@ -240,7 +294,7 @@ def consistency_assignments(
 ) -> np.ndarray:
     """Nearest tracked-point row per sampled stroke point, shape (N_f, N_s, N_p)."""
     objective = _Objective(anim, tracks, None, _CONSISTENCY_ONLY, n_p)
-    return objective.assign(animation_coefficients(anim))
+    return objective.assign(objective.samples(animation_coefficients(anim)))
 
 
 def consistency_loss_grad(
@@ -254,11 +308,12 @@ def consistency_loss_grad(
     Every sampled stroke point must move, between any two frames, like its
     nearest tracked point does. `assignments` freezes the nearest-point choice
     (as the per-iteration optimizer does); when omitted it is computed here.
+    The value is the exactly centered per-pair sum and the gradient the closed
+    form of the module docstring; both are always computed.
     """
     objective = _Objective(anim, tracks, None, _CONSISTENCY_ONLY, n_p)
-    q = animation_coefficients(anim)
-    rows = objective.assign(q) if assignments is None else assignments
-    return objective.consistency(q, rows)
+    breakdown, grad = objective.value_grad(animation_coefficients(anim), assignments)
+    return breakdown.consistency, grad
 
 
 def attachment_loss_grad(
@@ -288,9 +343,7 @@ def total_loss(
     to (value, gradient with the packed-coefficient shape).
     """
     objective = _Objective(anim, tracks, targets, weights, n_p, geometry_term)
-    q = animation_coefficients(anim)
-    rows = objective.assign(q) if assignments is None else assignments
-    return objective.value_grad(q, rows)
+    return objective.value_grad(animation_coefficients(anim), assignments)
 
 
 def optimize_animation(
@@ -304,9 +357,10 @@ def optimize_animation(
     """Adaptive-moment gradient descent on all trajectory coefficients.
 
     Nearest-point assignments are recomputed once per iteration and frozen
-    within each gradient evaluation. Deterministic given its inputs; raises
-    DivergenceError (with the iteration) if the loss or gradient goes
-    non-finite.
+    within each gradient evaluation. The consistency value is computed only at
+    logged iterations and for the final breakdown (see the module docstring).
+    Deterministic given its inputs; raises DivergenceError (with the
+    iteration) if the gradient or a computed loss value goes non-finite.
     """
     objective = _Objective(anim, tracks, targets, weights, config.n_p, geometry_term)
     q = animation_coefficients(anim).copy()
@@ -317,12 +371,13 @@ def optimize_animation(
     components: list[tuple[int, float, float, float]] = []
 
     for it in range(1, config.iterations + 1):
-        loss, grad = objective.value_grad(q, objective.assign(q))
+        logged = it == 1 or it % config.log_every == 0 or it == config.iterations
+        loss, grad = objective.value_grad(q, consistency_value=logged)
         if not (np.isfinite(loss.total) and np.all(np.isfinite(grad))):
             raise DivergenceError(
                 f"non-finite loss or gradient at iteration {it}", iteration=it
             )
-        if it == 1 or it % config.log_every == 0 or it == config.iterations:
+        if logged:
             history.append((it, loss.total))
             components.append((it, loss.total, loss.consistency, loss.attachment))
         # A gradient at roundoff scale means converged; the scale-free moment
@@ -335,7 +390,7 @@ def optimize_animation(
         corrected2 = moment2 / (1.0 - beta2**it)
         q = q - config.step_size * corrected1 / (np.sqrt(corrected2) + config.epsilon)
 
-    final, _ = objective.value_grad(q, objective.assign(q))
+    final, _ = objective.value_grad(q, gradient=False)
     breakdown = replace(final, history=tuple(history), component_history=tuple(components))
     return replace_coefficients(anim, q), breakdown
 
@@ -363,8 +418,8 @@ def finite_difference_check(
         raise ValidationError(f"step must be positive and finite, got {step}")
     objective = _Objective(anim, tracks, targets, weights, n_p)
     q0 = animation_coefficients(anim)
-    rows = objective.assign(q0)
-    _, grad = objective.value_grad(q0, rows)
+    rows = objective.assign(objective.samples(q0)) if weights.w_c > 0 else None
+    _, grad = objective.value_grad(q0, rows, consistency_value=False)
     if not np.all(np.isfinite(grad)):
         raise DivergenceError("analytic gradient is not finite")
 
@@ -381,9 +436,9 @@ def finite_difference_check(
     for idx in indices:
         bumped = flat_q.copy()
         bumped[idx] += step
-        f_plus = objective.value_grad(bumped.reshape(q0.shape), rows)[0].total
+        f_plus = objective.value_grad(bumped.reshape(q0.shape), rows, gradient=False)[0].total
         bumped[idx] -= 2.0 * step
-        f_minus = objective.value_grad(bumped.reshape(q0.shape), rows)[0].total
+        f_minus = objective.value_grad(bumped.reshape(q0.shape), rows, gradient=False)[0].total
         fd = (f_plus - f_minus) / (2.0 * step)
         if not np.isfinite(fd):
             raise DivergenceError(f"central difference at coordinate {idx} is not finite")

@@ -274,8 +274,15 @@ def _scan_rows(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
     """Argmin over the sites axis of squared distances; ties go to the lowest row.
 
     `points` (..., Q, 2) and `sites` (..., K, 2) broadcast over leading axes.
+    The distances are dx*dx + dy*dy, bit-equal to summing the squares over a
+    length-2 axis (numpy reduces two elements as a + b), without that
+    reduction's strided inner loop.
     """
-    d2 = np.sum((points[..., :, None, :] - sites[..., None, :, :]) ** 2, axis=-1)
+    d2 = points[..., :, None, 0] - sites[..., None, :, 0]
+    dy = points[..., :, None, 1] - sites[..., None, :, 1]
+    d2 *= d2
+    dy *= dy
+    d2 += dy
     return np.argmin(d2, axis=-1)
 
 

@@ -5,6 +5,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from motionsketch import (
@@ -19,7 +21,7 @@ from motionsketch import (
     collocation_matrix,
     solve_control_points,
 )
-from motionsketch.bernstein import basis_matrix
+from motionsketch.bernstein import DIRECT_EVAL_MAX_DEGREE, MAX_DEGREE, basis_matrix
 
 # Exact rational values C(199, i) / 2^199, frozen from a Fraction computation.
 EXACT_199_HALF = {
@@ -147,6 +149,52 @@ class TestInvariants:
                 basis_row(BasisKind.BERNSTEIN, n, t).values,
                 rtol=1e-8,
             )
+
+
+# Degrees on both sides of the direct -> log switch, up to the cap, and
+# parameters in [0, 1] with the boundaries and values that round to them in
+# float32.
+_DEGREES = st.one_of(
+    st.integers(DIRECT_EVAL_MAX_DEGREE - 4, DIRECT_EVAL_MAX_DEGREE + 4),
+    st.integers(0, MAX_DEGREE),
+    st.just(MAX_DEGREE),
+)
+_PARAMS = st.lists(
+    st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 1e-46, 1.0 - 1e-16, 1.0 - 1e-9]),
+    ),
+    min_size=1, max_size=8,
+)
+
+
+class TestBasisProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(n=_DEGREES, ts=_PARAMS)
+    def test_partition_of_unity_and_nonnegativity(self, n, ts):
+        # Tolerances from the dtype: each log-route entry carries a relative
+        # error of about |log value| * eps, at most ~1e3 * eps at the cap.
+        rows = basis_matrix(BasisKind.BERNSTEIN, n, np.array(ts))
+        assert rows.min() >= 0.0
+        assert np.abs(rows.sum(axis=1) - 1.0).max() < 1e-9
+        for t in ts:
+            r32 = basis_row_log(n, t, dtype=np.float32).values
+            assert r32.dtype == np.float32
+            assert r32.min() >= 0.0
+            assert abs(float(r32.astype(np.float64).sum()) - 1.0) < 1e-3
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=_DEGREES, ts=_PARAMS, kind=st.sampled_from(list(BasisKind)))
+    def test_matrix_rows_equal_row_functions(self, n, ts, kind):
+        # basis_matrix routes by degree; each of its rows is bit-equal to the
+        # single-row evaluator of the same route.
+        rows = basis_matrix(kind, n, np.array(ts))
+        for t, row in zip(ts, rows):
+            if kind is BasisKind.POWER or n <= DIRECT_EVAL_MAX_DEGREE:
+                expected = basis_row(kind, n, t).values
+            else:
+                expected = basis_row_log(n, t).values
+            assert np.array_equal(row, expected)
 
 
 class TestCollocation:

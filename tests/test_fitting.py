@@ -1,5 +1,7 @@
 """Trajectory fitting: interpolation, least squares, ridge, and the benchmark."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -334,7 +336,8 @@ class TestBenchmark:
             assert getattr(row, name) == pytest.approx(expected, rel=1e-9), name
 
     def test_singular_interpolation(self, monkeypatch):
-        # The per-track fit raises; the benchmark keeps its row, filled with inf.
+        # The per-track fit raises; the benchmark keeps its row, every metric
+        # inf (not nan), and numpy warns about nothing.
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
@@ -343,8 +346,10 @@ class TestBenchmark:
         with pytest.raises(ConditioningError) as info:
             fit_interpolation(FitSamples(np.linspace(0.0, 1.0, 50), tracks.coords[0]), 10)
         assert info.value.condition > 1.0
-        with np.errstate(invalid="ignore"):  # inf coefficients times zero basis entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rows = {r.method: r for r in run_fit_benchmark(tracks, configs=((50, 10),)).rows}
-        assert rows[FitMethod.INTERPOLATION].avg_abs_coeff == np.inf
+        failed = rows[FitMethod.INTERPOLATION]
+        assert failed.mae == failed.avg_abs_coeff == failed.max_abs_error == np.inf
         assert np.isfinite(rows[FitMethod.RIDGE].mae)
         assert np.isfinite(rows[FitMethod.LEAST_SQUARES].mae)

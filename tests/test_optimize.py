@@ -1,5 +1,7 @@
 """Losses, analytic gradients, and the coefficient optimizer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import make_animation, random_animation, random_tracks
@@ -27,7 +29,7 @@ from motionsketch import (
     total_loss,
     trajectory_velocity,
 )
-from motionsketch.bernstein import basis_matrix
+from motionsketch.bernstein import basis_matrix, basis_row
 
 
 def riding_animation_and_tracks():
@@ -58,6 +60,31 @@ def per_point_consistency(anim, tracks, n_p):
                     moved = (p_t - p_i) - (coords[row, t] - coords[row, i])
                     consistency += float(moved @ moved)
     return consistency / (n_p * len(times))
+
+
+def per_point_consistency_grad(anim, tracks, n_p, rows):
+    """Coefficient gradient of the consistency loss with `rows` frozen, from
+    its definition one (point, source frame) term at a time: the term
+    sum_t |m_t|^2, m_t = (X(t) - X(i)) - (Y_r(t) - Y_r(i)), has gradient 2 m_t
+    at X(t) and -2 sum_t m_t at X(i)."""
+    times = anim.frame_times()
+    num_frames = len(times)
+    coords = tracks.coords
+    first = anim.strokes[0]
+    u_rows = np.stack([basis_row(BasisKind.BERNSTEIN, first.curve_degree, k / (n_p - 1)).values
+                       for k in range(n_p)])
+    t_rows = np.stack([basis_matrix(first.basis, first.trajectory_degree, [t])[0] for t in times])
+    point_grad = np.zeros((num_frames, anim.num_strokes, n_p, 2))
+    for j, stroke in enumerate(anim.strokes):
+        for k in range(n_p):
+            x = np.stack([eval_curve_point(stroke, k / (n_p - 1), t) for t in times])
+            for i in range(num_frames):
+                r = rows[i, j, k]
+                moved = (x - x[i]) - (coords[r] - coords[r, i])
+                point_grad[:, j, k] += 2.0 * moved
+                point_grad[i, j, k] -= 2.0 * moved.sum(axis=0)
+    point_grad /= n_p * num_frames
+    return np.einsum("kc,fb,fjkd->jcbd", u_rows, t_rows, point_grad)
 
 
 class TestConsistencyLoss:
@@ -97,6 +124,55 @@ class TestConsistencyLoss:
         assert value == pytest.approx(per_point_consistency(anim, tracks, 4), rel=1e-10)
         error = finite_difference_check(anim, tracks, None, LossWeights(w_s=0.0, w_c=1.0), 4)
         assert error < 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_strokes=st.integers(1, 3),
+        num_frames=st.integers(2, 6),
+        curve_degree=st.integers(1, 3),
+        trajectory_degree=st.sampled_from([0, 1, 2, 4, 61]),
+        basis=st.sampled_from(list(BasisKind)),
+        num_points=st.one_of(st.integers(1, 5), st.integers(256, 300)),
+        n_p=st.integers(2, 5),
+        switching=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gradient_matches_per_point_oracle(
+        self, num_strokes, num_frames, curve_degree, trajectory_degree, basis,
+        num_points, n_p, switching, seed,
+    ):
+        # Scan (< 256 tracks) and KD-tree nearest rows, or rows that change in
+        # every frame; both bases. Checked against the per-term oracle and
+        # against central differences of the frozen (exactly quadratic) loss.
+        rng = np.random.default_rng(seed)
+        coeffs = rng.uniform(0, 100, (num_strokes, curve_degree + 1, trajectory_degree + 1, 2))
+        anim = make_animation(coeffs, num_frames, canvas=(100, 100), basis=basis)
+        tracks = random_tracks(rng, num_points=num_points, num_frames=num_frames)
+        if switching and num_points > 1:
+            shape = (num_frames, num_strokes, n_p)
+            rows = rng.integers(0, num_points - 1, shape)
+            for f in range(1, num_frames):
+                rows[f] += rows[f] >= rows[f - 1]  # any row but the previous frame's
+            assert np.all(rows[1:] != rows[:-1])
+        else:
+            rows = consistency_assignments(anim, tracks, n_p)
+
+        _, grad = consistency_loss_grad(anim, tracks, n_p, assignments=rows)
+        oracle = per_point_consistency_grad(anim, tracks, n_p, rows)
+        scale = max(1.0, float(np.abs(oracle).max()))
+        assert np.abs(grad - oracle).max() <= 1e-10 * scale
+
+        q = animation_coefficients(anim)
+        step = 1.0
+        for idx in rng.choice(q.size, min(q.size, 12), replace=False):
+            values = []
+            for sign in (1.0, -1.0):
+                bumped = q.copy().reshape(-1)
+                bumped[idx] += sign * step
+                moved = replace_coefficients(anim, bumped.reshape(q.shape))
+                values.append(consistency_loss_grad(moved, tracks, n_p, assignments=rows)[0])
+            fd = (values[0] - values[1]) / (2.0 * step)
+            assert abs(fd - grad.reshape(-1)[idx]) <= 1e-6 * scale
 
     def test_frame_count_mismatch(self, rng):
         anim = random_animation(rng, num_frames=3)
@@ -332,7 +408,47 @@ class TestOptimizer:
         config = OptimConfig(iterations=50, step_size=1e200, n_p=3)
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as excinfo:
             optimize_animation(anim, None, targets, LossWeights(w_s=1.0, w_c=0.0), config)
-        assert excinfo.value.iteration is not None
+        assert excinfo.value.iteration == 2
+
+    def test_consistency_value_overflow_caught_at_next_logged_iteration(self, rng):
+        # After one step of 1e156 the consistency value overflows while its
+        # gradient stays finite (the small weight keeps the moment updates
+        # finite too). That value is computed only at logged iterations, so
+        # the divergence is reported at iteration 10, the next logged one,
+        # not at iteration 2 where it first overflows.
+        anim = random_animation(rng)
+        tracks = random_tracks(rng)
+        weights = LossWeights(w_s=0.0, w_c=1e-10)
+        config = OptimConfig(iterations=25, step_size=1e156, n_p=3, log_every=10)
+        with np.errstate(over="ignore", invalid="ignore"):
+            moved, _ = optimize_animation(anim, tracks, None, weights, replace(config, iterations=1))
+            value, grad = consistency_loss_grad(moved, tracks, 3)
+            assert value == np.inf and np.all(np.isfinite(grad))
+            with pytest.raises(DivergenceError) as excinfo:
+                optimize_animation(anim, tracks, None, weights, config)
+        assert excinfo.value.iteration == 10
+
+    @pytest.mark.parametrize("num_points", [5, 300])
+    def test_coefficients_do_not_depend_on_log_every(self, rng, num_points):
+        # One gradient serves every iteration, logged or not: the path is the
+        # same, and logged losses agree wherever two runs both log.
+        anim = random_animation(rng, num_strokes=2, num_frames=4)
+        tracks = random_tracks(rng, num_points=num_points, num_frames=4)
+        targets = rng.uniform(0, 100, (2, 4, 2))
+        weights = LossWeights(w_s=1.0, w_c=0.5)
+        runs = [
+            optimize_animation(anim, tracks, targets, weights,
+                               OptimConfig(iterations=25, step_size=0.5, n_p=4, log_every=k))
+            for k in (1, 7, 25)
+        ]
+        every = {entry[0]: entry for entry in runs[0][1].component_history}
+        final, _ = total_loss(runs[0][0], tracks, targets, weights, 4)
+        assert (final.total, final.consistency) == (runs[0][1].total, runs[0][1].consistency)
+        for out, breakdown in runs[1:]:
+            assert np.array_equal(animation_coefficients(out), animation_coefficients(runs[0][0]))
+            assert breakdown.total == runs[0][1].total
+            for entry in breakdown.component_history:
+                assert entry == every[entry[0]]
 
     def test_descent_with_halving_step(self, rng):
         # The analytic gradient is a descent direction of the frozen objective.

@@ -318,6 +318,28 @@ class TestNearestSample:
         rows = nearest_rows(queries, 1, tracks)
         assert np.array_equal(rows, brute_force_rows(queries, sites))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        frames=st.integers(1, 4),
+        queries=st.integers(1, 30),
+        sites=st.integers(1, 20),
+        lattice=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scan_rows_equal_summed_squares(self, frames, queries, sites, lattice, seed):
+        # The scan's dx*dx + dy*dy rows equal the argmin of the squares summed
+        # over the coordinate axis, ties included: on a half-integer lattice
+        # many queries are equidistant from two or four sites.
+        from motionsketch.tracking import _scan_rows
+
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-50, 50, (frames, queries, 2))
+        centers = rng.uniform(-50, 50, (frames, sites, 2))
+        if lattice:
+            points, centers = np.round(points / 4) / 2, np.round(centers / 4)
+        d2 = np.sum((points[..., :, None, :] - centers[..., None, :, :]) ** 2, axis=-1)
+        assert np.array_equal(_scan_rows(points, centers), np.argmin(d2, axis=-1))
+
     def test_kdtree_three_way_tie(self):
         # Rows 5, 7 and 250 are equidistant from the query; the rest are far.
         from motionsketch.tracking import nearest_rows
