@@ -10,28 +10,31 @@ assignment and the consistency term.
 
 The consistency term sums, over every source frame i and target frame t,
 the squared mismatch between a sampled point's displacement and that of the
-track row it was assigned in frame i.
+track row r_i it was assigned in frame i. Let X_p and Y_r be the motions of
+sample point p and track row r relative to frame 0 and centered over the N_f
+frames (a static point or track is exactly 0). The frozen assignment enters
+through A, the sparse (points x tracks) counts of the distinct (point, row)
+pairs, and own_p(i) = Y_{r_i}(i). A centered motion sums to zero over the
+frames, so the terms of source frame i add up to |X_p - Y_r|^2 +
+N_f |X_p(i) - Y_r(i)|^2 with r = r_i. The value, and its gradient with
+respect to sample point p at frame s, are
 
-- Value: grouped by (sample point, track row) pair, the sum over t is a sum
-  of squares centered about the pair's own mean, so no N_f x N_f expansion is
-  formed and nothing cancels (the expanded form cancels, and a zero loss would
-  read as roundoff). Pairs are processed in bounded chunks, keeping peak
-  memory independent of the frame count.
-- Gradient: closed form, with no per-pair pass. With X and Y the sample and
-  track motions centered over the frames, r_i a point's row in frame i and A
-  the sparse (points x tracks) count matrix of the rows, the gradient with
-  respect to sample point p at frame s is
+    value = (sum_{(p,r) in A} A_pr |X_p - Y_r|^2 + N_f |X - own|^2) / (N_p N_f),
+    grad = 2/(N_p N_f) * (2 N_f X_p(s) - N_f own_p(s) + sum_i own_p(i) - (A @ Y)_p(s)).
 
-      2/(N_p N_f) * (2 N_f X_p(s) - N_f Y_{r_s}(s) + sum_i Y_{r_i}(i) - (A @ Y)_p(s)).
+The value is a sum of squared differences, so nothing cancels (the expanded
+form does, and a zero loss would read as roundoff); its pair sum runs over
+A's entries in bounded chunks, keeping peak memory independent of N_f.
 
-The value costs several times the gradient, so the optimizer computes it
+The value costs up to several times the gradient, so the optimizer computes it
 only where it is read: at logged iterations (the first, every `log_every`-th
 and the last) and for the final breakdown. `total_loss`,
 `consistency_loss_grad` and the central differences of
 `finite_difference_check` always compute it. The attachment value is computed
 in every iteration, so a non-finite attachment value or gradient stops the
 optimizer at once; a consistency value that overflows while its gradient
-stays finite is caught at the next logged iteration.
+stays finite is caught at the next logged iteration, or in the final
+breakdown when the last update makes it overflow.
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ class OptimConfig:
             raise ValidationError("need at least two sample points per stroke")
         if not (0.0 < self.moment_decay_1 < 1.0 and 0.0 < self.moment_decay_2 < 1.0):
             raise ValidationError("moment decays must lie in (0, 1)")
-        if self.step_size < 0 or self.epsilon <= 0 or self.log_every < 1:
+        finite = 0.0 <= self.step_size < np.inf and 0.0 < self.epsilon < np.inf
+        if not finite or self.log_every < 1:
             raise ValidationError("bad step size, epsilon, or log interval")
 
 
@@ -156,11 +160,12 @@ class _Objective:
         )
         self.b_mid = basis_row(BasisKind.BERNSTEIN, first.curve_degree, 0.5).values
         if weights.w_c > 0:
-            # Track motion relative to frame 0, shape (K, 2, N_f): a static
-            # point and a static track then differ by exact zeros.
+            # Track motion relative to frame 0 and centered, (K, 2, N_f): a
+            # static point and a static track then differ by exact zeros.
             coords = tracks.coords.transpose(0, 2, 1)
-            self.track_motion = np.subtract(coords, coords[:, :, :1], out=np.empty(coords.shape))
-            self.track_centered = self.track_motion - self.track_motion.mean(axis=2, keepdims=True)
+            motion = np.subtract(coords, coords[:, :, :1], out=np.empty(coords.shape))
+            motion -= motion.mean(axis=2, keepdims=True)
+            self.track_centered = motion
 
     def samples(self, q: np.ndarray) -> np.ndarray:
         """Sampled stroke points at the frame times, shape (N_f, N_s, N_p, 2)."""
@@ -172,62 +177,53 @@ class _Objective:
             return nearest_rows_per_frame(samples, self.tracks)
         return np.stack([nearest_rows(samples[f], f, self.tracks) for f in range(len(samples))])
 
-    def consistency_value(self, motion: np.ndarray, rows: np.ndarray) -> float:
-        """The consistency value
-
-            1/(N_p N_f) * sum_{i, p, t} |D_pr(i) - D_pr(t)|^2,  r = rows[i, p],
-
-        where D_pr(t) is sample point p minus track row r at frame t, from the
-        sample motion (P, 2, N_f) relative to frame 0. For a pair (p, r)
-        assigned in the frames I, with C = D - mean_t D, the sum over i in I
-        and all t is |I| sum_t |C(t)|^2 + N_f sum_{i in I} |C(i)|^2.
-        """
-        num_frames, n_p = self.b_t.shape[0], self.b_u.shape[0]
-        num_points, num_rows = motion.shape[0], self.track_motion.shape[0]
-
-        # Sort the (frame, point) entries by (point, row) pair: the entries of
-        # a pair are then contiguous.
-        keys = (rows.reshape(num_frames, -1) + np.arange(num_points) * num_rows).reshape(-1)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        pair_point, pair_row = np.divmod(keys[starts], num_rows)
-        bounds = np.append(starts, keys.size)
-
-        value = 0.0
-        chunk = max(1, _PAIR_CHUNK_ELEMENTS // num_frames)
-        for a in range(0, pair_point.size, chunk):
-            b = min(a + chunk, pair_point.size)
-            centered = motion[pair_point[a:b]]
-            centered -= self.track_motion[pair_row[a:b]]
-            centered -= centered.mean(axis=2, keepdims=True)  # C per pair, (pairs, 2, N_f)
-            counts = np.diff(bounds[a : b + 1])
-            frames = order[bounds[a] : bounds[b]] // num_points
-            at_source = centered[np.repeat(np.arange(b - a), counts), :, frames]  # C(i)
-            value += float(np.vdot(counts[:, None, None] * centered, centered))
-            value += num_frames * float(np.vdot(at_source, at_source))
-        scale = 1.0 / (n_p * num_frames)
-        return scale * value
-
-    def consistency_grad(self, motion: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Coefficient gradient of the consistency value, from the closed form
-        in the module docstring; the count matrix A is a sparse product."""
-        num_frames, n_p = self.b_t.shape[0], self.b_u.shape[0]
+    def freeze(
+        self, samples: np.ndarray, rows: np.ndarray
+    ) -> tuple[np.ndarray, csr_matrix, np.ndarray]:
+        """(X, A, own) of the module docstring for the frozen `rows`; X and own
+        have shape (P, 2, N_f), A is (P x K)."""
+        num_frames = samples.shape[0]
+        motion = np.ascontiguousarray(samples.reshape(num_frames, -1, 2).transpose(1, 2, 0))
+        motion -= motion[:, :, :1]
+        motion -= motion.mean(axis=2, keepdims=True)
         num_points, num_rows = motion.shape[0], self.track_centered.shape[0]
         point_rows = rows.reshape(num_frames, num_points).T  # r_i per point, (P, N_f)
-        # Each point's N_f rows form one CSR row; repeated rows add up in the product.
         counts = csr_matrix(
             (np.ones(point_rows.size), point_rows.reshape(-1),
              np.arange(0, point_rows.size + 1, num_frames)),
             shape=(num_points, num_rows),
         )
-        y = self.track_centered
-        shared = (counts @ y.reshape(num_rows, -1)).reshape(motion.shape)  # (A @ Y)(s)
-        own = y[point_rows, :, np.arange(num_frames)].transpose(0, 2, 1)  # Y_{r_s}(s)
-        grad = (2.0 * num_frames) * (motion - motion.mean(axis=2, keepdims=True))
+        counts.sum_duplicates()
+        # own[p, c, i] = Y[r_i, c, i], one gather from the flat (K, 2, N_f) array.
+        offsets = np.arange(2 * num_frames).reshape(2, num_frames)
+        own = np.take(self.track_centered, point_rows[:, None, :] * (2 * num_frames) + offsets)
+        return motion, counts, own
+
+    def consistency_value(self, motion: np.ndarray, counts: csr_matrix, own: np.ndarray) -> float:
+        """The consistency value of the module docstring; the pair sum runs
+        over A's entries in chunks of bounded size."""
+        num_frames, n_p = self.b_t.shape[0], self.b_u.shape[0]
+        pair_point = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
+        value = 0.0
+        chunk = max(1, _PAIR_CHUNK_ELEMENTS // num_frames)
+        for a in range(0, counts.nnz, chunk):
+            pairs = slice(a, a + chunk)
+            diff = motion[pair_point[pairs]] - self.track_centered[counts.indices[pairs]]
+            value += float(np.vdot(counts.data[pairs, None, None] * diff, diff))
+        diff = motion - own
+        value += num_frames * float(np.vdot(diff, diff))
+        return value / (n_p * num_frames)
+
+    def consistency_grad(
+        self, motion: np.ndarray, counts: csr_matrix, own: np.ndarray
+    ) -> np.ndarray:
+        """Coefficient gradient of the consistency value, from the closed form
+        in the module docstring."""
+        num_frames, n_p = self.b_t.shape[0], self.b_u.shape[0]
+        grad = (2.0 * num_frames) * motion
         grad -= num_frames * own
         grad += own.sum(axis=2, keepdims=True)
-        grad -= shared
+        grad -= (counts @ self.track_centered.reshape(counts.shape[1], -1)).reshape(motion.shape)
 
         scale = 1.0 / (n_p * num_frames)
         point_grad = (2.0 * scale) * grad.transpose(2, 0, 1).reshape(num_frames, -1, n_p, 2)
@@ -261,12 +257,10 @@ class _Objective:
             samples = self.samples(q)
             if rows is None:
                 rows = self.assign(samples)
-            num_frames = samples.shape[0]
-            motion = np.ascontiguousarray(samples.reshape(num_frames, -1, 2).transpose(1, 2, 0))
-            motion -= motion[:, :, :1]  # (P, 2, N_f), relative to frame 0 like track_motion
+            frozen = self.freeze(samples, rows)
             if gradient:
-                grad += w.w_c * self.consistency_grad(motion, rows)
-            consistency = self.consistency_value(motion, rows) if consistency_value else np.nan
+                grad += w.w_c * self.consistency_grad(*frozen)
+            consistency = self.consistency_value(*frozen) if consistency_value else np.nan
         if w.w_s > 0:
             attachment, g = self.attachment(q)
             if gradient:
@@ -360,7 +354,8 @@ def optimize_animation(
     within each gradient evaluation. The consistency value is computed only at
     logged iterations and for the final breakdown (see the module docstring).
     Deterministic given its inputs; raises DivergenceError (with the
-    iteration) if the gradient or a computed loss value goes non-finite.
+    iteration) if the gradient, a computed loss value or the final loss goes
+    non-finite.
     """
     objective = _Objective(anim, tracks, targets, weights, config.n_p, geometry_term)
     q = animation_coefficients(anim).copy()
@@ -391,6 +386,9 @@ def optimize_animation(
         q = q - config.step_size * corrected1 / (np.sqrt(corrected2) + config.epsilon)
 
     final, _ = objective.value_grad(q, gradient=False)
+    if not np.isfinite(final.total):
+        it = config.iterations
+        raise DivergenceError(f"non-finite loss after iteration {it}", iteration=it)
     breakdown = replace(final, history=tuple(history), component_history=tuple(components))
     return replace_coefficients(anim, q), breakdown
 

@@ -92,6 +92,10 @@ class TestExitCodes:
         ("check-grad", "--step", "inf"),
         ("check-grad", "--w-s", "nan"),
         ("optimize", "--w-c", "inf"),
+        ("optimize", "--step", "nan"),
+        ("optimize", "--step", "inf"),
+        ("optimize", "--epsilon", "nan"),
+        ("optimize", "--epsilon", "inf"),
         ("init", "--span", "nan"),
         ("init", "--span", "-5"),
         ("init", "--bandwidth", "nan"),
@@ -114,6 +118,19 @@ class TestExitCodes:
         assert main([command, *args, flag, value]) == 1
         assert "error:" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_divergence_exit_one_writes_no_model(self, capsys, tmp_path, tracks_path,
+                                                  model_path):
+        # One step of 1e156 makes the final loss overflow.
+        out = tmp_path / "opt.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([
+                "optimize", "--model", model_path, "--tracks", tracks_path, "--out", str(out),
+                "--iterations", "1", "--w-s", "0", "--w-c", "1e-10", "--step", "1e156",
+            ])
+        assert code == 1
+        assert "non-finite loss" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

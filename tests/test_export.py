@@ -13,13 +13,17 @@ from conftest import (
     parse_path_points,
     random_animation,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from motionsketch import (
+    BasisKind,
     ParseError,
     UnsupportedVersionError,
     animation_coefficients,
     eval_curve_point,
+    eval_trajectory,
     export_animated_svg,
     export_frame_svg,
     load_model,
@@ -30,6 +34,7 @@ from motionsketch import (
     save_model,
     stroke_path_data,
 )
+from motionsketch.bernstein import basis_matrix, basis_row
 
 
 def static_animation(num_frames=3, widths=None):
@@ -146,8 +151,6 @@ class TestFrameSvg:
         assert 'stroke-width="3.000000"' in svg
 
     def test_cubic_path_points_match_eval(self, rng):
-        from motionsketch import eval_trajectory
-
         anim = random_animation(rng, num_strokes=1, curve_degree=3,
                                 trajectory_degree=4)
         stroke = anim.strokes[0]
@@ -207,6 +210,40 @@ class TestFrameSvg:
         rows = np.stack([(1 - grid) ** 2, 2 * grid * (1 - grid), grid**2], axis=1)
         exact = np.stack([eval_curve_point(stroke, u, 0.25) for u in grid])
         assert np.abs(rows @ points - exact).max() < 1e-5
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        curve_degree=st.integers(1, 8),
+        trajectory_degree=st.integers(1, 99),
+        t=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_parse_back_property(self, curve_degree, trajectory_degree, t, seed):
+        # L/Q/C paths and, above degree 3, piecewise cubics; the k-th of K
+        # cubics covers u in [k/K, (k+1)/K]. Trajectory degrees span the
+        # direct/log switch at 60. Most of the 11-point grid falls between the
+        # subdivision's 9 check points.
+        rng = np.random.default_rng(seed)
+        stroke = random_animation(rng, num_strokes=1, curve_degree=curve_degree,
+                                  trajectory_degree=trajectory_degree).strokes[0]
+        d = stroke_path_data(stroke, t)
+        local = np.linspace(0.0, 1.0, 11)
+        if curve_degree < 3:
+            rows = basis_matrix(BasisKind.BERNSTEIN, curve_degree, local)
+            parsed = (rows @ parse_path_points(d))[None]
+        else:
+            parsed = eval_piecewise_path(d, local.size)
+        # eval_curve_point's arithmetic with the control points hoisted out of
+        # the loop over u (they do not depend on it).
+        points = np.stack([eval_trajectory(traj, t) for traj in stroke.control_trajectories])
+        segments = len(parsed)
+        exact = np.array([
+            [basis_row(BasisKind.BERNSTEIN, curve_degree, (k + u) / segments).values @ points
+             for u in local]
+            for k in range(segments)
+        ])
+        assert np.array_equal(exact[0, 0], eval_curve_point(stroke, 0.0, t))
+        assert np.abs(parsed - exact).max() < 1e-5
 
     def test_file_export(self, tmp_path):
         anim = static_animation()

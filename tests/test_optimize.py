@@ -1,7 +1,5 @@
 """Losses, analytic gradients, and the coefficient optimizer."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from conftest import make_animation, random_animation, random_tracks
@@ -29,6 +27,7 @@ from motionsketch import (
     total_loss,
     trajectory_velocity,
 )
+from motionsketch import optimize
 from motionsketch.bernstein import basis_matrix, basis_row
 
 
@@ -45,17 +44,21 @@ def riding_animation_and_tracks():
     return anim, tracks
 
 
-def per_point_consistency(anim, tracks, n_p):
+def per_point_consistency(anim, tracks, n_p, rows=None):
     """Consistency loss from its definition on the per-point path
-    (eval_curve_point samples, a brute-force nearest track per point)."""
+    (eval_curve_point samples; a brute-force nearest track per point unless
+    `rows` freezes the assignment)."""
     times = anim.frame_times()
     coords = tracks.coords
     consistency = 0.0
-    for stroke in anim.strokes:
+    for j, stroke in enumerate(anim.strokes):
         for k in range(n_p):
             points = [eval_curve_point(stroke, k / (n_p - 1), t) for t in times]
             for i, p_i in enumerate(points):
-                row = int(np.argmin([np.sum((p_i - c) ** 2) for c in coords[:, i]]))
+                if rows is None:
+                    row = int(np.argmin([np.sum((p_i - c) ** 2) for c in coords[:, i]]))
+                else:
+                    row = rows[i, j, k]
                 for t, p_t in enumerate(points):
                     moved = (p_t - p_i) - (coords[row, t] - coords[row, i])
                     consistency += float(moved @ moved)
@@ -112,16 +115,29 @@ class TestConsistencyLoss:
         )
         assert error < 1e-5
 
-    def test_switching_rows_match_per_point_definition(self, rng):
+    @pytest.mark.parametrize("chunk_elements", [None, 15], ids=["default-chunks", "tiny-chunks"])
+    def test_switching_rows_match_per_point_definition(self, rng, monkeypatch, chunk_elements):
         # 300 tracks take the KD-tree route; in a dense random field every
-        # sampled point changes its nearest row from frame to frame.
+        # sampled point changes its nearest row from frame to frame. The
+        # alternating rows (frames 0, 1, 0, 1, 0) switch every frame too but
+        # revisit their pairs: 8 points x 2 rows with counts 3 and 2. With 15
+        # elements a chunk holds 3 pairs of 5 frames, so their 16 pairs take
+        # five full chunks and a partial one.
+        if chunk_elements is not None:
+            monkeypatch.setattr(optimize, "_PAIR_CHUNK_ELEMENTS", chunk_elements)
         anim = random_animation(rng, num_strokes=2, num_frames=5, curve_degree=2,
                                 trajectory_degree=3)
         tracks = random_tracks(rng, num_points=300, num_frames=5)
-        rows = consistency_assignments(anim, tracks, 4)
-        assert np.all(rows[1:] != rows[:-1])
-        value, _ = consistency_loss_grad(anim, tracks, 4, assignments=rows)
-        assert value == pytest.approx(per_point_consistency(anim, tracks, 4), rel=1e-10)
+        nearest = consistency_assignments(anim, tracks, 4)
+        assert np.all(nearest[1:] != nearest[:-1])
+        alternating = nearest[np.arange(5) % 2]
+        # The nearest rows' value is checked against the oracle's own nearest search.
+        for rows, oracle_rows in ((nearest, None), (alternating, alternating)):
+            value, grad = consistency_loss_grad(anim, tracks, 4, assignments=rows)
+            expected = per_point_consistency(anim, tracks, 4, oracle_rows)
+            assert value == pytest.approx(expected, rel=1e-10)
+            oracle = per_point_consistency_grad(anim, tracks, 4, rows)
+            assert np.abs(grad - oracle).max() <= 1e-10 * max(1.0, float(np.abs(oracle).max()))
         error = finite_difference_check(anim, tracks, None, LossWeights(w_s=0.0, w_c=1.0), 4)
         assert error < 1e-6
 
@@ -402,6 +418,12 @@ class TestOptimizer:
         totals = [v for _, v in breakdown.history]
         assert totals[-1] < totals[0]
 
+    @pytest.mark.parametrize("field", ["step_size", "epsilon"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ValidationError):
+            OptimConfig(iterations=1, **{field: value})
+
     def test_divergence_error_reports_iteration(self, rng):
         anim = random_animation(rng)
         targets = rng.uniform(0, 100, (2, 3, 2))
@@ -421,12 +443,29 @@ class TestOptimizer:
         weights = LossWeights(w_s=0.0, w_c=1e-10)
         config = OptimConfig(iterations=25, step_size=1e156, n_p=3, log_every=10)
         with np.errstate(over="ignore", invalid="ignore"):
-            moved, _ = optimize_animation(anim, tracks, None, weights, replace(config, iterations=1))
+            # Adam's first step from zero moments: step * g / (|g| + epsilon).
+            q = animation_coefficients(anim)
+            _, grad = total_loss(anim, tracks, None, weights, 3)
+            moved = replace_coefficients(
+                anim, q - config.step_size * grad / (np.abs(grad) + config.epsilon)
+            )
             value, grad = consistency_loss_grad(moved, tracks, 3)
             assert value == np.inf and np.all(np.isfinite(grad))
             with pytest.raises(DivergenceError) as excinfo:
                 optimize_animation(anim, tracks, None, weights, config)
         assert excinfo.value.iteration == 10
+
+    def test_non_finite_final_loss_raises(self, rng):
+        # The single update of a one-iteration run makes the consistency value
+        # overflow (as above); the final breakdown is checked, so no model
+        # with an infinite loss is returned.
+        anim = random_animation(rng)
+        tracks = random_tracks(rng)
+        config = OptimConfig(iterations=1, step_size=1e156, n_p=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as excinfo:
+                optimize_animation(anim, tracks, None, LossWeights(w_s=0.0, w_c=1e-10), config)
+        assert excinfo.value.iteration == 1
 
     @pytest.mark.parametrize("num_points", [5, 300])
     def test_coefficients_do_not_depend_on_log_every(self, rng, num_points):
