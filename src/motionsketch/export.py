@@ -141,10 +141,6 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _fmt_point(point: np.ndarray) -> str:
-    return f"{_fmt(point[0])},{_fmt(point[1])}"
-
-
 def _control_points(stroke: Stroke, times: np.ndarray) -> np.ndarray:
     """The stroke's control points at each time, shape (T, m+1, 2).
 
@@ -188,24 +184,20 @@ def _piecewise_cubics(points: np.ndarray) -> np.ndarray:
 
 
 def _path_data(points: np.ndarray) -> str:
-    """SVG path `d` for the Bezier curve with control `points` (m+1, 2)."""
+    """SVG path `d` for the Bezier curve with control `points` (m+1, 2).
+
+    All coordinates of a key are formatted at once, as Python floats from one
+    ``tolist``: "%.6f" prints them exactly like `_fmt` prints numpy scalars.
+    """
     m = points.shape[0] - 1
-    if m == 1:
-        return f"M {_fmt_point(points[0])} L {_fmt_point(points[1])}"
-    if m == 2:
-        return (
-            f"M {_fmt_point(points[0])} Q {_fmt_point(points[1])} {_fmt_point(points[2])}"
-        )
-    if m == 3:
-        return (
-            f"M {_fmt_point(points[0])} C {_fmt_point(points[1])} "
-            f"{_fmt_point(points[2])} {_fmt_point(points[3])}"
-        )
-    cubics = _piecewise_cubics(points)
-    parts = [f"M {_fmt_point(cubics[0][0])}"]
-    for ctrl in cubics:
-        parts.append(f"C {_fmt_point(ctrl[1])} {_fmt_point(ctrl[2])} {_fmt_point(ctrl[3])}")
-    return " ".join(parts)
+    if m > 3:
+        cubics = _piecewise_cubics(points)
+        template = "M %.6f,%.6f" + " C %.6f,%.6f %.6f,%.6f %.6f,%.6f" * len(cubics)
+        coords = np.concatenate([cubics[0, 0], cubics[:, 1:].reshape(-1)])
+    else:
+        template = "M %.6f,%.6f " + "LQC"[m - 1] + " %.6f,%.6f" * m
+        coords = points.reshape(-1)
+    return template % tuple(coords.tolist())
 
 
 def stroke_path_data(stroke: Stroke, t: float) -> str:

@@ -23,22 +23,36 @@ respect to sample point p at frame s, are
     grad = 2/(N_p N_f) * (2 N_f X_p(s) - N_f own_p(s) + sum_i own_p(i) - (A @ Y)_p(s)).
 
 The value is a sum of squared differences, so nothing cancels (the expanded
-form does, and a zero loss would read as roundoff); its pair sum runs over
-A's entries in bounded chunks, keeping peak memory independent of N_f.
+form does, and a zero loss would read as roundoff). Its pair sum orders the
+points by their number of distinct rows and runs in chunks of a bounded
+number of elements: a chunk gathers only its rows Y_r, into one buffer reused
+by every chunk, and subtracts X_p by broadcasting over each point's pairs (a
+point with more pairs than a chunk holds is split). No X_p is copied per
+pair, and peak memory stays independent of N_f.
+
+The assignment scans all frames at once, in cache-sized blocks, for small
+track sets; for large ones it queries each frame's KD-tree, with the frames
+spread over a thread pool of one worker per usable CPU. Either way the rows
+are those of `nearest_rows` frame by frame.
 
 The value costs up to several times the gradient, so the optimizer computes it
 only where it is read: at logged iterations (the first, every `log_every`-th
 and the last) and for the final breakdown. `total_loss`,
 `consistency_loss_grad` and the central differences of
-`finite_difference_check` always compute it. The attachment value is computed
-in every iteration, so a non-finite attachment value or gradient stops the
-optimizer at once; a consistency value that overflows while its gradient
-stays finite is caught at the next logged iteration, or in the final
-breakdown when the last update makes it overflow.
+`finite_difference_check` always compute it; the checker freezes one
+assignment, so it builds A and own once and each bumped evaluation recomputes
+only X. The attachment value is computed in every iteration, so a non-finite
+attachment value or gradient stops the optimizer at once; a consistency
+value that overflows while its gradient stays finite is caught at the next
+logged iteration, or in the final breakdown when the last update makes it
+overflow. Distances that overflow in the assignment at such coefficients
+stay silent: the DivergenceError is the one report.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -100,6 +114,14 @@ class LossBreakdown:
 
 # Elements (pairs x frames) per chunk of the consistency term's temporaries.
 _PAIR_CHUNK_ELEMENTS = 1 << 16
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _at_frames(q: np.ndarray, b_t: np.ndarray) -> np.ndarray:
@@ -172,22 +194,43 @@ class _Objective:
         return self.b_u @ _at_frames(q, self.b_t)
 
     def assign(self, samples: np.ndarray) -> np.ndarray:
-        """Nearest tracked-point row per sampled stroke point, shape (N_f, N_s, N_p)."""
-        if self.tracks.num_points < _KDTREE_MIN_POINTS:
-            return nearest_rows_per_frame(samples, self.tracks)
-        return np.stack([nearest_rows(samples[f], f, self.tracks) for f in range(len(samples))])
+        """Nearest tracked-point row per sampled stroke point, shape (N_f, N_s, N_p).
 
-    def freeze(
-        self, samples: np.ndarray, rows: np.ndarray
-    ) -> tuple[np.ndarray, csr_matrix, np.ndarray]:
-        """(X, A, own) of the module docstring for the frozen `rows`; X and own
-        have shape (P, 2, N_f), A is (P x K)."""
+        Small track sets take one blocked scan over all frames. Large ones
+        query each frame's KD-tree on a thread pool with one worker per usable
+        CPU, at most one per frame (a single worker runs the frames serially):
+        the queries release the GIL and the frames are independent, so the
+        rows do not depend on the worker count. Squared distances that
+        overflow at diverged coefficients are left as inf without a warning;
+        the finiteness check of the loss reports the divergence.
+        ``np.errstate`` is per thread, so each worker sets its own.
+        """
+        if self.tracks.num_points < _KDTREE_MIN_POINTS:
+            with np.errstate(over="ignore"):
+                return nearest_rows_per_frame(samples, self.tracks)
+
+        def frame_rows(f: int) -> np.ndarray:
+            with np.errstate(over="ignore"):
+                return nearest_rows(samples[f], f, self.tracks)
+
+        with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(samples))) as pool:
+            return np.stack(list(pool.map(frame_rows, range(len(samples)))))
+
+    def motion(self, samples: np.ndarray) -> np.ndarray:
+        """X of the module docstring: the sample motion relative to frame 0
+        and centered, shape (P, 2, N_f)."""
         num_frames = samples.shape[0]
         motion = np.ascontiguousarray(samples.reshape(num_frames, -1, 2).transpose(1, 2, 0))
         motion -= motion[:, :, :1]
         motion -= motion.mean(axis=2, keepdims=True)
-        num_points, num_rows = motion.shape[0], self.track_centered.shape[0]
-        point_rows = rows.reshape(num_frames, num_points).T  # r_i per point, (P, N_f)
+        return motion
+
+    def freeze(self, rows: np.ndarray) -> tuple[csr_matrix, np.ndarray]:
+        """(A, own) of the module docstring for the frozen `rows` (N_f, N_s,
+        N_p); A is (P x K), own has shape (P, 2, N_f)."""
+        num_frames = rows.shape[0]
+        point_rows = rows.reshape(num_frames, -1).T  # r_i per point, (P, N_f)
+        num_points, num_rows = point_rows.shape[0], self.track_centered.shape[0]
         counts = csr_matrix(
             (np.ones(point_rows.size), point_rows.reshape(-1),
              np.arange(0, point_rows.size + 1, num_frames)),
@@ -197,19 +240,60 @@ class _Objective:
         # own[p, c, i] = Y[r_i, c, i], one gather from the flat (K, 2, N_f) array.
         offsets = np.arange(2 * num_frames).reshape(2, num_frames)
         own = np.take(self.track_centered, point_rows[:, None, :] * (2 * num_frames) + offsets)
-        return motion, counts, own
+        return counts, own
 
     def consistency_value(self, motion: np.ndarray, counts: csr_matrix, own: np.ndarray) -> float:
-        """The consistency value of the module docstring; the pair sum runs
-        over A's entries in chunks of bounded size."""
+        """The consistency value of the module docstring.
+
+        The pair sum orders the points by their number d of distinct rows and
+        walks their pairs in chunks of at most `_PAIR_CHUNK_ELEMENTS` elements,
+        cut between blocks of equal-d points (a point whose d pairs exceed a
+        chunk is split). A chunk gathers only its rows Y_r, into one buffer
+        reused by every chunk, and subtracts each block's X_p by broadcasting
+        over the point's pairs.
+        """
         num_frames, n_p = self.b_t.shape[0], self.b_u.shape[0]
-        pair_point = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
-        value = 0.0
-        chunk = max(1, _PAIR_CHUNK_ELEMENTS // num_frames)
-        for a in range(0, counts.nnz, chunk):
-            pairs = slice(a, a + chunk)
-            diff = motion[pair_point[pairs]] - self.track_centered[counts.indices[pairs]]
-            value += float(np.vdot(counts.data[pairs, None, None] * diff, diff))
+        num_points, num_pairs = counts.shape[0], counts.nnz
+        chunk = max(1, _PAIR_CHUNK_ELEMENTS // num_frames)  # pairs per chunk
+        # Points in order of d, and their pairs in that order (a stable sort
+        # keeps each point's pairs together).
+        sizes = counts.indptr[1:] - counts.indptr[:-1]
+        order = np.argsort(sizes, kind="stable")
+        pair_order = np.argsort(np.repeat(sizes, sizes), kind="stable")
+        x = np.take(motion.reshape(num_points, -1), order, axis=0)
+        y = self.track_centered.reshape(counts.shape[1], -1)
+        pair_rows = counts.indices[pair_order]
+        buffer = np.empty((min(chunk, num_pairs), x.shape[1]))
+        norms = np.empty(num_pairs)  # |X_p - Y_r|^2 per pair, in sorted order
+
+        def reduce_chunk(start: int, stop: int, blocks: list) -> None:
+            diff = buffer[: stop - start]
+            # mode="clip" writes straight into `diff` (the rows are in range).
+            np.take(y, pair_rows[start:stop], axis=0, out=diff, mode="clip")
+            for offset, a, n, width in blocks:
+                view = diff[offset : offset + n * width].reshape(n, width, -1)
+                view -= x[a : a + n, None]
+            np.einsum("ke,ke->k", diff, diff, out=norms[start:stop])
+
+        # Blocks of n points with d pairs each, or pieces of one point whose d
+        # pairs exceed a chunk, cut into chunks of whole blocks. A block is
+        # (offset in its chunk, first sorted point, n, pairs per point).
+        start = pair = point = 0
+        blocks = []
+        for d, count in enumerate(np.bincount(sizes).tolist()):
+            per = max(1, chunk // max(d, 1))
+            for a in range(point, point + count, per):
+                n = min(per, point + count - a)
+                for b in range(0, d, chunk):
+                    width = min(d - b, chunk)
+                    if pair + n * width > start + chunk:
+                        reduce_chunk(start, pair, blocks)
+                        start, blocks = pair, []
+                    blocks.append((pair - start, a, n, width))
+                    pair += n * width
+            point += count
+        reduce_chunk(start, pair, blocks)
+        value = float(counts.data[pair_order] @ norms)
         diff = motion - own
         value += num_frames * float(np.vdot(diff, diff))
         return value / (n_p * num_frames)
@@ -241,26 +325,27 @@ class _Objective:
     def value_grad(
         self,
         q: np.ndarray,
-        rows: np.ndarray | None = None,
+        frozen: tuple[csr_matrix, np.ndarray] | None = None,
         *,
         consistency_value: bool = True,
         gradient: bool = True,
     ) -> tuple[LossBreakdown, np.ndarray | None]:
-        """(LossBreakdown, gradient) at coefficients `q`, assignment `rows`
-        frozen (assigned at `q` when None). ``gradient=False`` returns None for
-        the gradient. ``consistency_value=False`` skips the consistency value:
-        the breakdown reads it as nan and its total covers the other terms."""
+        """(LossBreakdown, gradient) at coefficients `q`, with the assignment
+        frozen as ``frozen = freeze(rows)`` (assigned at `q` when None).
+        ``gradient=False`` returns None for the gradient.
+        ``consistency_value=False`` skips the consistency value: the breakdown
+        reads it as nan and its total covers the other terms."""
         w = self.weights
         grad = np.zeros_like(q) if gradient else None
         consistency = attachment = geometry = 0.0
         if w.w_c > 0:
             samples = self.samples(q)
-            if rows is None:
-                rows = self.assign(samples)
-            frozen = self.freeze(samples, rows)
+            if frozen is None:
+                frozen = self.freeze(self.assign(samples))
+            motion = self.motion(samples)
             if gradient:
-                grad += w.w_c * self.consistency_grad(*frozen)
-            consistency = self.consistency_value(*frozen) if consistency_value else np.nan
+                grad += w.w_c * self.consistency_grad(motion, *frozen)
+            consistency = self.consistency_value(motion, *frozen) if consistency_value else np.nan
         if w.w_s > 0:
             attachment, g = self.attachment(q)
             if gradient:
@@ -306,7 +391,8 @@ def consistency_loss_grad(
     form of the module docstring; both are always computed.
     """
     objective = _Objective(anim, tracks, None, _CONSISTENCY_ONLY, n_p)
-    breakdown, grad = objective.value_grad(animation_coefficients(anim), assignments)
+    frozen = None if assignments is None else objective.freeze(assignments)
+    breakdown, grad = objective.value_grad(animation_coefficients(anim), frozen)
     return breakdown.consistency, grad
 
 
@@ -337,7 +423,10 @@ def total_loss(
     to (value, gradient with the packed-coefficient shape).
     """
     objective = _Objective(anim, tracks, targets, weights, n_p, geometry_term)
-    return objective.value_grad(animation_coefficients(anim), assignments)
+    frozen = None
+    if assignments is not None and weights.w_c > 0:
+        frozen = objective.freeze(assignments)
+    return objective.value_grad(animation_coefficients(anim), frozen)
 
 
 def optimize_animation(
@@ -416,8 +505,11 @@ def finite_difference_check(
         raise ValidationError(f"step must be positive and finite, got {step}")
     objective = _Objective(anim, tracks, targets, weights, n_p)
     q0 = animation_coefficients(anim)
-    rows = objective.assign(objective.samples(q0)) if weights.w_c > 0 else None
-    _, grad = objective.value_grad(q0, rows, consistency_value=False)
+    # One frozen A and own serve every evaluation; each one recomputes only X.
+    frozen = None
+    if weights.w_c > 0:
+        frozen = objective.freeze(objective.assign(objective.samples(q0)))
+    _, grad = objective.value_grad(q0, frozen, consistency_value=False)
     if not np.all(np.isfinite(grad)):
         raise DivergenceError("analytic gradient is not finite")
 
@@ -434,9 +526,9 @@ def finite_difference_check(
     for idx in indices:
         bumped = flat_q.copy()
         bumped[idx] += step
-        f_plus = objective.value_grad(bumped.reshape(q0.shape), rows, gradient=False)[0].total
+        f_plus = objective.value_grad(bumped.reshape(q0.shape), frozen, gradient=False)[0].total
         bumped[idx] -= 2.0 * step
-        f_minus = objective.value_grad(bumped.reshape(q0.shape), rows, gradient=False)[0].total
+        f_minus = objective.value_grad(bumped.reshape(q0.shape), frozen, gradient=False)[0].total
         fd = (f_plus - f_minus) / (2.0 * step)
         if not np.isfinite(fd):
             raise DivergenceError(f"central difference at coordinate {idx} is not finite")

@@ -261,8 +261,9 @@ def build_motion_heatmap(
     return MotionHeatmap(width=width, height=height, values=(values - lo) / (hi - lo))
 
 
-# Elements (frames x queries x points) per block of the batched scan.
-_SCAN_BLOCK_ELEMENTS = 1 << 18
+# Elements (frames x queries x points) per block of the batched scan, small
+# enough that a block's two float64 temporaries (256 KiB each) stay in L2.
+_SCAN_BLOCK_ELEMENTS = 1 << 15
 
 # Relative gap below which a KD-tree answer is rechecked by a full scan: the
 # tree's distances may round differently from the scan's, so a near tie is

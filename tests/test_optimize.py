@@ -121,8 +121,9 @@ class TestConsistencyLoss:
         # sampled point changes its nearest row from frame to frame. The
         # alternating rows (frames 0, 1, 0, 1, 0) switch every frame too but
         # revisit their pairs: 8 points x 2 rows with counts 3 and 2. With 15
-        # elements a chunk holds 3 pairs of 5 frames, so their 16 pairs take
-        # five full chunks and a partial one.
+        # elements a chunk holds 3 pairs of 5 frames: each alternating point's
+        # 2 pairs fill a chunk of their own, and a nearest-row point with 4 or
+        # 5 distinct rows is split into a full chunk and a partial piece.
         if chunk_elements is not None:
             monkeypatch.setattr(optimize, "_PAIR_CHUNK_ELEMENTS", chunk_elements)
         anim = random_animation(rng, num_strokes=2, num_frames=5, curve_degree=2,
@@ -130,6 +131,8 @@ class TestConsistencyLoss:
         tracks = random_tracks(rng, num_points=300, num_frames=5)
         nearest = consistency_assignments(anim, tracks, 4)
         assert np.all(nearest[1:] != nearest[:-1])
+        distinct = [np.unique(nearest[:, j, k]).size for j in range(2) for k in range(4)]
+        assert max(distinct) > 3  # some point's pairs exceed a 3-pair chunk
         alternating = nearest[np.arange(5) % 2]
         # The nearest rows' value is checked against the oracle's own nearest search.
         for rows, oracle_rows in ((nearest, None), (alternating, alternating)):
@@ -189,6 +192,52 @@ class TestConsistencyLoss:
                 values.append(consistency_loss_grad(moved, tracks, n_p, assignments=rows)[0])
             fd = (values[0] - values[1]) / (2.0 * step)
             assert abs(fd - grad.reshape(-1)[idx]) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_kdtree_assign_matches_serial_queries(self, monkeypatch, cpus):
+        # 400 lattice sites take the KD-tree route; the samples sit on lattice
+        # points, edge midpoints and cell centers (ties between 1, 2 and 4
+        # sites), and each frame shuffles the rows. With one usable CPU the
+        # pool has one worker; with three it has three, switching threads
+        # often. Either way the rows equal the serial per-frame queries.
+        import sys
+
+        from motionsketch.tracking import nearest_rows
+
+        monkeypatch.setattr(optimize.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        pools = []
+        pool_type = optimize.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            pools.append(max_workers)
+            return pool_type(max_workers=max_workers)
+
+        monkeypatch.setattr(optimize, "ThreadPoolExecutor", recording_pool)
+        num_frames, side = 4, 20
+        grid = 2.0 * np.stack(np.meshgrid(np.arange(side), np.arange(side)), -1).reshape(-1, 2)
+        perms = [np.random.default_rng(f).permutation(len(grid)) for f in range(num_frames)]
+        tracks = TrackSet(ids=np.arange(len(grid)),
+                          coords=np.stack([grid[p] for p in perms], axis=1))
+        offsets = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+        samples = np.stack([
+            (grid[f * 7 : f * 7 + 6, None, :] + offsets).reshape(3, 8, 2)
+            for f in range(num_frames)
+        ])
+        anim = random_animation(np.random.default_rng(0), num_strokes=3, num_frames=num_frames)
+        objective = optimize._Objective(anim, tracks, None, LossWeights(w_s=0.0, w_c=1.0), 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = objective.assign(samples)
+        finally:
+            sys.setswitchinterval(interval)
+        serial = np.stack([nearest_rows(samples[f], f, tracks) for f in range(num_frames)])
+        assert np.array_equal(rows, serial)
+        for f in range(num_frames):
+            d2 = np.sum((samples[f].reshape(-1, 1, 2) - tracks.coords[None, :, f]) ** 2, axis=2)
+            assert np.array_equal(rows[f].reshape(-1), np.argmin(d2, axis=1))
+        assert pools == [cpus]
 
     def test_frame_count_mismatch(self, rng):
         anim = random_animation(rng, num_frames=3)
@@ -257,6 +306,33 @@ class TestAttachmentLoss:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match=what):
                 finite_difference_check(anim, None, targets, weights, 3)
+
+    def test_finite_difference_freezes_once(self, rng, monkeypatch):
+        # The checker builds A and own once for its frozen rows and reuses
+        # them in every bumped evaluation; rebuilding them for each one gives
+        # the same error bit for bit.
+        anim = random_animation(rng, num_strokes=2, num_frames=4, curve_degree=2,
+                                trajectory_degree=3)
+        tracks = random_tracks(rng, num_points=6, num_frames=4)
+        targets = rng.uniform(0, 100, (2, 4, 2))
+        weights = LossWeights(w_s=1.0, w_c=0.5)
+        freeze, value_grad = optimize._Objective.freeze, optimize._Objective.value_grad
+        frozen_rows = []
+
+        def recording_freeze(self, rows):
+            frozen_rows.append(rows)
+            return freeze(self, rows)
+
+        monkeypatch.setattr(optimize._Objective, "freeze", recording_freeze)
+        once = finite_difference_check(anim, tracks, targets, weights, 3)
+        assert len(frozen_rows) == 1
+
+        def refreezing_value_grad(self, q, frozen=None, **kwargs):
+            return value_grad(self, q, freeze(self, frozen_rows[0]), **kwargs)
+
+        monkeypatch.setattr(optimize._Objective, "value_grad", refreezing_value_grad)
+        per_bump = finite_difference_check(anim, tracks, targets, weights, 3)
+        assert per_bump == once and once > 0.0
 
     def test_target_count_mismatch(self, rng):
         anim = random_animation(rng, num_strokes=2, num_frames=4)
@@ -455,14 +531,23 @@ class TestOptimizer:
                 optimize_animation(anim, tracks, None, weights, config)
         assert excinfo.value.iteration == 10
 
-    def test_non_finite_final_loss_raises(self, rng):
+    @pytest.mark.parametrize("num_points", [4, 300])
+    def test_non_finite_final_loss_raises(self, rng, monkeypatch, num_points):
         # The single update of a one-iteration run makes the consistency value
         # overflow (as above); the final breakdown is checked, so no model
-        # with an infinite loss is returned.
+        # with an infinite loss is returned. That breakdown re-assigns rows at
+        # the diverged coefficients, where squared distances overflow: on the
+        # scan route, and on the KD-tree route in the tie recheck run by pool
+        # workers (two usable CPUs). With every warning turned into an error
+        # and no errstate set here, the DivergenceError is the only report.
+        import warnings
+
+        monkeypatch.setattr(optimize.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         anim = random_animation(rng)
-        tracks = random_tracks(rng)
+        tracks = random_tracks(rng, num_points=num_points)
         config = OptimConfig(iterations=1, step_size=1e156, n_p=3)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as excinfo:
                 optimize_animation(anim, tracks, None, LossWeights(w_s=0.0, w_c=1e-10), config)
         assert excinfo.value.iteration == 1

@@ -363,6 +363,31 @@ class TestNearestSample:
             flat = brute_force_rows(points[f].reshape(-1, 2), coords[:, f])
             assert np.array_equal(rows[f].reshape(-1), flat)
 
+    @pytest.mark.parametrize("block_elements", [1, 1200])
+    def test_per_frame_blocks_match_nearest_rows(self, rng, monkeypatch, block_elements):
+        # 15 queries x 40 points is 600 elements a frame: 1200 elements scan
+        # the 7 frames in blocks of 2, 2, 2 and a partial 1; a single element
+        # forces one frame per block.
+        from motionsketch import tracking
+        from motionsketch.tracking import nearest_rows, nearest_rows_per_frame
+
+        monkeypatch.setattr(tracking, "_SCAN_BLOCK_ELEMENTS", block_elements)
+        coords = np.round(rng.uniform(0, 20, (40, 7, 2)))  # many exact ties
+        tracks = TrackSet(ids=np.arange(40), coords=coords)
+        points = np.round(rng.uniform(0, 20, (7, 3, 5, 2)) * 2) / 2
+        scans = []
+        scan = tracking._scan_rows
+
+        def recording_scan(block_points, block_sites):
+            scans.append(len(block_points))
+            return scan(block_points, block_sites)
+
+        monkeypatch.setattr(tracking, "_scan_rows", recording_scan)
+        rows = nearest_rows_per_frame(points, tracks)
+        assert scans == ([2, 2, 2, 1] if block_elements == 1200 else [1] * 7)
+        for f in range(7):
+            assert np.array_equal(rows[f], nearest_rows(points[f], f, tracks))
+
     def test_frame_out_of_range(self):
         with pytest.raises(ValidationError):
             nearest_sample(np.array([0.0, 0.0]), 5, simple_tracks())
