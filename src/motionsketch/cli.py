@@ -276,6 +276,8 @@ def _cmd_interp(args) -> int:
 
 
 def _cmd_check_grad(args) -> int:
+    if args.tolerance is not None and not 0.0 <= args.tolerance < np.inf:
+        raise _UsageError(f"tolerance must be finite and nonnegative, got {args.tolerance}")
     anim = load_model(args.model)
     tracks = load_tracks(args.tracks)
     targets = derive_attachment_targets(anim, tracks)

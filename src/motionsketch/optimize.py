@@ -30,10 +30,16 @@ by every chunk, and subtracts X_p by broadcasting over each point's pairs (a
 point with more pairs than a chunk holds is split). No X_p is copied per
 pair, and peak memory stays independent of N_f.
 
-The assignment scans all frames at once, in cache-sized blocks, for small
-track sets; for large ones it queries each frame's KD-tree, with the frames
+The assignment is certified between evaluations, like the skin of a Verlet
+neighbour list. Each query of a sample point also gives a radius: half the
+gap between its nearest and second-nearest track distance, less a relative
+slack of 1e-9, and 0 at ties. Within that radius of the position where it was
+queried, the point's row stays the strict nearest by more than any rounding,
+so only the points that have moved at least their radius since then (and
+every non-finite one) are queried again. Small track sets scan those points,
+in cache-sized blocks; large ones query each frame's KD-tree, with the frames
 spread over a thread pool of one worker per usable CPU. Either way the rows
-are those of `nearest_rows` frame by frame.
+are those of `nearest_rows` frame by frame, bit for bit.
 
 The value costs up to several times the gradient, so the optimizer computes it
 only where it is read: at logged iterations (the first, every `log_every`-th
@@ -60,7 +66,8 @@ from scipy.sparse import csr_matrix
 
 from .bernstein import BasisKind, basis_matrix, basis_row
 from .errors import DivergenceError, ValidationError
-from .tracking import _KDTREE_MIN_POINTS, TrackSet, nearest_rows, nearest_rows_per_frame
+from .tracking import _KDTREE_MIN_POINTS, TrackSet, _scan_rows_radius, _tree_rows_radius
+from .tracking import nearest_rows  # noqa: F401  (unused; the benchmark tracer wraps it here)
 from .trajectory import SketchAnimation, animation_coefficients, replace_coefficients
 
 
@@ -188,6 +195,15 @@ class _Objective:
             motion = np.subtract(coords, coords[:, :, :1], out=np.empty(coords.shape))
             motion -= motion.mean(axis=2, keepdims=True)
             self.track_centered = motion
+            # The certified assignment of `assign`, per (frame, sample point).
+            # A zero radius certifies nothing, so the first call queries all.
+            size = self.b_t.shape[0] * anim.num_strokes * n_p
+            self._anchor = np.zeros((size, 2))
+            self._rows = np.zeros(size, dtype=np.intp)
+            self._radius2 = np.zeros(size)
+            if tracks.num_points < _KDTREE_MIN_POINTS:
+                # (N_f, K, 2), contiguous: the scan gathers one frame per point.
+                self._frame_sites = np.ascontiguousarray(tracks.coords.transpose(1, 0, 2))
 
     def samples(self, q: np.ndarray) -> np.ndarray:
         """Sampled stroke points at the frame times, shape (N_f, N_s, N_p, 2)."""
@@ -196,25 +212,65 @@ class _Objective:
     def assign(self, samples: np.ndarray) -> np.ndarray:
         """Nearest tracked-point row per sampled stroke point, shape (N_f, N_s, N_p).
 
-        Small track sets take one blocked scan over all frames. Large ones
-        query each frame's KD-tree on a thread pool with one worker per usable
-        CPU, at most one per frame (a single worker runs the frames serially):
-        the queries release the GIL and the frames are independent, so the
-        rows do not depend on the worker count. Squared distances that
-        overflow at diverged coefficients are left as inf without a warning;
-        the finiteness check of the loss reports the divergence.
-        ``np.errstate`` is per thread, so each worker sets its own.
+        Rows are certified between calls. Each query also yields a radius
+        (half the gap to the second-nearest track, less a relative slack of
+        1e-9, so 0 at ties): while a point stays within that radius of the
+        position it was queried at (its anchor), the triangle inequality keeps
+        the row the strict nearest by more than any rounding, so the query
+        would return it again. Only the points whose squared displacement from
+        their anchor is not below the squared radius are queried, which
+        includes every point on the first call and every non-finite one, and
+        only their anchor, row and radius are refreshed. The rows therefore
+        equal a full query bit for bit; the caller gets a copy of them.
+
+        Small track sets scan the queried points against their frames' tracks
+        in cache-sized blocks. Large ones query each frame's KD-tree on a
+        thread pool with one worker per usable CPU, at most one per frame with
+        queried points (a single worker runs the frames serially): the queries
+        release the GIL, the frames are independent and each writes only its
+        own entries, so the rows do not depend on the worker count. Squared
+        distances that overflow at diverged coefficients are left as inf
+        without a warning; the finiteness check of the loss reports the
+        divergence. ``np.errstate`` is per thread, so each worker sets its own.
         """
+        points = samples.reshape(-1, 2)
+        per_frame = len(points) // len(samples)
+        with np.errstate(over="ignore", invalid="ignore"):
+            moved = points - self._anchor
+            moved *= moved
+            stale = ~(moved[:, 0] + moved[:, 1] < self._radius2)
         if self.tracks.num_points < _KDTREE_MIN_POINTS:
+            index = np.flatnonzero(stale)
+            queries = points[index]
             with np.errstate(over="ignore"):
-                return nearest_rows_per_frame(samples, self.tracks)
+                rows, radius = _scan_rows_radius(
+                    queries[:, None], self._frame_sites, index // per_frame
+                )
+            self._refresh(index, queries, rows, radius)
+        else:
+            stale = stale.reshape(len(samples), -1)
 
-        def frame_rows(f: int) -> np.ndarray:
-            with np.errstate(over="ignore"):
-                return nearest_rows(samples[f], f, self.tracks)
+            def frame_rows(f: int) -> None:
+                index = f * per_frame + np.flatnonzero(stale[f])
+                queries = points[index]
+                with np.errstate(over="ignore"):
+                    rows, radius = _tree_rows_radius(queries, f, self.tracks)
+                self._refresh(index, queries, rows, radius)
 
-        with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(samples))) as pool:
-            return np.stack(list(pool.map(frame_rows, range(len(samples)))))
+            frames = np.flatnonzero(stale.any(axis=1))
+            if frames.size:
+                with ThreadPoolExecutor(max_workers=min(_usable_cpus(), frames.size)) as pool:
+                    list(pool.map(frame_rows, frames))
+        return self._rows.reshape(samples.shape[:-1]).copy()
+
+    def _refresh(
+        self, index: np.ndarray, points: np.ndarray, rows: np.ndarray, radius: np.ndarray
+    ) -> None:
+        """Store the anchor, row and squared radius of the queried `points`;
+        `index` holds their flat (frame, sample point) positions."""
+        self._anchor[index] = points
+        self._rows[index] = rows.reshape(-1)
+        self._radius2[index] = (radius * radius).reshape(-1)
 
     def motion(self, samples: np.ndarray) -> np.ndarray:
         """X of the module docstring: the sample motion relative to frame 0

@@ -271,20 +271,82 @@ _SCAN_BLOCK_ELEMENTS = 1 << 15
 _TIE_TOLERANCE = 1e-9
 
 
-def _scan_rows(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
-    """Argmin over the sites axis of squared distances; ties go to the lowest row.
+def _scan_distances(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Squared distances (..., Q, K) from `points` (..., Q, 2) to `sites`
+    (..., K, 2), broadcast over leading axes.
 
-    `points` (..., Q, 2) and `sites` (..., K, 2) broadcast over leading axes.
-    The distances are dx*dx + dy*dy, bit-equal to summing the squares over a
-    length-2 axis (numpy reduces two elements as a + b), without that
-    reduction's strided inner loop.
+    They are dx*dx + dy*dy, bit-equal to summing the squares over a length-2
+    axis (numpy reduces two elements as a + b), without that reduction's
+    strided inner loop.
     """
     d2 = points[..., :, None, 0] - sites[..., None, :, 0]
     dy = points[..., :, None, 1] - sites[..., None, :, 1]
     d2 *= d2
     dy *= dy
     d2 += dy
-    return np.argmin(d2, axis=-1)
+    return d2
+
+
+def _scan_rows(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Argmin over the sites axis of squared distances; ties go to the lowest row."""
+    return np.argmin(_scan_distances(points, sites), axis=-1)
+
+
+def _certified_radius(nearest: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """How far a query may move and keep its nearest row: half the gap between
+    its nearest and second-nearest distance, less a slack of `_TIE_TOLERANCE`
+    times the second.
+
+    Within that radius the row stays the strict nearest by more than any
+    rounding of the scan or the KD-tree, and no tie recheck can pick another.
+    Ties, near ties, non-finite distances and radii of 1e-150 or less (whose
+    squares would lose relative precision to underflow) get 0: never certified.
+    """
+    with np.errstate(invalid="ignore"):
+        radius = 0.5 * (second - nearest - _TIE_TOLERANCE * second)
+    return np.where(radius > 1e-150, radius, 0.0)
+
+
+def _scan_rows_radius(
+    points: np.ndarray, sites: np.ndarray, frames: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest rows and certified radii of the queries ``points[n]`` (N, Q, 2)
+    against ``sites[frames[n]]``, `sites` of shape (F, K, 2), by scanning.
+
+    Scans cache-sized blocks of n; the rows are ``_scan_rows``' bit for bit.
+    """
+    num_sites = sites.shape[1]
+    block = max(1, _SCAN_BLOCK_ELEMENTS // max(1, points.shape[1] * num_sites))
+    second = min(1, num_sites - 1)  # a single site is its own "second": radius 0
+    rows = np.empty(points.shape[:2], dtype=np.intp)
+    radius = np.empty(points.shape[:2])
+    for a in range(0, len(points), block):
+        d2 = _scan_distances(points[a : a + block], sites[frames[a : a + block]])
+        rows[a : a + block] = np.argmin(d2, axis=-1)
+        d2 = np.partition(d2, second, axis=-1)
+        radius[a : a + block] = _certified_radius(
+            np.sqrt(d2[..., 0]), np.sqrt(d2[..., second])
+        )
+    return rows, radius
+
+
+def _tree_rows_radius(
+    points: np.ndarray, frame: int, tracks: TrackSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest rows and certified radii of `points` (Q, 2) in `frame`, by that
+    frame's KD-tree; near ties and non-finite queries (which the tree rejects)
+    are settled by ``_scan_rows``."""
+    finite = np.isfinite(points).all(axis=1)
+    if finite.all():
+        dist, rows = tracks._tree(frame).query(points, k=2)
+    else:
+        dist, rows = tracks._tree(frame).query(np.where(finite[:, None], points, 0.0), k=2)
+        dist[~finite] = np.inf
+    rows = rows[:, 0]
+    tied = np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1.0 + _TIE_TOLERANCE))
+    if tied.size:
+        rows[tied] = _scan_rows(points[tied], tracks.coords[:, frame, :])
+    return rows, _certified_radius(dist[:, 0], dist[:, 1])
 
 
 def nearest_rows(points: np.ndarray, frame: int, tracks: TrackSet) -> np.ndarray:
@@ -292,18 +354,15 @@ def nearest_rows(points: np.ndarray, frame: int, tracks: TrackSet) -> np.ndarray
 
     Uses a per-frame KD-tree once the track set is large, and a vectorized scan
     for small sets. Both pick the lowest row on ties, which is the lowest id
-    only when the ids are sorted (as in every loaded track set).
+    only when the ids are sorted (as in every loaded track set), and both give
+    a non-finite query the scan's row.
     """
     points = np.asarray(points, dtype=np.float64)
     flat = points.reshape(-1, 2)
-    sites = tracks.coords[:, frame, :]
     if tracks.num_points < _KDTREE_MIN_POINTS:
-        return _scan_rows(flat, sites).reshape(points.shape[:-1])
-    dist, rows = tracks._tree(frame).query(flat, k=2)
-    rows = rows[:, 0]
-    tied = np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1.0 + _TIE_TOLERANCE))
-    if tied.size:
-        rows[tied] = _scan_rows(flat[tied], sites)
+        rows = _scan_rows(flat, tracks.coords[:, frame, :])
+    else:
+        rows = _tree_rows_radius(flat, frame, tracks)[0]
     return rows.reshape(points.shape[:-1])
 
 
@@ -318,10 +377,7 @@ def nearest_rows_per_frame(points: np.ndarray, tracks: TrackSet) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     flat = points.reshape(len(points), -1, 2)
     sites = tracks.coords.transpose(1, 0, 2)
-    block = max(1, _SCAN_BLOCK_ELEMENTS // max(1, flat.shape[1] * tracks.num_points))
-    rows = np.concatenate(
-        [_scan_rows(flat[f : f + block], sites[f : f + block]) for f in range(0, len(flat), block)]
-    )
+    rows, _ = _scan_rows_radius(flat, sites, np.arange(len(flat)))
     return rows.reshape(points.shape[:-1])
 
 

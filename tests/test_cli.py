@@ -91,6 +91,9 @@ class TestExitCodes:
         ("check-grad", "--step", "nan"),
         ("check-grad", "--step", "inf"),
         ("check-grad", "--w-s", "nan"),
+        ("check-grad", "--tolerance", "nan"),
+        ("check-grad", "--tolerance", "inf"),
+        ("check-grad", "--tolerance", "-1"),
         ("optimize", "--w-c", "inf"),
         ("optimize", "--step", "nan"),
         ("optimize", "--step", "inf"),

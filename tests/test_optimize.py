@@ -199,7 +199,10 @@ class TestConsistencyLoss:
         # points, edge midpoints and cell centers (ties between 1, 2 and 4
         # sites), and each frame shuffles the rows. With one usable CPU the
         # pool has one worker; with three it has three, switching threads
-        # often. Either way the rows equal the serial per-frame queries.
+        # often. Either way the rows equal the serial per-frame queries. A
+        # second call moves every other point by half its certified radius
+        # (kept without a query) and the rest past it; the tied points have
+        # radius 0, so every frame is queried again.
         import sys
 
         from motionsketch.tracking import nearest_rows
@@ -230,14 +233,23 @@ class TestConsistencyLoss:
         sys.setswitchinterval(1e-6)
         try:
             rows = objective.assign(samples)
+            radius = np.sqrt(objective._radius2).reshape(samples.shape[:-1])
+            direction = np.random.default_rng(1).normal(size=samples.shape)
+            direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+            outside = np.arange(radius.size).reshape(radius.shape) % 2 == 1
+            step = np.where(outside, radius + 1.5, 0.5 * radius)
+            moved = samples + step[..., None] * direction
+            moved_rows = objective.assign(moved)
         finally:
             sys.setswitchinterval(interval)
-        serial = np.stack([nearest_rows(samples[f], f, tracks) for f in range(num_frames)])
-        assert np.array_equal(rows, serial)
-        for f in range(num_frames):
-            d2 = np.sum((samples[f].reshape(-1, 1, 2) - tracks.coords[None, :, f]) ** 2, axis=2)
-            assert np.array_equal(rows[f].reshape(-1), np.argmin(d2, axis=1))
-        assert pools == [cpus]
+        assert np.any(radius > 0) and np.any(radius == 0)
+        for points, got in ((samples, rows), (moved, moved_rows)):
+            serial = np.stack([nearest_rows(points[f], f, tracks) for f in range(num_frames)])
+            assert np.array_equal(got, serial)
+            for f in range(num_frames):
+                d2 = np.sum((points[f].reshape(-1, 1, 2) - tracks.coords[None, :, f]) ** 2, axis=2)
+                assert np.array_equal(got[f].reshape(-1), np.argmin(d2, axis=1))
+        assert pools == [cpus, cpus]
 
     def test_frame_count_mismatch(self, rng):
         anim = random_animation(rng, num_frames=3)
@@ -338,6 +350,138 @@ class TestAttachmentLoss:
         anim = random_animation(rng, num_strokes=2, num_frames=4)
         with pytest.raises(ValidationError):
             attachment_loss_grad(anim, np.zeros((3, 4, 2)))
+
+
+def fresh_rows(samples, tracks):
+    """From-scratch nearest rows of `samples` (N_f, ..., 2): the blocked scan
+    for small track sets, one ``nearest_rows`` query per frame for large ones;
+    also checked against the argmin of summed squares."""
+    from motionsketch.tracking import _KDTREE_MIN_POINTS, nearest_rows, nearest_rows_per_frame
+
+    with np.errstate(all="ignore"):
+        if tracks.num_points < _KDTREE_MIN_POINTS:
+            rows = nearest_rows_per_frame(samples, tracks)
+        else:
+            rows = np.stack([nearest_rows(samples[f], f, tracks) for f in range(len(samples))])
+        for f in range(len(samples)):
+            diff = samples[f].reshape(-1, 1, 2) - tracks.coords[None, :, f]
+            assert np.array_equal(rows[f].reshape(-1), np.argmin(np.sum(diff**2, axis=2), axis=1))
+    return rows
+
+
+def lattice_tracks(num_frames, side=20):
+    """side^2 sites on a lattice of spacing 2, rows shuffled per frame."""
+    grid = 2.0 * np.stack(np.meshgrid(np.arange(side), np.arange(side)), -1).reshape(-1, 2)
+    perms = [np.random.default_rng(f).permutation(len(grid)) for f in range(num_frames)]
+    return TrackSet(ids=np.arange(len(grid)), coords=np.stack([grid[p] for p in perms], axis=1))
+
+
+_WALK_STEPS = ("stay", "inside", "toward", "outside", "jump", "ties", "inf", "nan")
+
+
+class TestCertifiedAssignment:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kdtree=st.booleans(),
+        num_frames=st.integers(2, 3),
+        num_sites=st.integers(1, 40),
+        lattice=st.booleans(),
+        steps=st.lists(st.sampled_from(_WALK_STEPS), min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_walk_matches_fresh_queries(
+        self, kdtree, num_frames, num_sites, lattice, steps, seed
+    ):
+        # One objective follows a random walk of its sample points. Each step
+        # moves a random half of the points: not at all, to just inside or
+        # just outside their certified radius (in a random direction, or
+        # toward the second-nearest track, the worst case), by a large jump,
+        # onto lattice points where 1, 2 or 4 tracks tie, or to inf or nan.
+        # After every step the rows equal a from-scratch query, no warning is
+        # raised, and writing into the returned rows changes nothing cached.
+        import warnings
+
+        rng = np.random.default_rng(seed)
+        if kdtree:  # 400 lattice sites: the KD-tree route
+            tracks = lattice_tracks(num_frames)
+        else:
+            coords = rng.uniform(0.0, 38.0, (num_sites, num_frames, 2))
+            tracks = TrackSet(ids=np.arange(num_sites),
+                              coords=np.round(coords / 2) * 2 if lattice else coords)
+        anim = random_animation(np.random.default_rng(0), num_strokes=2, num_frames=num_frames)
+        objective = optimize._Objective(anim, tracks, None, LossWeights(w_s=0.0, w_c=1.0), 4)
+        samples = rng.uniform(-2.0, 40.0, (num_frames, 2, 4, 2))
+        sites = tracks.coords.transpose(1, 0, 2)
+        for step in ("jump", *steps):
+            anchor = objective._anchor.reshape(samples.shape)
+            radius = np.sqrt(objective._radius2).reshape(samples.shape[:-1])[..., None]
+            direction = rng.normal(size=samples.shape)
+            direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+            if step == "toward":
+                with np.errstate(all="ignore"):
+                    d2 = np.sum((anchor[:, :, :, None] - sites[:, None, None]) ** 2, axis=-1)
+                nearest = np.argmin(d2, axis=-1)[..., None]
+                np.put_along_axis(d2, nearest, np.inf, axis=-1)
+                second = np.take_along_axis(
+                    sites[:, None, None], np.argmin(d2, axis=-1)[..., None, None], axis=3
+                )[..., 0, :]
+                direction = second - anchor
+                with np.errstate(all="ignore"):
+                    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+            with np.errstate(all="ignore"):
+                moved = {
+                    "stay": samples,
+                    "inside": anchor + (1.0 - 1e-6) * radius * direction,
+                    "toward": anchor + (1.0 - 1e-6) * radius * direction,
+                    "outside": anchor + (1.0 + 1e-6) * radius * direction,
+                    "jump": rng.uniform(-100.0, 140.0, samples.shape),
+                    "ties": 2.0 * rng.integers(0, 20, samples.shape) + rng.integers(0, 2, samples.shape),
+                    "inf": np.where(rng.random(samples.shape) < 0.5, np.inf, -np.inf),
+                    "nan": np.full(samples.shape, np.nan),
+                }[step]
+            pick = rng.random(samples.shape[:-1] + (1,)) < 0.5
+            samples = np.where(pick, moved, samples)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = objective.assign(samples)
+            assert np.array_equal(rows, fresh_rows(samples, tracks))
+            rows.fill(-1)
+        rows = objective.assign(samples)
+        rows[...] = 7
+        assert np.array_equal(objective.assign(samples), fresh_rows(samples, tracks))
+
+    @pytest.mark.parametrize("num_points", [12, 300])
+    def test_optimizer_queries_fewer_points_and_stays_exact(self, rng, monkeypatch, num_points):
+        # Every evaluation's rows equal a from-scratch assignment, and after
+        # the first one (which queries every point) each evaluation queries
+        # fewer points than there are: most stay within their radius.
+        anim = random_animation(rng, num_strokes=3, num_frames=5)
+        tracks = random_tracks(rng, num_points=num_points, num_frames=5)
+        targets = rng.uniform(0, 100, (3, 5, 2))
+        queried = []
+        for name in ("_scan_rows_radius", "_tree_rows_radius"):
+            helper = getattr(optimize, name)
+
+            def counting(points, *args, helper=helper):
+                queried[-1].append(points[..., 0].size)
+                return helper(points, *args)
+
+            monkeypatch.setattr(optimize, name, counting)
+        assign = optimize._Objective.assign
+
+        def checked(objective, samples):
+            queried.append([])
+            rows = assign(objective, samples)
+            assert np.array_equal(rows, fresh_rows(samples, tracks))
+            return rows
+
+        monkeypatch.setattr(optimize._Objective, "assign", checked)
+        config = OptimConfig(iterations=40, step_size=0.5, n_p=4)
+        optimize_animation(anim, tracks, targets, LossWeights(w_s=1.0, w_c=0.5), config)
+        counts = [sum(call) for call in queried]
+        total = 5 * 3 * 4
+        assert len(counts) == 41 and counts[0] == total
+        assert max(counts[1:]) < total
 
 
 class TestTotalLoss:
@@ -551,6 +695,19 @@ class TestOptimizer:
             with pytest.raises(DivergenceError) as excinfo:
                 optimize_animation(anim, tracks, None, LossWeights(w_s=0.0, w_c=1e-10), config)
         assert excinfo.value.iteration == 1
+
+    @pytest.mark.parametrize("num_points", [4, 300])
+    def test_non_finite_samples_raise_divergence(self, rng, num_points):
+        # Steps of 1e200 make the coefficients overflow to inf by the third
+        # iteration, whose unlogged evaluation assigns rows to inf and nan
+        # samples before the gradient is checked: the scan takes them, and so
+        # does the KD-tree route (the tree itself rejects them).
+        anim = random_animation(rng)
+        tracks = random_tracks(rng, num_points=num_points)
+        config = OptimConfig(iterations=5, step_size=1e200, n_p=3)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as excinfo:
+            optimize_animation(anim, tracks, None, LossWeights(w_s=0.0, w_c=1e-10), config)
+        assert excinfo.value.iteration == 3
 
     @pytest.mark.parametrize("num_points", [5, 300])
     def test_coefficients_do_not_depend_on_log_every(self, rng, num_points):

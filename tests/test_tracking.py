@@ -376,13 +376,13 @@ class TestNearestSample:
         tracks = TrackSet(ids=np.arange(40), coords=coords)
         points = np.round(rng.uniform(0, 20, (7, 3, 5, 2)) * 2) / 2
         scans = []
-        scan = tracking._scan_rows
+        scan = tracking._scan_distances
 
         def recording_scan(block_points, block_sites):
             scans.append(len(block_points))
             return scan(block_points, block_sites)
 
-        monkeypatch.setattr(tracking, "_scan_rows", recording_scan)
+        monkeypatch.setattr(tracking, "_scan_distances", recording_scan)
         rows = nearest_rows_per_frame(points, tracks)
         assert scans == ([2, 2, 2, 1] if block_elements == 1200 else [1] * 7)
         for f in range(7):
