@@ -17,7 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import BasisKind, basis_matrix, solve_control_points
-from .errors import DomainError, ParseError, UnsupportedVersionError, ValidationError
+from .errors import (
+    DomainError,
+    MotionSketchError,
+    ParseError,
+    UnsupportedVersionError,
+    ValidationError,
+)
 from .trajectory import SketchAnimation, Stroke, TrajectoryPoly
 
 FORMAT_VERSION = 1
@@ -130,7 +136,9 @@ def load_model(path: str) -> SketchAnimation:
                 for coeffs in entry["control_trajectories"]
             )
             strokes.append(Stroke(trajs))
-    except (KeyError, TypeError, IndexError) as exc:
+    except MotionSketchError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed model document: {exc!r}") from exc
     return SketchAnimation(
         strokes=tuple(strokes), num_frames=num_frames, canvas=canvas, widths=widths

@@ -36,10 +36,9 @@ gap between its nearest and second-nearest track distance, less a relative
 slack of 1e-9, and 0 at ties. Within that radius of the position where it was
 queried, the point's row stays the strict nearest by more than any rounding,
 so only the points that have moved at least their radius since then (and
-every non-finite one) are queried again. Small track sets scan those points,
-in cache-sized blocks; large ones query each frame's KD-tree, with the frames
-spread over a thread pool of one worker per usable CPU. Either way the rows
-are those of `nearest_rows` frame by frame, bit for bit.
+every non-finite one) are queried again, all in one call of the nearest-track
+query of `tracking`, which picks the scan or the KD-trees. Either way the
+rows are those of `nearest_rows` frame by frame, bit for bit.
 
 The value costs up to several times the gradient, so the optimizer computes it
 only where it is read: at logged iterations (the first, every `log_every`-th
@@ -57,8 +56,6 @@ stay silent: the DivergenceError is the one report.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,7 +63,7 @@ from scipy.sparse import csr_matrix
 
 from .bernstein import BasisKind, basis_matrix, basis_row
 from .errors import DivergenceError, ValidationError
-from .tracking import _KDTREE_MIN_POINTS, TrackSet, _scan_rows_radius, _tree_rows_radius
+from .tracking import TrackSet, _nearest
 from .tracking import nearest_rows  # noqa: F401  (unused; the benchmark tracer wraps it here)
 from .trajectory import SketchAnimation, animation_coefficients, replace_coefficients
 
@@ -123,14 +120,6 @@ class LossBreakdown:
 _PAIR_CHUNK_ELEMENTS = 1 << 16
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _at_frames(q: np.ndarray, b_t: np.ndarray) -> np.ndarray:
     """Control points at the frame times, shape (N_f, N_s, m+1, 2)."""
     flat = q.transpose(2, 0, 1, 3).reshape(q.shape[2], -1)
@@ -161,6 +150,8 @@ class _Objective:
         n_p: int,
         geometry_term=None,
     ):
+        if n_p < 2:
+            raise ValidationError(f"need at least two sample points per stroke, got {n_p}")
         if weights.w_c > 0:
             if tracks is None:
                 raise ValidationError("consistency weight is positive but no tracks given")
@@ -201,9 +192,6 @@ class _Objective:
             self._anchor = np.zeros((size, 2))
             self._rows = np.zeros(size, dtype=np.intp)
             self._radius2 = np.zeros(size)
-            if tracks.num_points < _KDTREE_MIN_POINTS:
-                # (N_f, K, 2), contiguous: the scan gathers one frame per point.
-                self._frame_sites = np.ascontiguousarray(tracks.coords.transpose(1, 0, 2))
 
     def samples(self, q: np.ndarray) -> np.ndarray:
         """Sampled stroke points at the frame times, shape (N_f, N_s, N_p, 2)."""
@@ -223,15 +211,10 @@ class _Objective:
         only their anchor, row and radius are refreshed. The rows therefore
         equal a full query bit for bit; the caller gets a copy of them.
 
-        Small track sets scan the queried points against their frames' tracks
-        in cache-sized blocks. Large ones query each frame's KD-tree on a
-        thread pool with one worker per usable CPU, at most one per frame with
-        queried points (a single worker runs the frames serially): the queries
-        release the GIL, the frames are independent and each writes only its
-        own entries, so the rows do not depend on the worker count. Squared
+        The queried points go to `tracking._nearest` in one call. Squared
         distances that overflow at diverged coefficients are left as inf
         without a warning; the finiteness check of the loss reports the
-        divergence. ``np.errstate`` is per thread, so each worker sets its own.
+        divergence.
         """
         points = samples.reshape(-1, 2)
         per_frame = len(points) // len(samples)
@@ -239,38 +222,14 @@ class _Objective:
             moved = points - self._anchor
             moved *= moved
             stale = ~(moved[:, 0] + moved[:, 1] < self._radius2)
-        if self.tracks.num_points < _KDTREE_MIN_POINTS:
-            index = np.flatnonzero(stale)
-            queries = points[index]
-            with np.errstate(over="ignore"):
-                rows, radius = _scan_rows_radius(
-                    queries[:, None], self._frame_sites, index // per_frame
-                )
-            self._refresh(index, queries, rows, radius)
-        else:
-            stale = stale.reshape(len(samples), -1)
-
-            def frame_rows(f: int) -> None:
-                index = f * per_frame + np.flatnonzero(stale[f])
-                queries = points[index]
-                with np.errstate(over="ignore"):
-                    rows, radius = _tree_rows_radius(queries, f, self.tracks)
-                self._refresh(index, queries, rows, radius)
-
-            frames = np.flatnonzero(stale.any(axis=1))
-            if frames.size:
-                with ThreadPoolExecutor(max_workers=min(_usable_cpus(), frames.size)) as pool:
-                    list(pool.map(frame_rows, frames))
+        index = np.flatnonzero(stale)
+        queries = points[index]
+        with np.errstate(over="ignore"):
+            rows, radius = _nearest(queries, index // per_frame, self.tracks)
+        self._anchor[index] = queries
+        self._rows[index] = rows
+        self._radius2[index] = radius * radius
         return self._rows.reshape(samples.shape[:-1]).copy()
-
-    def _refresh(
-        self, index: np.ndarray, points: np.ndarray, rows: np.ndarray, radius: np.ndarray
-    ) -> None:
-        """Store the anchor, row and squared radius of the queried `points`;
-        `index` holds their flat (frame, sample point) positions."""
-        self._anchor[index] = points
-        self._rows[index] = rows.reshape(-1)
-        self._radius2[index] = (radius * radius).reshape(-1)
 
     def motion(self, samples: np.ndarray) -> np.ndarray:
         """X of the module docstring: the sample motion relative to frame 0

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -75,6 +78,12 @@ class TrackSet:
             tree = cKDTree(self.coords[:, frame, :])
             self._trees[frame] = tree
         return tree
+
+    @cached_property
+    def _frame_sites(self) -> np.ndarray:
+        """The coordinates frame-major, (N_f, K, 2) and contiguous, for the
+        scan; built on first use, so only scanned track sets hold the copy."""
+        return np.ascontiguousarray(self.coords.transpose(1, 0, 2))
 
 
 @dataclass(frozen=True)
@@ -272,24 +281,19 @@ _TIE_TOLERANCE = 1e-9
 
 
 def _scan_distances(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
-    """Squared distances (..., Q, K) from `points` (..., Q, 2) to `sites`
-    (..., K, 2), broadcast over leading axes.
+    """Squared distances (Q, K) from each of `points` (Q, 2) to its `sites`
+    (Q, K, 2).
 
     They are dx*dx + dy*dy, bit-equal to summing the squares over a length-2
     axis (numpy reduces two elements as a + b), without that reduction's
     strided inner loop.
     """
-    d2 = points[..., :, None, 0] - sites[..., None, :, 0]
-    dy = points[..., :, None, 1] - sites[..., None, :, 1]
+    d2 = points[:, None, 0] - sites[:, :, 0]
+    dy = points[:, None, 1] - sites[:, :, 1]
     d2 *= d2
     dy *= dy
     d2 += dy
     return d2
-
-
-def _scan_rows(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
-    """Argmin over the sites axis of squared distances; ties go to the lowest row."""
-    return np.argmin(_scan_distances(points, sites), axis=-1)
 
 
 def _certified_radius(nearest: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -310,23 +314,19 @@ def _certified_radius(nearest: np.ndarray, second: np.ndarray) -> np.ndarray:
 def _scan_rows_radius(
     points: np.ndarray, sites: np.ndarray, frames: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest rows and certified radii of the queries ``points[n]`` (N, Q, 2)
-    against ``sites[frames[n]]``, `sites` of shape (F, K, 2), by scanning.
-
-    Scans cache-sized blocks of n; the rows are ``_scan_rows``' bit for bit.
-    """
+    """Nearest rows and certified radii of the queries `points` (N, 2), query
+    n against ``sites[frames[n]]``, `sites` of shape (F, K, 2), by scanning
+    cache-sized blocks of queries. Ties go to the lowest row."""
     num_sites = sites.shape[1]
-    block = max(1, _SCAN_BLOCK_ELEMENTS // max(1, points.shape[1] * num_sites))
+    block = max(1, _SCAN_BLOCK_ELEMENTS // num_sites)
     second = min(1, num_sites - 1)  # a single site is its own "second": radius 0
-    rows = np.empty(points.shape[:2], dtype=np.intp)
-    radius = np.empty(points.shape[:2])
+    rows = np.empty(len(points), dtype=np.intp)
+    radius = np.empty(len(points))
     for a in range(0, len(points), block):
         d2 = _scan_distances(points[a : a + block], sites[frames[a : a + block]])
         rows[a : a + block] = np.argmin(d2, axis=-1)
         d2 = np.partition(d2, second, axis=-1)
-        radius[a : a + block] = _certified_radius(
-            np.sqrt(d2[..., 0]), np.sqrt(d2[..., second])
-        )
+        radius[a : a + block] = _certified_radius(np.sqrt(d2[:, 0]), np.sqrt(d2[:, second]))
     return rows, radius
 
 
@@ -335,7 +335,7 @@ def _tree_rows_radius(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest rows and certified radii of `points` (Q, 2) in `frame`, by that
     frame's KD-tree; near ties and non-finite queries (which the tree rejects)
-    are settled by ``_scan_rows``."""
+    are settled by the scan."""
     finite = np.isfinite(points).all(axis=1)
     if finite.all():
         dist, rows = tracks._tree(frame).query(points, k=2)
@@ -345,8 +345,55 @@ def _tree_rows_radius(
     rows = rows[:, 0]
     tied = np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1.0 + _TIE_TOLERANCE))
     if tied.size:
-        rows[tied] = _scan_rows(points[tied], tracks.coords[:, frame, :])
+        sites = tracks.coords.transpose(1, 0, 2)
+        rows[tied] = _scan_rows_radius(points[tied], sites, np.full(tied.size, frame))[0]
     return rows, _certified_radius(dist[:, 0], dist[:, 1])
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _nearest(
+    points: np.ndarray, frames: np.ndarray, tracks: TrackSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest rows and certified radii (see `_certified_radius`) of the
+    queries `points` (N, 2), query n in frame ``frames[n]``.
+
+    Small track sets scan the queries against their frames' tracks in
+    cache-sized blocks. Large ones query each frame's KD-tree on a thread
+    pool with one worker per usable CPU, at most one per frame (a single
+    worker runs the frames serially): the queries release the GIL, the frames
+    are independent and each writes only its own entries, so the result does
+    not depend on the worker count. Both routes pick the lowest row on ties
+    and give a non-finite query the scan's row. ``np.errstate`` is per
+    thread, so each worker runs under the caller's. Queries from a single
+    frame run in the calling thread, and zero queries do no work.
+    """
+    if tracks.num_points < _KDTREE_MIN_POINTS:
+        return _scan_rows_radius(points, tracks._frame_sites, frames)
+    rows = np.empty(len(points), dtype=np.intp)
+    radius = np.empty(len(points))
+    order = np.argsort(frames, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(frames[order])) + 1)
+    errors = np.geterr()
+
+    def frame_rows(index: np.ndarray) -> None:
+        with np.errstate(**errors):
+            rows[index], radius[index] = _tree_rows_radius(
+                points[index], int(frames[index[0]]), tracks
+            )
+
+    if len(groups) > 1:
+        with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(groups))) as pool:
+            list(pool.map(frame_rows, groups))
+    elif len(points):
+        frame_rows(order)
+    return rows, radius
 
 
 def nearest_rows(points: np.ndarray, frame: int, tracks: TrackSet) -> np.ndarray:
@@ -359,26 +406,7 @@ def nearest_rows(points: np.ndarray, frame: int, tracks: TrackSet) -> np.ndarray
     """
     points = np.asarray(points, dtype=np.float64)
     flat = points.reshape(-1, 2)
-    if tracks.num_points < _KDTREE_MIN_POINTS:
-        rows = _scan_rows(flat, tracks.coords[:, frame, :])
-    else:
-        rows = _tree_rows_radius(flat, frame, tracks)[0]
-    return rows.reshape(points.shape[:-1])
-
-
-def nearest_rows_per_frame(points: np.ndarray, tracks: TrackSet) -> np.ndarray:
-    """``nearest_rows(points[f], f, tracks)`` for every frame f, stacked.
-
-    Scans a block of frames at a time, with the same arithmetic as the
-    per-frame scan, so the rows match ``nearest_rows`` exactly. The work is
-    frames x queries x points, so large track sets are better served by
-    ``nearest_rows``' KD-trees one frame at a time.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    flat = points.reshape(len(points), -1, 2)
-    sites = tracks.coords.transpose(1, 0, 2)
-    rows, _ = _scan_rows_radius(flat, sites, np.arange(len(flat)))
-    return rows.reshape(points.shape[:-1])
+    return _nearest(flat, np.full(len(flat), frame), tracks)[0].reshape(points.shape[:-1])
 
 
 def nearest_sample(p: np.ndarray, i: int, tracks: TrackSet) -> int:
@@ -387,6 +415,8 @@ def nearest_sample(p: np.ndarray, i: int, tracks: TrackSet) -> int:
     if not (0 <= i < tracks.num_frames):
         raise ValidationError(f"frame index {i} outside 0..{tracks.num_frames - 1}")
     p = np.asarray(p, dtype=np.float64)
+    if p.shape != (2,):
+        raise ValidationError(f"query point must have shape (2,), got {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValidationError(f"query point must be finite, got {p}")
     return int(tracks.ids[nearest_rows(p, i, tracks)])

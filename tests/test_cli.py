@@ -61,6 +61,16 @@ class TestExitCodes:
         assert main(["export", "--model", str(model), "--animated",
                      str(tmp_path / "a.svg")]) == 2
 
+    def test_malformed_model_value_is_parse_error(self, capsys, tmp_path, model_path):
+        model = tmp_path / "m.json"
+        with open(model_path) as fh:
+            doc = json.load(fh)
+        doc["strokes"][0]["basis"] = "foo"
+        model.write_text(json.dumps(doc))
+        assert main(["export", "--model", str(model), "--animated",
+                     str(tmp_path / "a.svg")]) == 2
+        assert "error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [
         ["optimize", "--model", "m.json", "--tracks", "t.json", "--out", "o.json"],
         ["check-grad", "--model", "m.json", "--tracks", "t.json"],
@@ -94,6 +104,9 @@ class TestExitCodes:
         ("check-grad", "--tolerance", "nan"),
         ("check-grad", "--tolerance", "inf"),
         ("check-grad", "--tolerance", "-1"),
+        ("check-grad", "--points-per-stroke", "0"),
+        ("check-grad", "--points-per-stroke", "-1"),
+        ("check-grad", "--points-per-stroke", "1"),
         ("optimize", "--w-c", "inf"),
         ("optimize", "--step", "nan"),
         ("optimize", "--step", "inf"),

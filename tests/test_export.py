@@ -21,6 +21,7 @@ from motionsketch import (
     BasisKind,
     ParseError,
     UnsupportedVersionError,
+    ValidationError,
     animation_coefficients,
     eval_curve_point,
     eval_trajectory,
@@ -138,6 +139,37 @@ class TestModelFile:
         path.write_text(json.dumps({"format_version": 1, "canvas": [8, 8]}))
         with pytest.raises(ParseError):
             load_model(str(path))
+
+    @pytest.mark.parametrize("case", ["basis", "num_frames", "widths", "ragged", "canvas"])
+    def test_malformed_value_is_parse_error(self, tmp_path, rng, case):
+        # Present fields whose values do not parse: an unknown basis, a
+        # non-numeric frame count or width, a ragged control trajectory, and a
+        # canvas of 1e400 (inf, which no int holds).
+        path = tmp_path / "model.json"
+        doc = save_model(random_animation(rng), str(path))
+        stroke = doc["strokes"][0]
+        if case == "basis":
+            stroke["basis"] = "foo"
+        elif case == "num_frames":
+            doc["num_frames"] = "three"
+        elif case == "widths":
+            doc["widths"][0] = "wide"
+        elif case == "ragged":
+            stroke["control_trajectories"][0][0] = [1.0]
+        else:
+            doc["canvas"] = "CANVAS"
+        path.write_text(json.dumps(doc).replace('"CANVAS"', "[1e400, 8]"))
+        with pytest.raises(ParseError, match="malformed"):
+            load_model(str(path))
+
+    def test_non_finite_coefficient_is_validation_error(self, tmp_path, rng):
+        path = tmp_path / "model.json"
+        doc = save_model(random_animation(rng), str(path))
+        doc["strokes"][0]["control_trajectories"][0][0] = "INF"
+        path.write_text(json.dumps(doc).replace('"INF"', "[1e400, 0.0]"))
+        with pytest.raises(ValidationError, match="finite") as excinfo:
+            load_model(str(path))
+        assert not isinstance(excinfo.value, ParseError)
 
 
 class TestFrameSvg:

@@ -205,18 +205,19 @@ class TestConsistencyLoss:
         # radius 0, so every frame is queried again.
         import sys
 
+        from motionsketch import tracking
         from motionsketch.tracking import nearest_rows
 
-        monkeypatch.setattr(optimize.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+        monkeypatch.setattr(tracking.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         pools = []
-        pool_type = optimize.ThreadPoolExecutor
+        pool_type = tracking.ThreadPoolExecutor
 
         def recording_pool(max_workers):
             pools.append(max_workers)
             return pool_type(max_workers=max_workers)
 
-        monkeypatch.setattr(optimize, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(tracking, "ThreadPoolExecutor", recording_pool)
         num_frames, side = 4, 20
         grid = 2.0 * np.stack(np.meshgrid(np.arange(side), np.arange(side)), -1).reshape(-1, 2)
         perms = [np.random.default_rng(f).permutation(len(grid)) for f in range(num_frames)]
@@ -242,6 +243,7 @@ class TestConsistencyLoss:
             moved_rows = objective.assign(moved)
         finally:
             sys.setswitchinterval(interval)
+        assert pools == [cpus, cpus]  # the two assign calls; the oracle starts more
         assert np.any(radius > 0) and np.any(radius == 0)
         for points, got in ((samples, rows), (moved, moved_rows)):
             serial = np.stack([nearest_rows(points[f], f, tracks) for f in range(num_frames)])
@@ -249,13 +251,17 @@ class TestConsistencyLoss:
             for f in range(num_frames):
                 d2 = np.sum((points[f].reshape(-1, 1, 2) - tracks.coords[None, :, f]) ** 2, axis=2)
                 assert np.array_equal(got[f].reshape(-1), np.argmin(d2, axis=1))
-        assert pools == [cpus, cpus]
 
     def test_frame_count_mismatch(self, rng):
         anim = random_animation(rng, num_frames=3)
         tracks = random_tracks(rng, num_frames=4)
         with pytest.raises(ValidationError):
             consistency_loss_grad(anim, tracks, 3)
+
+    def test_too_few_sample_points(self, rng):
+        anim = random_animation(rng)
+        with pytest.raises(ValidationError, match="two sample points"):
+            consistency_loss_grad(anim, random_tracks(rng), 0)
 
     def test_zero_loss_characterization(self, rng):
         # Zero iff every sampled point's cross-frame displacement matches its
@@ -353,16 +359,12 @@ class TestAttachmentLoss:
 
 
 def fresh_rows(samples, tracks):
-    """From-scratch nearest rows of `samples` (N_f, ..., 2): the blocked scan
-    for small track sets, one ``nearest_rows`` query per frame for large ones;
-    also checked against the argmin of summed squares."""
-    from motionsketch.tracking import _KDTREE_MIN_POINTS, nearest_rows, nearest_rows_per_frame
+    """From-scratch nearest rows of `samples` (N_f, ..., 2): one ``nearest_rows``
+    query per frame, also checked against the argmin of summed squares."""
+    from motionsketch.tracking import nearest_rows
 
     with np.errstate(all="ignore"):
-        if tracks.num_points < _KDTREE_MIN_POINTS:
-            rows = nearest_rows_per_frame(samples, tracks)
-        else:
-            rows = np.stack([nearest_rows(samples[f], f, tracks) for f in range(len(samples))])
+        rows = np.stack([nearest_rows(samples[f], f, tracks) for f in range(len(samples))])
         for f in range(len(samples)):
             diff = samples[f].reshape(-1, 1, 2) - tracks.coords[None, :, f]
             assert np.array_equal(rows[f].reshape(-1), np.argmin(np.sum(diff**2, axis=2), axis=1))
@@ -459,14 +461,13 @@ class TestCertifiedAssignment:
         tracks = random_tracks(rng, num_points=num_points, num_frames=5)
         targets = rng.uniform(0, 100, (3, 5, 2))
         queried = []
-        for name in ("_scan_rows_radius", "_tree_rows_radius"):
-            helper = getattr(optimize, name)
+        nearest = optimize._nearest
 
-            def counting(points, *args, helper=helper):
-                queried[-1].append(points[..., 0].size)
-                return helper(points, *args)
+        def counting(points, frames, tracks):
+            queried[-1].append(len(points))
+            return nearest(points, frames, tracks)
 
-            monkeypatch.setattr(optimize, name, counting)
+        monkeypatch.setattr(optimize, "_nearest", counting)
         assign = optimize._Objective.assign
 
         def checked(objective, samples):
@@ -478,10 +479,10 @@ class TestCertifiedAssignment:
         monkeypatch.setattr(optimize._Objective, "assign", checked)
         config = OptimConfig(iterations=40, step_size=0.5, n_p=4)
         optimize_animation(anim, tracks, targets, LossWeights(w_s=1.0, w_c=0.5), config)
-        counts = [sum(call) for call in queried]
+        assert [len(call) for call in queried] == [1] * 41  # one query per evaluation
+        counts = [call[0] for call in queried]
         total = 5 * 3 * 4
-        assert len(counts) == 41 and counts[0] == total
-        assert max(counts[1:]) < total
+        assert counts[0] == total and max(counts[1:]) < total
 
 
 class TestTotalLoss:
@@ -686,7 +687,9 @@ class TestOptimizer:
         # and no errstate set here, the DivergenceError is the only report.
         import warnings
 
-        monkeypatch.setattr(optimize.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        from motionsketch import tracking
+
+        monkeypatch.setattr(tracking.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         anim = random_animation(rng)
         tracks = random_tracks(rng, num_points=num_points)
         config = OptimConfig(iterations=1, step_size=1e156, n_p=3)

@@ -330,7 +330,7 @@ class TestNearestSample:
         # The scan's dx*dx + dy*dy rows equal the argmin of the squares summed
         # over the coordinate axis, ties included: on a half-integer lattice
         # many queries are equidistant from two or four sites.
-        from motionsketch.tracking import _scan_rows
+        from motionsketch.tracking import _scan_rows_radius
 
         rng = np.random.default_rng(seed)
         points = rng.uniform(-50, 50, (frames, queries, 2))
@@ -338,7 +338,9 @@ class TestNearestSample:
         if lattice:
             points, centers = np.round(points / 4) / 2, np.round(centers / 4)
         d2 = np.sum((points[..., :, None, :] - centers[..., None, :, :]) ** 2, axis=-1)
-        assert np.array_equal(_scan_rows(points, centers), np.argmin(d2, axis=-1))
+        frame_of = np.repeat(np.arange(frames), queries)
+        rows, _ = _scan_rows_radius(points.reshape(-1, 2), centers, frame_of)
+        assert np.array_equal(rows, np.argmin(d2, axis=-1).reshape(-1))
 
     def test_kdtree_three_way_tie(self):
         # Rows 5, 7 and 250 are equidistant from the query; the rest are far.
@@ -351,13 +353,18 @@ class TestNearestSample:
 
     @pytest.mark.parametrize("num_points", [40, 300])
     def test_per_frame_rows_match_nearest_rows(self, rng, num_points):
-        from motionsketch.tracking import nearest_rows, nearest_rows_per_frame
+        # One query over all frames, in an unsorted frame order, gives each
+        # frame's queries the rows of `nearest_rows` on both routes.
+        from motionsketch.tracking import _nearest, nearest_rows
 
         coords = np.round(rng.uniform(0, 20, (num_points, 7, 2)))  # many exact ties
         tracks = TrackSet(ids=np.arange(num_points), coords=coords)
         points = np.round(rng.uniform(0, 20, (7, 3, 5, 2)) * 2) / 2
-        rows = nearest_rows_per_frame(points, tracks)
-        assert rows.shape == (7, 3, 5)
+        order = rng.permutation(7 * 15)
+        frame_of = np.repeat(np.arange(7), 15)[order]
+        rows = np.empty(7 * 15, dtype=np.intp)
+        rows[order], _ = _nearest(points.reshape(-1, 2)[order], frame_of, tracks)
+        rows = rows.reshape(7, 3, 5)
         for f in range(7):
             assert np.array_equal(rows[f], nearest_rows(points[f], f, tracks))
             flat = brute_force_rows(points[f].reshape(-1, 2), coords[:, f])
@@ -365,16 +372,17 @@ class TestNearestSample:
 
     @pytest.mark.parametrize("block_elements", [1, 1200])
     def test_per_frame_blocks_match_nearest_rows(self, rng, monkeypatch, block_elements):
-        # 15 queries x 40 points is 600 elements a frame: 1200 elements scan
-        # the 7 frames in blocks of 2, 2, 2 and a partial 1; a single element
-        # forces one frame per block.
+        # 40 points a query: 1200 elements scan the 105 queries of 7 frames in
+        # blocks of 30, 30, 30 and a partial 15; a single element forces one
+        # query per block.
         from motionsketch import tracking
-        from motionsketch.tracking import nearest_rows, nearest_rows_per_frame
+        from motionsketch.tracking import _nearest, nearest_rows
 
         monkeypatch.setattr(tracking, "_SCAN_BLOCK_ELEMENTS", block_elements)
         coords = np.round(rng.uniform(0, 20, (40, 7, 2)))  # many exact ties
         tracks = TrackSet(ids=np.arange(40), coords=coords)
-        points = np.round(rng.uniform(0, 20, (7, 3, 5, 2)) * 2) / 2
+        points = np.round(rng.uniform(0, 20, (7 * 15, 2)) * 2) / 2
+        frame_of = rng.integers(0, 7, len(points))
         scans = []
         scan = tracking._scan_distances
 
@@ -383,10 +391,54 @@ class TestNearestSample:
             return scan(block_points, block_sites)
 
         monkeypatch.setattr(tracking, "_scan_distances", recording_scan)
-        rows = nearest_rows_per_frame(points, tracks)
-        assert scans == ([2, 2, 2, 1] if block_elements == 1200 else [1] * 7)
+        rows, _ = _nearest(points, frame_of, tracks)
+        assert scans == ([30, 30, 30, 15] if block_elements == 1200 else [1] * 105)
+        monkeypatch.setattr(tracking, "_scan_distances", scan)
         for f in range(7):
-            assert np.array_equal(rows[f], nearest_rows(points[f], f, tracks))
+            mine = frame_of == f
+            assert np.array_equal(rows[mine], nearest_rows(points[mine], f, tracks))
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_lattice_queries_from_unsorted_frames(self, monkeypatch, cpus):
+        # 400 lattice sites take the KD-tree route, rows shuffled per frame;
+        # queries on lattice points, edge midpoints and cell centers tie
+        # between 1, 2 and 4 sites. Queries from five frames in random order
+        # get the brute-force rows from a pool of one worker per usable CPU;
+        # queries from one frame, and zero queries, start no pool, and the
+        # scan's frame-major copy of the tracks is never built.
+        from motionsketch import tracking
+        from motionsketch.tracking import _nearest
+
+        monkeypatch.setattr(tracking.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        pools = []
+        pool_type = tracking.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            pools.append(max_workers)
+            return pool_type(max_workers=max_workers)
+
+        monkeypatch.setattr(tracking, "ThreadPoolExecutor", recording_pool)
+        num_frames, side = 5, 20
+        grid = 2.0 * np.stack(np.meshgrid(np.arange(side), np.arange(side)), -1).reshape(-1, 2)
+        perms = [np.random.default_rng(f).permutation(len(grid)) for f in range(num_frames)]
+        tracks = TrackSet(ids=np.arange(len(grid)),
+                          coords=np.stack([grid[p] for p in perms], axis=1))
+        rng = np.random.default_rng(cpus)
+        points = rng.integers(0, 2 * side - 1, (300, 2)).astype(np.float64)
+        frame_of = rng.integers(0, num_frames, len(points))
+        rows, radius = _nearest(points, frame_of, tracks)
+        assert pools == [min(cpus, num_frames)]
+        for f in range(num_frames):
+            mine = frame_of == f
+            assert np.array_equal(rows[mine], brute_force_rows(points[mine], tracks.coords[:, f]))
+        assert np.any(radius > 0) and np.any(radius == 0)
+        mine = frame_of == 2
+        rows, radius = _nearest(points[mine], frame_of[mine], tracks)
+        assert np.array_equal(rows, brute_force_rows(points[mine], tracks.coords[:, 2]))
+        rows, radius = _nearest(np.empty((0, 2)), np.empty(0, dtype=np.intp), tracks)
+        assert rows.shape == radius.shape == (0,) and pools == [min(cpus, num_frames)]
+        assert "_frame_sites" not in vars(tracks)
 
     def test_frame_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -398,6 +450,15 @@ class TestNearestSample:
         for p in ([np.nan, 1.0], [1.0, np.inf]):
             with pytest.raises(ValidationError, match="finite"):
                 nearest_sample(np.array(p), 0, tracks)
+
+    @pytest.mark.parametrize("num_points", [2, 300])
+    @pytest.mark.parametrize("p", [[1.0, 2.0, 3.0], [1.0], [[1.0, 2.0], [3.0, 4.0]]])
+    def test_point_of_wrong_shape_rejected(self, rng, num_points, p):
+        tracks = TrackSet(ids=np.arange(num_points), coords=rng.uniform(0, 9, (num_points, 2, 2)))
+        with pytest.raises(ValidationError, match="shape"):
+            nearest_sample(p, 0, tracks)
+        with pytest.raises(ValidationError, match="shape"):
+            transfer_point(p, 0, 1, tracks)
 
 
 class TestTransferPoint:
