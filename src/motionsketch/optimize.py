@@ -23,12 +23,10 @@ respect to sample point p at frame s, are
     grad = 2/(N_p N_f) * (2 N_f X_p(s) - N_f own_p(s) + sum_i own_p(i) - (A @ Y)_p(s)).
 
 The value is a sum of squared differences, so nothing cancels (the expanded
-form does, and a zero loss would read as roundoff). Its pair sum orders the
-points by their number of distinct rows and runs in chunks of a bounded
-number of elements: a chunk gathers only its rows Y_r, into one buffer reused
-by every chunk, and subtracts X_p by broadcasting over each point's pairs (a
-point with more pairs than a chunk holds is split). No X_p is copied per
-pair, and peak memory stays independent of N_f.
+form does, and a zero loss would read as roundoff). Its pair sum walks A's
+pairs in their CSR order, in chunks of a bounded number of elements: a chunk
+gathers its rows Y_r and its pairs' points X_p into two buffers reused by
+every chunk, so peak memory stays independent of N_f.
 
 The assignment is certified between evaluations, like the skin of a Verlet
 neighbour list. Each query of a sample point also gives a radius: half the
@@ -116,8 +114,10 @@ class LossBreakdown:
     component_history: tuple = field(default=(), repr=False)
 
 
-# Elements (pairs x frames) per chunk of the consistency term's temporaries.
-_PAIR_CHUNK_ELEMENTS = 1 << 16
+# Elements (pairs x frames) per chunk of the consistency term's temporaries:
+# each of its two float64 buffers is 256 KiB, so both stay in L2, like the
+# scan blocks of `tracking`.
+_PAIR_CHUNK_ELEMENTS = 1 << 15
 
 
 def _at_frames(q: np.ndarray, b_t: np.ndarray) -> np.ndarray:
@@ -260,55 +260,31 @@ class _Objective:
     def consistency_value(self, motion: np.ndarray, counts: csr_matrix, own: np.ndarray) -> float:
         """The consistency value of the module docstring.
 
-        The pair sum orders the points by their number d of distinct rows and
-        walks their pairs in chunks of at most `_PAIR_CHUNK_ELEMENTS` elements,
-        cut between blocks of equal-d points (a point whose d pairs exceed a
-        chunk is split). A chunk gathers only its rows Y_r, into one buffer
-        reused by every chunk, and subtracts each block's X_p by broadcasting
-        over the point's pairs.
+        The pair sum walks A's pairs in their CSR order, in chunks of at most
+        `_PAIR_CHUNK_ELEMENTS` elements cut between any two pairs. A chunk
+        gathers its rows Y_r and its pairs' points X_p into two buffers reused
+        by every chunk, subtracts them in place and reduces each pair's
+        squared norm.
         """
         num_frames, n_p = self.b_t.shape[0], self.b_u.shape[0]
         num_points, num_pairs = counts.shape[0], counts.nnz
         chunk = max(1, _PAIR_CHUNK_ELEMENTS // num_frames)  # pairs per chunk
-        # Points in order of d, and their pairs in that order (a stable sort
-        # keeps each point's pairs together).
-        sizes = counts.indptr[1:] - counts.indptr[:-1]
-        order = np.argsort(sizes, kind="stable")
-        pair_order = np.argsort(np.repeat(sizes, sizes), kind="stable")
-        x = np.take(motion.reshape(num_points, -1), order, axis=0)
+        x = motion.reshape(num_points, -1)
         y = self.track_centered.reshape(counts.shape[1], -1)
-        pair_rows = counts.indices[pair_order]
+        pair_points = np.repeat(np.arange(num_points), np.diff(counts.indptr))
         buffer = np.empty((min(chunk, num_pairs), x.shape[1]))
-        norms = np.empty(num_pairs)  # |X_p - Y_r|^2 per pair, in sorted order
-
-        def reduce_chunk(start: int, stop: int, blocks: list) -> None:
-            diff = buffer[: stop - start]
-            # mode="clip" writes straight into `diff` (the rows are in range).
-            np.take(y, pair_rows[start:stop], axis=0, out=diff, mode="clip")
-            for offset, a, n, width in blocks:
-                view = diff[offset : offset + n * width].reshape(n, width, -1)
-                view -= x[a : a + n, None]
-            np.einsum("ke,ke->k", diff, diff, out=norms[start:stop])
-
-        # Blocks of n points with d pairs each, or pieces of one point whose d
-        # pairs exceed a chunk, cut into chunks of whole blocks. A block is
-        # (offset in its chunk, first sorted point, n, pairs per point).
-        start = pair = point = 0
-        blocks = []
-        for d, count in enumerate(np.bincount(sizes).tolist()):
-            per = max(1, chunk // max(d, 1))
-            for a in range(point, point + count, per):
-                n = min(per, point + count - a)
-                for b in range(0, d, chunk):
-                    width = min(d - b, chunk)
-                    if pair + n * width > start + chunk:
-                        reduce_chunk(start, pair, blocks)
-                        start, blocks = pair, []
-                    blocks.append((pair - start, a, n, width))
-                    pair += n * width
-            point += count
-        reduce_chunk(start, pair, blocks)
-        value = float(counts.data[pair_order] @ norms)
+        points = np.empty_like(buffer)
+        norms = np.empty(num_pairs)  # |X_p - Y_r|^2 per pair
+        for start in range(0, num_pairs, chunk):
+            pairs = slice(start, start + chunk)
+            rows = counts.indices[pairs]
+            diff, x_p = buffer[: len(rows)], points[: len(rows)]
+            # mode="clip" writes straight into the buffers (the indices are in range).
+            np.take(y, rows, axis=0, out=diff, mode="clip")
+            np.take(x, pair_points[pairs], axis=0, out=x_p, mode="clip")
+            diff -= x_p
+            np.einsum("ke,ke->k", diff, diff, out=norms[pairs])
+        value = float(counts.data @ norms)
         diff = motion - own
         value += num_frames * float(np.vdot(diff, diff))
         return value / (n_p * num_frames)

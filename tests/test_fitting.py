@@ -285,6 +285,22 @@ class TestBenchmark:
                 >= 1e3 * rows[(frames, FitMethod.RIDGE)].avg_abs_coeff
             )
 
+    @pytest.mark.parametrize(
+        "num_tracks, frames, degree",
+        [(4, 401, 200), (3, 600, 299), (2, 1200, 599), (2, 2050, 1024)],
+    )
+    def test_ridge_stays_stable_above_degree_200(self, num_tracks, frames, degree):
+        # The paper's ill-conditioned regime, n > 200, up to the degree cap:
+        # ridge keeps criterion 3's error bound with coefficients of the
+        # paper's magnitude, while least squares' coefficients blow up.
+        tracks = make_benchmark_tracks(num_tracks, frames, seed=0)
+        result = run_fit_benchmark(tracks, configs=((frames, degree),))
+        rows = {r.method: r for r in result.rows}
+        ridge = rows[FitMethod.RIDGE]
+        assert ridge.mae <= 5.0
+        assert ridge.avg_abs_coeff <= 1e4
+        assert rows[FitMethod.LEAST_SQUARES].avg_abs_coeff >= 1e3 * ridge.avg_abs_coeff
+
     def test_small_config_finite_and_ordered(self):
         tracks = make_benchmark_tracks(10, 50, seed=5)
         result = run_fit_benchmark(tracks, configs=((50, 24),))

@@ -1,5 +1,7 @@
 """Losses, analytic gradients, and the coefficient optimizer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import make_animation, random_animation, random_tracks
@@ -115,15 +117,18 @@ class TestConsistencyLoss:
         )
         assert error < 1e-5
 
-    @pytest.mark.parametrize("chunk_elements", [None, 15], ids=["default-chunks", "tiny-chunks"])
+    @pytest.mark.parametrize(
+        "chunk_elements", [None, 15, 1], ids=["default-chunks", "tiny-chunks", "one-pair-chunks"]
+    )
     def test_switching_rows_match_per_point_definition(self, rng, monkeypatch, chunk_elements):
         # 300 tracks take the KD-tree route; in a dense random field every
         # sampled point changes its nearest row from frame to frame. The
         # alternating rows (frames 0, 1, 0, 1, 0) switch every frame too but
         # revisit their pairs: 8 points x 2 rows with counts 3 and 2. With 15
-        # elements a chunk holds 3 pairs of 5 frames: each alternating point's
-        # 2 pairs fill a chunk of their own, and a nearest-row point with 4 or
-        # 5 distinct rows is split into a full chunk and a partial piece.
+        # elements a chunk holds 3 pairs of 5 frames, and chunks cut between
+        # any two pairs: a nearest-row point with 4 or 5 distinct rows
+        # straddles a chunk boundary, as do some alternating points' 2 pairs.
+        # With 1 element every chunk holds a single pair.
         if chunk_elements is not None:
             monkeypatch.setattr(optimize, "_PAIR_CHUNK_ELEMENTS", chunk_elements)
         anim = random_animation(rng, num_strokes=2, num_frames=5, curve_degree=2,
@@ -143,6 +148,26 @@ class TestConsistencyLoss:
             assert np.abs(grad - oracle).max() <= 1e-10 * max(1.0, float(np.abs(oracle).max()))
         error = finite_difference_check(anim, tracks, None, LossWeights(w_s=0.0, w_c=1.0), 4)
         assert error < 1e-6
+
+    def test_value_memory_does_not_grow_with_frames(self, rng):
+        # 16 points with random rows among 300 tracks over 400 frames: about
+        # 3.6k distinct pairs, whose |X_p - Y_r| rows hold 22.8 MB at once.
+        # The chunked pair sum keeps its temporaries to two L2-sized buffers.
+        anim = random_animation(rng, num_strokes=2, num_frames=400)
+        tracks = random_tracks(rng, num_points=300, num_frames=400)
+        objective = optimize._Objective(anim, tracks, None, LossWeights(w_s=0.0, w_c=1.0), 8)
+        samples = objective.samples(animation_coefficients(anim))
+        counts, own = objective.freeze(rng.integers(0, 300, samples.shape[:-1]))
+        motion = objective.motion(samples)
+        assert counts.nnz * motion[0].size * 8 > 20e6
+        tracemalloc.start()
+        try:
+            value = objective.consistency_value(motion, counts, own)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(value)
+        assert peak < 4e6
 
     @settings(max_examples=40, deadline=None)
     @given(
