@@ -99,8 +99,10 @@ from .trajectory import (
     TrajectoryPoly,
     animation_coefficients,
     coefficient_jacobian_row,
+    control_points,
     default_trajectory_degree,
     eval_curve_point,
+    eval_trajectories,
     eval_trajectory,
     replace_coefficients,
     sample_stroke,

@@ -3,9 +3,9 @@
 The model file is single-line JSON (format_version 1) carrying everything
 needed to re-evaluate the animation: canvas, widths, and per-stroke trajectory
 coefficients. Per-frame and animated exports share one path-data builder, fed
-by one basis product per stroke over all the times it renders, so the k-th key
-geometry of an animated SVG is byte-identical to the standalone frame export
-at the same time. Numbers are written with 6 decimals, locale-independent.
+by the library's one batch-invariant evaluator, ``trajectory.control_points``,
+so the k-th key geometry of an animated SVG is byte-identical to the frame
+export at the same time. Numbers are written with 6 decimals, locale-independent.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import BasisKind, basis_matrix, solve_control_points
+from .bernstein import BasisKind, _check_unit, basis_matrix, solve_control_points
 from .errors import (
     DomainError,
     MotionSketchError,
@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedVersionError,
     ValidationError,
 )
-from .trajectory import SketchAnimation, Stroke, TrajectoryPoly
+from .trajectory import SketchAnimation, Stroke, TrajectoryPoly, control_points
 
 FORMAT_VERSION = 1
 
@@ -48,7 +48,7 @@ class FrameRatePlan:
     output_frame_times: np.ndarray
 
     def __post_init__(self):
-        times = np.ascontiguousarray(np.asarray(self.output_frame_times, dtype=np.float64))
+        times = np.array(self.output_frame_times, dtype=np.float64, order="C")
         if times.size < 2 or np.any(np.diff(times) <= 0):
             raise ValidationError("output times must be strictly increasing")
         if abs(times[0]) > 1e-12 or abs(times[-1] - 1.0) > 1e-12:
@@ -149,18 +149,6 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _control_points(stroke: Stroke, times: np.ndarray) -> np.ndarray:
-    """The stroke's control points at each time, shape (T, m+1, 2).
-
-    One basis product for all times. It is summed by einsum rather than BLAS,
-    whose result for a row depends on how many rows are multiplied together;
-    this way a key of an animated export equals the frame export bit for bit.
-    """
-    coeffs = np.stack([traj.coeffs for traj in stroke.control_trajectories], axis=1)
-    rows = basis_matrix(stroke.basis, stroke.trajectory_degree, times)
-    return np.einsum("tb,bac->tac", rows, coeffs)
-
-
 def _piecewise_cubics(points: np.ndarray) -> np.ndarray:
     """Approximate the degree-m>3 Bezier curve with control `points` by cubics
     through on-curve points, shape (segments, 4, 2).
@@ -210,7 +198,7 @@ def _path_data(points: np.ndarray) -> str:
 
 def stroke_path_data(stroke: Stroke, t: float) -> str:
     """SVG path `d` for the stroke at time t (L/Q/C for m = 1/2/3, cubics above)."""
-    return _path_data(_control_points(stroke, np.array([t]))[0])
+    return _path_data(control_points(stroke, t)[0])
 
 
 def width_at(anim: SketchAnimation, t: float) -> float:
@@ -218,14 +206,9 @@ def width_at(anim: SketchAnimation, t: float) -> float:
     return float(np.interp(t, anim.frame_times(), anim.widths))
 
 
-def _check_time(t: float) -> None:
-    if not (0.0 <= t <= 1.0):
-        raise DomainError(f"t must lie in [0, 1], got {t!r}")
-
-
 def render_frame_svg(anim: SketchAnimation, t: float) -> str:
     """One SVG document showing the animation at time t."""
-    _check_time(t)
+    _check_unit(t)
     w, h = anim.canvas
     width = _fmt(width_at(anim, t))
     lines = [
@@ -263,7 +246,7 @@ def render_animated_svg(anim: SketchAnimation, plan: FrameRatePlan) -> str:
         f'viewBox="0 0 {w} {h}">',
     ]
     for stroke in anim.strokes:
-        keys = [_path_data(points) for points in _control_points(stroke, times)]
+        keys = [_path_data(points) for points in control_points(stroke, times)]
         lines.append(
             f'  <path d="{keys[0]}" fill="none" stroke="black" '
             f'stroke-width="{widths[0]}" stroke-linecap="round">'

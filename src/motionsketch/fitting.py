@@ -48,8 +48,8 @@ class FitSamples:
     positions: np.ndarray
 
     def __post_init__(self):
-        times = np.ascontiguousarray(np.asarray(self.times, dtype=np.float64))
-        positions = np.ascontiguousarray(np.asarray(self.positions, dtype=np.float64))
+        times = np.array(self.times, dtype=np.float64, order="C")
+        positions = np.array(self.positions, dtype=np.float64, order="C")
         if times.ndim != 1 or positions.shape != (times.size, 2):
             raise ValidationError(
                 f"times must be (N_f,), positions (N_f, 2); got {times.shape}, {positions.shape}"

@@ -38,8 +38,8 @@ class DensityMap:
     unnormalized: np.ndarray
 
     def __post_init__(self):
-        probs = np.ascontiguousarray(np.asarray(self.probabilities, dtype=np.float64))
-        raw = np.ascontiguousarray(np.asarray(self.unnormalized, dtype=np.float64))
+        probs = np.array(self.probabilities, dtype=np.float64, order="C")
+        raw = np.array(self.unnormalized, dtype=np.float64, order="C")
         if probs.shape != (self.height, self.width) or raw.shape != probs.shape:
             raise ValidationError("density maps must have shape (H, W)")
         if np.any(probs < 0):
@@ -84,7 +84,7 @@ class MaskAreas:
     canvas: tuple[int, int]
 
     def __post_init__(self):
-        areas = np.ascontiguousarray(np.asarray(self.areas, dtype=np.float64))
+        areas = np.array(self.areas, dtype=np.float64, order="C")
         w, h = self.canvas
         if areas.ndim != 1 or areas.size < 1:
             raise ValidationError("areas must be a nonempty vector")

@@ -38,8 +38,8 @@ class TrackSet:
     _trees: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = np.ascontiguousarray(np.asarray(self.ids, dtype=np.int64))
-        coords = np.ascontiguousarray(np.asarray(self.coords, dtype=np.float64))
+        ids = np.array(self.ids, dtype=np.int64, order="C")
+        coords = np.array(self.coords, dtype=np.float64, order="C")
         if ids.ndim != 1 or ids.size < 1:
             raise ValidationError("track set needs at least one point")
         if coords.ndim != 3 or coords.shape[0] != ids.size or coords.shape[2] != 2:
@@ -95,7 +95,7 @@ class MotionHeatmap:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+        values = np.array(self.values, dtype=np.float64, order="C")
         if values.shape != (self.height, self.width):
             raise ValidationError(
                 f"heatmap values must have shape (H, W)=({self.height}, {self.width}), "
@@ -154,8 +154,7 @@ def _load_tracks_json(path: str) -> TrackSet:
     if not points:
         raise ValidationError("no points in track file")
     ids = sorted(points)
-    coords = np.array([points[pid] for pid in ids], dtype=np.float64)
-    return TrackSet(ids=np.array(ids), coords=coords)
+    return TrackSet(ids=np.array(ids), coords=[points[pid] for pid in ids])
 
 
 def _load_tracks_csv(path: str) -> TrackSet:
@@ -241,11 +240,10 @@ def build_motion_heatmap(
     width: int,
     height: int,
     bandwidth: float | None = None,
-    site_frame: int = 0,
 ) -> MotionHeatmap:
     """Gaussian-kernel Shepard interpolation of motion weights over the canvas.
 
-    Sites are the tracked positions in `site_frame` (frame 0 by default).
+    Sites are the tracked positions in frame 0.
     Default bandwidth is 0.05 * max(width, height). The result is min-max
     normalized to [0, 1]; if all motion weights are equal the map is all zero.
     """
@@ -256,7 +254,7 @@ def build_motion_heatmap(
     if not bandwidth > 0:
         raise ValidationError(f"bandwidth must be positive, got {bandwidth}")
     weights = motion_weights(tracks)
-    sites = tracks.coords[:, site_frame, :]
+    sites = tracks.coords[:, 0, :]
     # The Gaussian factors into x and y kernels, so the Shepard sums over all
     # sites are two matrix products instead of H*W*K exponentials.
     inv = 1.0 / (2.0 * bandwidth * bandwidth)

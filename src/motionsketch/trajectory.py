@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import BasisKind, basis_matrix, basis_row
+from .bernstein import BasisKind, _check_unit, basis_matrix, basis_row, bernstein_matrix_direct
 from .errors import DomainError, ValidationError
 
 
@@ -127,27 +127,41 @@ def default_trajectory_degree(num_frames: int) -> int:
     return math.ceil(num_frames / 2) - 1
 
 
-def eval_trajectory(traj: TrajectoryPoly, t: float) -> np.ndarray:
-    """Position of the control point at normalized time t (2-vector).
+def eval_trajectories(kind: BasisKind, coeffs: np.ndarray, times) -> np.ndarray:
+    """Packed trajectories (n+1, ..., 2) at each time, shape (T, ..., 2).
 
-    Bernstein trajectories above degree ``DIRECT_EVAL_MAX_DEGREE`` route
-    through the log-space row, as ``basis_matrix`` does.
+    The library's one basis product, over ``basis_matrix`` rows (log-space
+    Bernstein rows above ``DIRECT_EVAL_MAX_DEGREE``). Einsum, unlike BLAS, gives
+    row i the same bits however many times are evaluated together.
     """
-    return basis_matrix(traj.basis, traj.degree, t)[0] @ traj.coeffs
+    return np.einsum("tb,b...->t...", basis_matrix(kind, coeffs.shape[0] - 1, times), coeffs)
+
+
+def control_points(stroke: Stroke, times) -> np.ndarray:
+    """The stroke's control points at each time, shape (T, m+1, 2)."""
+    coeffs = np.stack([traj.coeffs for traj in stroke.control_trajectories], axis=1)
+    return eval_trajectories(stroke.basis, coeffs, times)
+
+
+def eval_trajectory(traj: TrajectoryPoly, t: float) -> np.ndarray:
+    """Position of the control point at normalized time t (2-vector)."""
+    return eval_trajectories(traj.basis, traj.coeffs, t)[0]
 
 
 def eval_curve_point(stroke: Stroke, u: float, t: float) -> np.ndarray:
     """Point on the stroke at curve parameter u and time t."""
-    points = np.stack([eval_trajectory(traj, t) for traj in stroke.control_trajectories])
     row = basis_row(BasisKind.BERNSTEIN, stroke.curve_degree, u).values
-    return row @ points
+    return row @ control_points(stroke, t)[0]
 
 
 def sample_stroke(stroke: Stroke, t: float, n_p: int) -> np.ndarray:
-    """n_p points on the stroke at time t, uniformly spaced in u (endpoints included)."""
+    """n_p points on the stroke at time t, uniformly spaced in u (endpoints included),
+    each equal to ``eval_curve_point`` at its u bit for bit (one product per row)."""
     if n_p < 2:
         raise DomainError(f"need at least two sample points, got {n_p}")
-    return np.stack([eval_curve_point(stroke, k / (n_p - 1), t) for k in range(n_p)])
+    points = control_points(stroke, t)[0]
+    rows = bernstein_matrix_direct(stroke.curve_degree, np.arange(n_p) / (n_p - 1))
+    return np.stack([row @ points for row in rows])
 
 
 def sensitivity_l1(kind: BasisKind, n: int, t: float) -> float:
@@ -158,8 +172,7 @@ def sensitivity_l1(kind: BasisKind, n: int, t: float) -> float:
     """
     if n < 0:
         raise DomainError(f"degree must be nonnegative, got {n}")
-    if not (0.0 <= t <= 1.0):
-        raise DomainError(f"t must lie in [0, 1], got {t!r}")
+    _check_unit(t)
     if kind is BasisKind.BERNSTEIN:
         return 1.0
     return float(np.sum(np.float64(t) ** np.arange(n + 1)))
@@ -175,16 +188,15 @@ def coefficient_jacobian_row(traj: TrajectoryPoly, t: float) -> np.ndarray:
 
 
 def trajectory_velocity(traj: TrajectoryPoly, t: float) -> np.ndarray:
-    """Time derivative of the trajectory at t (2-vector)."""
-    n = traj.degree
+    """Time derivative at t: the degree-(n-1) trajectory of the derivative coefficients."""
+    n, c = traj.degree, traj.coeffs
     if n == 0:
         return np.zeros(2)
     if traj.basis is BasisKind.BERNSTEIN:
-        diffs = n * (traj.coeffs[1:] - traj.coeffs[:-1])
-        return basis_matrix(BasisKind.BERNSTEIN, n - 1, t)[0] @ diffs
-    i = np.arange(1, n + 1, dtype=np.float64)
-    row = i * basis_matrix(BasisKind.POWER, n - 1, np.array([t]))[0]
-    return row @ traj.coeffs[1:]
+        derivative = n * (c[1:] - c[:-1])
+    else:
+        derivative = np.arange(1, n + 1)[:, None] * c[1:]
+    return eval_trajectories(traj.basis, derivative, t)[0]
 
 
 # --- packed-coefficient helpers used by the optimizer and exporters ---

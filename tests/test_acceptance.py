@@ -12,7 +12,7 @@ import pytest
 from conftest import eval_piecewise_path, parse_animated_keys
 
 import motionsketch as ms
-from motionsketch.bernstein import BasisKind, basis_matrix, basis_row
+from motionsketch.bernstein import BasisKind, basis_matrix
 from motionsketch.cli import main as cli_main
 from test_optimize import recovery_scene
 
@@ -306,20 +306,13 @@ def _keys_match_library(svg_path: str, anim, times) -> float:
     svg_text = open(svg_path).read()
     per_stroke = parse_animated_keys(svg_text)
     assert len(per_stroke) == anim.num_strokes
-    # eval_curve_point's arithmetic with its per-point work hoisted: the curve
-    # rows once per stroke, the control points once per (stroke, key time),
-    # and one `row @ points` per u (a stacked product could round differently).
-    ugrid = np.linspace(0.0, 1.0, 9)
+    # Nine samples at u = k/8, the parameters of eval_piecewise_path's grid.
     worst = 0.0
     for stroke, (key_times, keys) in zip(anim.strokes, per_stroke):
         assert np.allclose(key_times, times, atol=1e-6)
-        rows = [basis_row(BasisKind.BERNSTEIN, stroke.curve_degree, u).values for u in ugrid]
         for t, key in zip(times, keys):
             curve = eval_piecewise_path(key)[0]
-            points = np.stack(
-                [ms.eval_trajectory(traj, float(t)) for traj in stroke.control_trajectories]
-            )
-            exact = np.stack([row @ points for row in rows])
+            exact = ms.sample_stroke(stroke, float(t), 9)
             worst = max(worst, float(np.abs(curve - exact).max()))
     return worst
 

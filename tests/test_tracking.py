@@ -9,6 +9,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from motionsketch import (
+    DensityMap,
+    FitSamples,
+    FrameRatePlan,
+    MaskAreas,
+    MotionHeatmap,
     ParseError,
     TrackSet,
     ValidationError,
@@ -492,3 +497,33 @@ class TestTransferPoint:
                 continue
             dp = transfer_point(p, 1, 3, tracks) - transfer_point(q, 1, 3, tracks)
             assert_allclose(dp, p - q, atol=1e-12)
+
+
+# Each frozen value type, with arguments that are fresh arrays on every call.
+VALUE_TYPES = [
+    (TrackSet, lambda: {"ids": np.arange(3), "coords": np.zeros((3, 4, 2))}),
+    (MotionHeatmap, lambda: {"width": 4, "height": 3, "values": np.zeros((3, 4))}),
+    (FitSamples, lambda: {"times": np.linspace(0, 1, 5), "positions": np.zeros((5, 2))}),
+    (FrameRatePlan,
+     lambda: {"input_fps": 6.0, "output_fps": 12.0, "output_frame_times": np.linspace(0, 1, 5)}),
+    (DensityMap, lambda: {"width": 4, "height": 3, "probabilities": np.full((3, 4), 1 / 12),
+                          "unnormalized": np.ones((3, 4))}),
+    (MaskAreas, lambda: {"areas": np.ones(4), "canvas": (4, 3)}),
+]
+
+
+@pytest.mark.parametrize(("kind", "arguments"), VALUE_TYPES,
+                         ids=[kind.__name__ for kind, _ in VALUE_TYPES])
+def test_value_types_copy_the_callers_arrays(kind, arguments):
+    # A frozen value owns its arrays: the caller's arrays stay writable, and
+    # writing through them (or through views taken earlier) leaves it as is.
+    kwargs = arguments()
+    views = {name: arr[...] for name, arr in kwargs.items() if isinstance(arr, np.ndarray)}
+    value = kind(**kwargs)
+    for name, view in views.items():
+        field_array = getattr(value, name)
+        before = field_array.copy()
+        assert kwargs[name].flags.writeable
+        assert not np.shares_memory(kwargs[name], field_array)
+        view[(0,) * view.ndim] += 1
+        assert np.array_equal(field_array, before)

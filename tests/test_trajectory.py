@@ -1,8 +1,10 @@
 """Time-varying strokes: evaluation, sensitivity, Jacobians, packing."""
 
+from itertools import product
+
 import numpy as np
 import pytest
-from conftest import random_animation
+from conftest import make_animation, random_animation
 from numpy.testing import assert_allclose
 from scipy.spatial import ConvexHull
 
@@ -16,6 +18,7 @@ from motionsketch import (
     animation_coefficients,
     basis_row,
     coefficient_jacobian_row,
+    control_points,
     default_trajectory_degree,
     eval_curve_point,
     eval_trajectory,
@@ -28,6 +31,18 @@ from motionsketch import (
 
 def constant_trajectory(point, n=3, basis=BasisKind.BERNSTEIN):
     return TrajectoryPoly(basis, np.repeat(np.asarray(point, float)[None, :], n + 1, axis=0))
+
+
+# Trajectory degrees on both sides of the direct->log switch at 60, and 0.
+BASES_AND_DEGREES = [
+    (basis, n) for basis in (BasisKind.BERNSTEIN, BasisKind.POWER) for n in (0, 24, 60, 61, 99)
+]
+
+
+def random_strokes(rng, basis, trajectory_degree):
+    """One random stroke per curve degree 1..8."""
+    coeffs = [rng.uniform(0, 100, (m + 1, trajectory_degree + 1, 2)) for m in range(1, 9)]
+    return make_animation(coeffs, 3, basis=basis).strokes
 
 
 class TestEvalTrajectory:
@@ -86,6 +101,15 @@ class TestEvalTrajectory:
         with pytest.raises(ValueError):
             traj.coeffs[0, 0] = 99.0
 
+    @pytest.mark.parametrize(("basis", "n"), BASES_AND_DEGREES)
+    def test_batch_invariant_control_points(self, rng, basis, n):
+        # Row i of a many-time evaluation equals time i evaluated alone.
+        times = np.concatenate([[0.0, 1.0], rng.random(37)])
+        for stroke in random_strokes(rng, basis, n):
+            batch = control_points(stroke, times)
+            for i, t in enumerate(times):
+                assert np.array_equal(batch[i], control_points(stroke, t)[0])
+
 
 class TestEvalCurvePoint:
     def square_stroke(self):
@@ -93,9 +117,10 @@ class TestEvalCurvePoint:
         return Stroke(tuple(constant_trajectory(np.array(c)) for c in corners))
 
     def test_endpoints_are_control_trajectories(self, rng):
-        anim = random_animation(rng, num_strokes=1, curve_degree=3, trajectory_degree=4)
-        stroke = anim.strokes[0]
-        for t in (0.0, 0.4, 1.0):
+        strokes = random_animation(rng, num_strokes=1, curve_degree=3, trajectory_degree=4).strokes
+        for basis, n in BASES_AND_DEGREES:
+            strokes += random_strokes(rng, basis, n)
+        for stroke, t in product(strokes, (0.0, 0.4, 1.0)):
             assert np.array_equal(
                 eval_curve_point(stroke, 0.0, t),
                 eval_trajectory(stroke.control_trajectories[0], t),
@@ -128,12 +153,17 @@ class TestSampleStroke:
         pts = sample_stroke(Stroke(trajs), 0.7, 3)
         assert_allclose(pts, [[0, 0], [2, 1], [4, 2]], atol=1e-12)
 
-    def test_matches_pointwise_eval(self):
+    def test_matches_pointwise_eval(self, rng):
         corners = [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)]
         stroke = Stroke(tuple(constant_trajectory(np.array(c)) for c in corners))
         pts = sample_stroke(stroke, 0.2, 5)
         for k, u in enumerate([0.0, 0.25, 0.5, 0.75, 1.0]):
             assert np.array_equal(pts[k], eval_curve_point(stroke, u, 0.2))
+        for basis, n in BASES_AND_DEGREES:
+            for stroke, t, n_p in product(random_strokes(rng, basis, n), (0.0, 0.37, 1.0), (2, 8)):
+                pts = sample_stroke(stroke, t, n_p)
+                for k in range(n_p):
+                    assert np.array_equal(pts[k], eval_curve_point(stroke, k / (n_p - 1), t))
 
     def test_too_few_points(self, rng):
         anim = random_animation(rng, num_strokes=1)
