@@ -9,7 +9,9 @@ before that, so high-degree rows are computed in log space instead: each entry i
 
 with the log-binomial obtained from log-gamma. The entries of a Bernstein row
 are bounded by 1, so converting back from logs is safe even when the three
-summands individually reach +-1e3.
+summands individually reach +-1e3. The log-gamma is scipy's `gammaln`, imported
+on the first log-route call (degree above 60), so a process that stays on the
+direct route never loads `scipy.special`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import CapacityError, ConditioningError, DegenerateInputError, DomainError
 
@@ -86,6 +87,9 @@ def bernstein_matrix_log(n: int, t: np.ndarray, dtype=np.float64) -> np.ndarray:
     intermediate logs are then computed in float32 as well, and a parameter
     that rounds to 0 or 1 in float32 is a boundary parameter.
     """
+    # Log route only (degree > 60): not at module level, so the direct route skips scipy.special.
+    from scipy.special import gammaln
+
     t = np.asarray(t).astype(dtype, copy=False)
     out = np.zeros((t.size, n + 1), dtype=dtype)
     i = np.arange(n + 1, dtype=dtype)

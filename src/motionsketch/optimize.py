@@ -5,8 +5,9 @@ the trajectory coefficients, so their gradients are exact. The one nonlinearity
 is the nearest-tracked-point assignment inside the consistency loss; it is
 piecewise constant, so it is recomputed once per iteration and *frozen* during
 each gradient evaluation, which makes the gradient exact almost everywhere.
-The sampled stroke points are formed once per evaluation and shared by the
-assignment and the consistency term.
+The control points at the frame times are formed once per evaluation and
+shared by the sampled stroke points and the attachment term; the samples in
+turn are shared by the assignment and the consistency term.
 
 The consistency term sums, over every source frame i and target frame t,
 the squared mismatch between a sampled point's displacement and that of the
@@ -21,6 +22,9 @@ respect to sample point p at frame s, are
 
     value = (sum_{(p,r) in A} A_pr |X_p - Y_r|^2 + N_f |X - own|^2) / (N_p N_f),
     grad = 2/(N_p N_f) * (2 N_f X_p(s) - N_f own_p(s) + sum_i own_p(i) - (A @ Y)_p(s)).
+
+A is a scipy CSR matrix; `scipy.sparse` is imported on the first freeze of
+an assignment, so only a consistency-weighted objective loads it.
 
 The value is a sum of squared differences, so nothing cancels (the expanded
 form does, and a zero loss would read as roundoff). Its pair sum walks A's
@@ -55,15 +59,18 @@ stay silent: the DivergenceError is the one report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .bernstein import BasisKind, basis_matrix, basis_row
 from .errors import DivergenceError, ValidationError
 from .tracking import TrackSet, _nearest
 from .tracking import nearest_rows  # noqa: F401  (unused; the benchmark tracer wraps it here)
 from .trajectory import SketchAnimation, animation_coefficients, replace_coefficients
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 
 @dataclass(frozen=True)
@@ -196,9 +203,15 @@ class _Objective:
             self._rows = np.zeros(size, dtype=np.intp)
             self._radius2 = np.zeros(size)
 
-    def samples(self, q: np.ndarray) -> np.ndarray:
-        """Sampled stroke points at the frame times, shape (N_f, N_s, N_p, 2)."""
-        return self.b_u @ _at_frames(q, self.b_t)
+    def control_points(self, q: np.ndarray) -> np.ndarray:
+        """Control points at the frame times, shape (N_f, N_s, m+1, 2), from
+        which `samples` and `attachment` both read."""
+        return _at_frames(q, self.b_t)
+
+    def samples(self, ctrl: np.ndarray) -> np.ndarray:
+        """Sampled stroke points at the frame times, shape (N_f, N_s, N_p, 2),
+        from the control points `ctrl` of `control_points`."""
+        return self.b_u @ ctrl
 
     def assign(self, samples: np.ndarray) -> np.ndarray:
         """Nearest tracked-point row per sampled stroke point, shape (N_f, N_s, N_p).
@@ -249,6 +262,9 @@ class _Objective:
         num_frames = rows.shape[0]
         point_rows = rows.reshape(num_frames, -1).T  # r_i per point, (P, N_f)
         num_points, num_rows = point_rows.shape[0], self.track_centered.shape[0]
+        # Consistency term only: not at module level, so init, export and interp skip scipy.sparse.
+        from scipy.sparse import csr_matrix
+
         counts = csr_matrix(
             (np.ones(point_rows.size), point_rows.reshape(-1),
              np.arange(0, point_rows.size + 1, num_frames)),
@@ -307,9 +323,11 @@ class _Objective:
         point_grad = (2.0 * scale) * grad.transpose(2, 0, 1).reshape(num_frames, -1, n_p, 2)
         return _to_coefficients(self.b_u.T @ point_grad, self.b_t)
 
-    def attachment(self, q: np.ndarray) -> tuple[float, np.ndarray]:
-        num_frames, num_strokes = self.b_t.shape[0], q.shape[0]
-        mids = self.b_mid @ _at_frames(q, self.b_t)  # (N_f, N_s, 2)
+    def attachment(self, ctrl: np.ndarray) -> tuple[float, np.ndarray]:
+        """Attachment value and coefficient gradient from the control points
+        `ctrl` of `control_points`."""
+        num_frames, num_strokes = ctrl.shape[:2]
+        mids = self.b_mid @ ctrl  # (N_f, N_s, 2)
         diff = mids - self.targets.transpose(1, 0, 2)
         scale = 1.0 / (num_frames * num_strokes)
         value = scale * float(np.sum(diff * diff))
@@ -332,8 +350,9 @@ class _Objective:
         w = self.weights
         grad = np.zeros_like(q) if gradient else None
         consistency = attachment = geometry = 0.0
+        ctrl = self.control_points(q)
         if w.w_c > 0:
-            samples = self.samples(q)
+            samples = self.samples(ctrl)
             if frozen is None:
                 frozen = self.freeze(self.assign(samples))
             motion = self.motion(samples)
@@ -341,7 +360,7 @@ class _Objective:
                 grad += w.w_c * self.consistency_grad(motion, *frozen)
             consistency = self.consistency_value(motion, *frozen) if consistency_value else np.nan
         if w.w_s > 0:
-            attachment, g = self.attachment(q)
+            attachment, g = self.attachment(ctrl)
             if gradient:
                 grad += w.w_s * g
         if w.w_g > 0:
@@ -367,7 +386,8 @@ def consistency_assignments(
 ) -> np.ndarray:
     """Nearest tracked-point row per sampled stroke point, shape (N_f, N_s, N_p)."""
     objective = _Objective(anim, tracks, None, _CONSISTENCY_ONLY, n_p)
-    return objective.assign(objective.samples(animation_coefficients(anim)))
+    ctrl = objective.control_points(animation_coefficients(anim))
+    return objective.assign(objective.samples(ctrl))
 
 
 def consistency_loss_grad(
@@ -399,7 +419,7 @@ def attachment_loss_grad(
     in the semantic-loss slot; its gradient is exact (the map is linear).
     """
     objective = _Objective(anim, None, targets, _ATTACHMENT_ONLY, 2)
-    return objective.attachment(animation_coefficients(anim))
+    return objective.attachment(objective.control_points(animation_coefficients(anim)))
 
 
 def total_loss(
@@ -502,7 +522,8 @@ def finite_difference_check(
     # One frozen A and own serve every evaluation; each one recomputes only X.
     frozen = None
     if weights.w_c > 0:
-        frozen = objective.freeze(objective.assign(objective.samples(q0)))
+        samples = objective.samples(objective.control_points(q0))
+        frozen = objective.freeze(objective.assign(samples))
     _, grad = objective.value_grad(q0, frozen, consistency_value=False)
     if not np.all(np.isfinite(grad)):
         raise DivergenceError("analytic gradient is not finite")

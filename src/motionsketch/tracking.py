@@ -5,6 +5,11 @@ It powers two things: the motion heatmap that biases stroke seeding toward
 moving regions, and the sparse-to-dense transfer that predicts where an
 arbitrary pixel of frame i lands in frame t by borrowing the displacement of
 its nearest tracked point.
+
+Nearest-track queries scan small track sets in cache-sized blocks and send
+large ones (256 points or more) to per-frame KD-trees. Only that KD-tree route
+needs scipy: `scipy.spatial` is imported when the first tree is built, so a
+process that only scans never loads it.
 """
 
 from __future__ import annotations
@@ -15,11 +20,14 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ParseError, ValidationError
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 # Below this many tracked points a vectorized scan beats building KD-trees.
 _KDTREE_MIN_POINTS = 256
@@ -75,6 +83,9 @@ class TrackSet:
         # twice, both results are equivalent and the dict update is atomic.
         tree = self._trees.get(frame)
         if tree is None:
+            # KD-tree route only (256+ tracks): not at module level, so scans skip scipy.spatial.
+            from scipy.spatial import cKDTree
+
             tree = cKDTree(self.coords[:, frame, :])
             self._trees[frame] = tree
         return tree

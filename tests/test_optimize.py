@@ -156,7 +156,7 @@ class TestConsistencyLoss:
         anim = random_animation(rng, num_strokes=2, num_frames=400)
         tracks = random_tracks(rng, num_points=300, num_frames=400)
         objective = optimize._Objective(anim, tracks, None, LossWeights(w_s=0.0, w_c=1.0), 8)
-        samples = objective.samples(animation_coefficients(anim))
+        samples = objective.samples(objective.control_points(animation_coefficients(anim)))
         counts, own = objective.freeze(rng.integers(0, 300, samples.shape[:-1]))
         motion = objective.motion(samples)
         assert counts.nnz * motion[0].size * 8 > 20e6
