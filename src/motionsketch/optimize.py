@@ -30,7 +30,9 @@ The value is a sum of squared differences, so nothing cancels (the expanded
 form does, and a zero loss would read as roundoff). Its pair sum walks A's
 pairs in their CSR order, in chunks of a bounded number of elements: a chunk
 gathers its rows Y_r and its pairs' points X_p into two buffers reused by
-every chunk, so peak memory stays independent of N_f.
+every chunk, so peak memory stays independent of N_f. The walk yields one
+squared norm per pair, which the value weights by A's counts and the
+gradient checker sums per stroke (below).
 
 The assignment is certified between evaluations, like the skin of a Verlet
 neighbour list. Each query of a sample point also gives a radius: half the
@@ -46,14 +48,24 @@ The value costs up to several times the gradient, so the optimizer computes it
 only where it is read: at logged iterations (the first, every `log_every`-th
 and the last) and for the final breakdown. `total_loss`,
 `consistency_loss_grad` and the central differences of
-`finite_difference_check` always compute it; the checker freezes one
-assignment, so it builds A and own once and each bumped evaluation recomputes
-only X. The attachment value is computed in every iteration, so a non-finite
-attachment value or gradient stops the optimizer at once; a consistency
-value that overflows while its gradient stays finite is caught at the next
-logged iteration, or in the final breakdown when the last update makes it
-overflow. Distances that overflow in the assignment at such coefficients
-stay silent: the DivergenceError is the one report.
+`finite_difference_check` always compute it. The attachment value is
+computed in every iteration, so a non-finite attachment value or gradient
+stops the optimizer at once; a consistency value that overflows while its
+gradient stays finite is caught at the next logged iteration, or in the
+final breakdown when the last update makes it overflow. Distances that
+overflow in the assignment at such coefficients stay silent: the
+DivergenceError is the one report.
+
+Under a frozen assignment the objective is a sum of per-stroke terms f_s:
+each pair of A and each own-term belongs to a sampled point, hence to its
+stroke, and so does each attachment term. A bump of stroke s's coefficients
+moves only f_s, so the checker takes each central difference of f_s alone.
+It freezes one assignment and builds A and own once; copies of the strokes,
+each with at most one coordinate bumped, then go through the optimizer's own
+steps (control points, samples, motion, pair norms, attachment residuals) in
+chunks of bounded size, with their strokes' rows of A and own. Every
+stroke's unbumped f_s is evaluated too, so an overflow in a stroke without a
+sampled coordinate is still reported.
 """
 
 from __future__ import annotations
@@ -121,9 +133,10 @@ class LossBreakdown:
     component_history: tuple = field(default=(), repr=False)
 
 
-# Elements (pairs x frames) per chunk of the consistency term's temporaries:
-# each of its two float64 buffers is 256 KiB, so both stay in L2, like the
-# scan blocks of `tracking`.
+# Size of a chunk of bounded temporaries, so they stay in L2 like the scan
+# blocks of `tracking`: the pair walk's two float64 buffers hold this many
+# (pair, frame) entries of two coordinates (512 KiB each), and each
+# copy-sized array of the gradient checker at most this many values.
 _PAIR_CHUNK_ELEMENTS = 1 << 15
 
 
@@ -183,6 +196,7 @@ class _Objective:
             raise ValidationError("geometry weight is positive but no geometry term given")
         self.anim, self.tracks, self.targets = anim, tracks, targets
         self.weights, self.geometry_term = weights, geometry_term
+        self.attachment_scale = 1.0 / (anim.num_frames * anim.num_strokes)
         first = anim.strokes[0]
         self.b_t = basis_matrix(first.basis, first.trajectory_degree, anim.frame_times())
         self.b_u = basis_matrix(
@@ -276,16 +290,15 @@ class _Objective:
         own = np.take(self.track_centered, point_rows[:, None, :] * (2 * num_frames) + offsets)
         return counts, own
 
-    def consistency_value(self, motion: np.ndarray, counts: csr_matrix, own: np.ndarray) -> float:
-        """The consistency value of the module docstring.
+    def pair_norms(self, motion: np.ndarray, counts: csr_matrix) -> np.ndarray:
+        """|X_p - Y_r|^2 per pair of A, in A's CSR order.
 
-        The pair sum walks A's pairs in their CSR order, in chunks of at most
-        `_PAIR_CHUNK_ELEMENTS` elements cut between any two pairs. A chunk
-        gathers its rows Y_r and its pairs' points X_p into two buffers reused
-        by every chunk, subtracts them in place and reduces each pair's
-        squared norm.
+        The walk takes A's pairs in chunks of at most `_PAIR_CHUNK_ELEMENTS`
+        elements cut between any two pairs. A chunk gathers its rows Y_r and
+        its pairs' points X_p into two buffers reused by every chunk,
+        subtracts them in place and reduces each pair's squared norm.
         """
-        num_frames, n_p = self.b_t.shape[0], self.b_u.shape[0]
+        num_frames = self.b_t.shape[0]
         num_points, num_pairs = counts.shape[0], counts.nnz
         chunk = max(1, _PAIR_CHUNK_ELEMENTS // num_frames)  # pairs per chunk
         x = motion.reshape(num_points, -1)
@@ -293,7 +306,7 @@ class _Objective:
         pair_points = np.repeat(np.arange(num_points), np.diff(counts.indptr))
         buffer = np.empty((min(chunk, num_pairs), x.shape[1]))
         points = np.empty_like(buffer)
-        norms = np.empty(num_pairs)  # |X_p - Y_r|^2 per pair
+        norms = np.empty(num_pairs)
         for start in range(0, num_pairs, chunk):
             pairs = slice(start, start + chunk)
             rows = counts.indices[pairs]
@@ -303,7 +316,13 @@ class _Objective:
             np.take(x, pair_points[pairs], axis=0, out=x_p, mode="clip")
             diff -= x_p
             np.einsum("ke,ke->k", diff, diff, out=norms[pairs])
-        value = float(counts.data @ norms)
+        return norms
+
+    def consistency_value(self, motion: np.ndarray, counts: csr_matrix, own: np.ndarray) -> float:
+        """The consistency value of the module docstring, its pair sum
+        weighting the norms of `pair_norms` by A's counts."""
+        num_frames, n_p = self.b_t.shape[0], self.b_u.shape[0]
+        value = float(counts.data @ self.pair_norms(motion, counts))
         diff = motion - own
         value += num_frames * float(np.vdot(diff, diff))
         return value / (n_p * num_frames)
@@ -323,16 +342,52 @@ class _Objective:
         point_grad = (2.0 * scale) * grad.transpose(2, 0, 1).reshape(num_frames, -1, n_p, 2)
         return _to_coefficients(self.b_u.T @ point_grad, self.b_t)
 
+    def attachment_residual(self, ctrl: np.ndarray, strokes=slice(None)) -> np.ndarray:
+        """Stroke midpoints (u = 0.5) minus their targets, shape (N_f, B, 2),
+        from the control points `ctrl` (N_f, B, m+1, 2) of copies of the
+        strokes `strokes` (all strokes by default)."""
+        return self.b_mid @ ctrl - self.targets.transpose(1, 0, 2)[:, strokes]
+
     def attachment(self, ctrl: np.ndarray) -> tuple[float, np.ndarray]:
         """Attachment value and coefficient gradient from the control points
         `ctrl` of `control_points`."""
-        num_frames, num_strokes = ctrl.shape[:2]
-        mids = self.b_mid @ ctrl  # (N_f, N_s, 2)
-        diff = mids - self.targets.transpose(1, 0, 2)
-        scale = 1.0 / (num_frames * num_strokes)
-        value = scale * float(np.sum(diff * diff))
-        ctrl_grad = self.b_mid[:, None] * ((2.0 * scale) * diff)[:, :, None, :]
+        diff = self.attachment_residual(ctrl)
+        value = self.attachment_scale * float(np.sum(diff * diff))
+        ctrl_grad = self.b_mid[:, None] * ((2.0 * self.attachment_scale) * diff)[:, :, None, :]
         return value, _to_coefficients(ctrl_grad, self.b_t)
+
+    def stroke_values(
+        self, q: np.ndarray, strokes: np.ndarray, frozen: tuple[csr_matrix, np.ndarray] | None
+    ) -> np.ndarray:
+        """Per-stroke objective terms f_s of copies of strokes, shape (B,).
+
+        `q` (B, m+1, n+1, 2) holds the coefficients of B stroke copies; copy
+        b stands for stroke ``strokes[b]``: its sampled points take that
+        stroke's rows of ``frozen = freeze(rows)`` and its midpoint that
+        stroke's targets. Under a frozen assignment every pair, own-term and
+        attachment term belongs to one stroke, so the weighted objective is
+        the sum of f_s over the strokes. The terms reduce the same pair
+        norms and attachment residuals as the total, per copy.
+        """
+        w = self.weights
+        values = np.zeros(len(q))
+        ctrl = self.control_points(q)
+        if w.w_c > 0:
+            num_frames, n_p = self.b_t.shape[0], self.b_u.shape[0]
+            points = (strokes[:, None] * n_p + np.arange(n_p)).reshape(-1)
+            counts, own = frozen[0][points], frozen[1][points]
+            motion = self.motion(self.samples(ctrl))
+            # Every point has at least one pair, so no copy's pair run is empty.
+            pairs = np.add.reduceat(
+                counts.data * self.pair_norms(motion, counts), counts.indptr[:-1:n_p]
+            )
+            diff = (motion - own).reshape(len(q), -1)
+            own_terms = np.einsum("be,be->b", diff, diff)
+            values += (w.w_c / (n_p * num_frames)) * (pairs + num_frames * own_terms)
+        if w.w_s > 0:
+            diff = self.attachment_residual(ctrl, strokes)
+            values += (w.w_s * self.attachment_scale) * np.einsum("fbc,fbc->b", diff, diff)
+        return values
 
     def value_grad(
         self,
@@ -496,6 +551,45 @@ def optimize_animation(
     return replace_coefficients(anim, q), breakdown
 
 
+def _stroke_differences(
+    objective: _Objective,
+    q0: np.ndarray,
+    frozen: tuple[csr_matrix, np.ndarray] | None,
+    indices: np.ndarray,
+    step: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(central differences at the flat coordinates `indices` of `q0`, every
+    stroke's unbumped term f_s(q0)).
+
+    A bump of stroke s's coefficients moves only f_s, so the difference at a
+    coordinate of stroke s is (f_s(q0 + h e) - f_s(q0 - h e)) / 2h. One list
+    of stroke copies (each stroke unbumped, then each coordinate bumped by +h
+    and by -h) goes through `stroke_values` in chunks; a chunk's copy-sized
+    arrays (coefficients, control points, samples, motion) hold at most
+    `_PAIR_CHUNK_ELEMENTS` elements each, so peak memory does not grow with
+    the number of bumps.
+    """
+    num_strokes, num_frames = len(q0), objective.b_t.shape[0]
+    flat = q0.reshape(num_strokes, -1)
+    bumped_strokes, bumped_coords = np.divmod(indices, flat.shape[1])
+    strokes = np.concatenate([np.arange(num_strokes), np.repeat(bumped_strokes, 2)])
+    coords = np.concatenate([np.zeros(num_strokes, np.intp), np.repeat(bumped_coords, 2)])
+    deltas = np.concatenate([np.zeros(num_strokes), np.tile([step, -step], len(indices))])
+    per_copy = max(flat.shape[1], 2 * num_frames * max(q0.shape[1], objective.b_u.shape[0]))
+    chunk = max(1, _PAIR_CHUNK_ELEMENTS // per_copy)  # copies per chunk
+    values = np.empty(len(strokes))
+    for start in range(0, len(strokes), chunk):
+        part = slice(start, start + chunk)
+        batch = flat[strokes[part]]
+        batch[np.arange(len(batch)), coords[part]] += deltas[part]
+        values[part] = objective.stroke_values(
+            batch.reshape(-1, *q0.shape[1:]), strokes[part], frozen
+        )
+    plus, minus = values[num_strokes::2], values[num_strokes + 1 :: 2]
+    with np.errstate(invalid="ignore"):  # inf - inf: the caller reports it
+        return (plus - minus) / (2.0 * step), values[:num_strokes]
+
+
 def finite_difference_check(
     anim: SketchAnimation,
     tracks: TrackSet | None,
@@ -509,11 +603,17 @@ def finite_difference_check(
     Assignments are frozen across all evaluations, which makes the objective
     exactly quadratic: central differences carry no truncation error at any
     step, and the only error left is cancellation in f(q+h) - f(q-h), which
-    shrinks as the step grows. Hence the large default step. Small instances check
-    every coefficient coordinate; large ones check a deterministic random 5%
-    subset. Coordinates where both gradients are numerically zero contribute 0.
-    A positive `w_g` is rejected: this check has no geometry term. A non-finite
-    gradient or central difference raises ``DivergenceError``, never a silent 0.
+    shrinks as the step grows. Hence the large default step. The frozen
+    objective is a sum of per-stroke terms f_s and a bump of stroke s moves
+    only f_s, so each difference is taken of f_s alone, and all bumps are
+    evaluated as batches of stroke copies (see `_stroke_differences`). Small
+    instances check every coefficient coordinate; large ones check a
+    deterministic random 5% subset. Coordinates where both gradients are
+    numerically zero contribute 0. A positive `w_g` is rejected: this check
+    has no geometry term. A non-finite analytic gradient or central
+    difference raises ``DivergenceError`` naming the lowest such coordinate,
+    and so does a non-finite unbumped f_s(q0) of any stroke, sampled or not;
+    never a silent 0.
     """
     if not 0.0 < step < np.inf:
         raise ValidationError(f"step must be positive and finite, got {step}")
@@ -525,10 +625,11 @@ def finite_difference_check(
         samples = objective.samples(objective.control_points(q0))
         frozen = objective.freeze(objective.assign(samples))
     _, grad = objective.value_grad(q0, frozen, consistency_value=False)
-    if not np.all(np.isfinite(grad)):
-        raise DivergenceError("analytic gradient is not finite")
-
     flat_grad = grad.reshape(-1)
+    bad = np.flatnonzero(~np.isfinite(flat_grad))
+    if bad.size:
+        raise DivergenceError(f"analytic gradient at coordinate {bad[0]} is not finite")
+
     size = flat_grad.size
     if size <= 512:
         indices = np.arange(size)
@@ -536,19 +637,15 @@ def finite_difference_check(
         count = max(1, int(round(0.05 * size)))
         indices = np.sort(np.random.default_rng(0).choice(size, count, replace=False))
 
-    worst = 0.0
-    flat_q = q0.reshape(-1)
-    for idx in indices:
-        bumped = flat_q.copy()
-        bumped[idx] += step
-        f_plus = objective.value_grad(bumped.reshape(q0.shape), frozen, gradient=False)[0].total
-        bumped[idx] -= 2.0 * step
-        f_minus = objective.value_grad(bumped.reshape(q0.shape), frozen, gradient=False)[0].total
-        fd = (f_plus - f_minus) / (2.0 * step)
-        if not np.isfinite(fd):
-            raise DivergenceError(f"central difference at coordinate {idx} is not finite")
-        denom = max(abs(fd), abs(flat_grad[idx]))
-        if denom < 1e-9:
-            continue
-        worst = max(worst, abs(fd - flat_grad[idx]) / denom)
-    return worst
+    fd, unbumped = _stroke_differences(objective, q0, frozen, indices, step)
+    bad = np.flatnonzero(~np.isfinite(fd))
+    if bad.size:
+        raise DivergenceError(f"central difference at coordinate {indices[bad[0]]} is not finite")
+    bad = np.flatnonzero(~np.isfinite(unbumped))
+    if bad.size:
+        raise DivergenceError(f"objective term of stroke {bad[0]} is not finite")
+    analytic = flat_grad[indices]
+    denom = np.maximum(np.abs(fd), np.abs(analytic))
+    checked = denom >= 1e-9
+    errors = np.abs(fd - analytic)[checked] / denom[checked]
+    return float(errors.max(initial=0.0))

@@ -351,36 +351,152 @@ class TestAttachmentLoss:
                 finite_difference_check(anim, None, targets, weights, 3)
 
     def test_finite_difference_freezes_once(self, rng, monkeypatch):
-        # The checker builds A and own once for its frozen rows and reuses
-        # them in every bumped evaluation; rebuilding them for each one gives
-        # the same error bit for bit.
+        # The checker assigns and freezes once and reuses A and own for every
+        # chunk of stroke copies; rebuilding them for each chunk gives the
+        # same error bit for bit. One-element chunks put every copy (2
+        # unbumped strokes, then each of the 48 coordinates bumped by +h and
+        # by -h) in a chunk of its own, so the rebuild is per bump.
+        monkeypatch.setattr(optimize, "_PAIR_CHUNK_ELEMENTS", 1)
         anim = random_animation(rng, num_strokes=2, num_frames=4, curve_degree=2,
                                 trajectory_degree=3)
         tracks = random_tracks(rng, num_points=6, num_frames=4)
         targets = rng.uniform(0, 100, (2, 4, 2))
         weights = LossWeights(w_s=1.0, w_c=0.5)
-        freeze, value_grad = optimize._Objective.freeze, optimize._Objective.value_grad
-        frozen_rows = []
+        objective = optimize._Objective
+        assign, freeze, stroke_values = objective.assign, objective.freeze, objective.stroke_values
+        assigned, frozen_rows, chunks = [], [], []
+
+        def recording_assign(self, samples):
+            assigned.append(samples.shape)
+            return assign(self, samples)
 
         def recording_freeze(self, rows):
             frozen_rows.append(rows)
             return freeze(self, rows)
 
-        monkeypatch.setattr(optimize._Objective, "freeze", recording_freeze)
+        monkeypatch.setattr(objective, "assign", recording_assign)
+        monkeypatch.setattr(objective, "freeze", recording_freeze)
         once = finite_difference_check(anim, tracks, targets, weights, 3)
-        assert len(frozen_rows) == 1
+        assert len(assigned) == 1 and len(frozen_rows) == 1
 
-        def refreezing_value_grad(self, q, frozen=None, **kwargs):
-            return value_grad(self, q, freeze(self, frozen_rows[0]), **kwargs)
+        def refreezing_stroke_values(self, q, strokes, frozen):
+            chunks.append(len(q))
+            return stroke_values(self, q, strokes, freeze(self, frozen_rows[0]))
 
-        monkeypatch.setattr(optimize._Objective, "value_grad", refreezing_value_grad)
+        monkeypatch.setattr(objective, "stroke_values", refreezing_stroke_values)
         per_bump = finite_difference_check(anim, tracks, targets, weights, 3)
         assert per_bump == once and once > 0.0
+        assert chunks == [1] * (2 + 2 * animation_coefficients(anim).size)
+        assert len(assigned) == 2 and len(frozen_rows) == 2
 
     def test_target_count_mismatch(self, rng):
         anim = random_animation(rng, num_strokes=2, num_frames=4)
         with pytest.raises(ValidationError):
             attachment_loss_grad(anim, np.zeros((3, 4, 2)))
+
+
+def frozen_objective(anim, tracks, targets, weights, n_p):
+    """(objective, coefficients, frozen A and own) with the rows assigned at
+    the animation's coefficients, as the checker freezes them."""
+    objective = optimize._Objective(anim, tracks, targets, weights, n_p)
+    q = animation_coefficients(anim)
+    rows = objective.assign(objective.samples(objective.control_points(q)))
+    return objective, q, objective.freeze(rows)
+
+
+class TestStrokeDifferences:
+    @pytest.mark.parametrize(
+        "chunk_elements", [None, 15, 1], ids=["default-chunks", "tiny-chunks", "one-pair-chunks"]
+    )
+    @pytest.mark.parametrize("num_tracks", [5, 300], ids=["scan", "kdtree"])
+    def test_stroke_terms_sum_to_total(self, rng, monkeypatch, chunk_elements, num_tracks):
+        # Under the frozen assignment the objective is the sum of the
+        # per-stroke terms f_s, on both nearest-row routes and however the
+        # pair walk is chunked. A batch of copies in any order and
+        # multiplicity gives each copy the term of the stroke it stands for.
+        if chunk_elements is not None:
+            monkeypatch.setattr(optimize, "_PAIR_CHUNK_ELEMENTS", chunk_elements)
+        for _ in range(4):
+            num_strokes, num_frames = int(rng.integers(1, 5)), int(rng.integers(2, 7))
+            anim = random_animation(rng, num_strokes=num_strokes, num_frames=num_frames,
+                                    curve_degree=int(rng.integers(1, 4)), trajectory_degree=3)
+            tracks = random_tracks(rng, num_points=num_tracks, num_frames=num_frames)
+            targets = rng.uniform(0, 100, (num_strokes, num_frames, 2))
+            weights = LossWeights(w_s=float(rng.uniform(0.1, 2)), w_c=float(rng.uniform(0.1, 2)))
+            objective, q, frozen = frozen_objective(anim, tracks, targets, weights, 4)
+            breakdown, _ = objective.value_grad(q, frozen, gradient=False)
+            terms = objective.stroke_values(q, np.arange(num_strokes), frozen)
+            assert terms.sum() == pytest.approx(breakdown.total, rel=1e-12)
+            copies = rng.integers(0, num_strokes, 7)
+            assert_allclose(objective.stroke_values(q[copies], copies, frozen), terms[copies],
+                            rtol=1e-13)
+
+    def test_match_full_objective_differences(self, rng):
+        # Central differences of f_s alone equal those of the full objective,
+        # taken through value_grad, up to the cancellation of the full one: a
+        # few ulps of the total over 2h.
+        anim = random_animation(rng, num_strokes=3, num_frames=4, curve_degree=2,
+                                trajectory_degree=3)
+        tracks = random_tracks(rng, num_points=6, num_frames=4)
+        targets = rng.uniform(0, 100, (3, 4, 2))
+        objective, q, frozen = frozen_objective(anim, tracks, targets, LossWeights(), 3)
+        step = 0.1
+        indices = np.arange(q.size)
+        fd, unbumped = optimize._stroke_differences(objective, q, frozen, indices, step)
+        full = []
+        for idx in indices:
+            values = []
+            for sign in (1.0, -1.0):
+                bumped = q.copy().reshape(-1)
+                bumped[idx] += sign * step
+                values.append(objective.value_grad(bumped.reshape(q.shape), frozen,
+                                                   gradient=False)[0].total)
+            full.append((values[0] - values[1]) / (2.0 * step))
+        total = objective.value_grad(q, frozen, gradient=False)[0].total
+        assert unbumped.sum() == pytest.approx(total, rel=1e-12)
+        assert np.abs(fd - np.array(full)).max() <= 16 * np.finfo(float).eps * total / step
+
+    def test_memory_does_not_grow_with_bumps(self, rng):
+        # One stroke of degree 99 over 200 frames, with 800 or 3200
+        # coefficients: 5% of them gives 80 or 320 bumped copies. All 320
+        # copies' motions would hold 8.2 MB at once; the chunks keep every
+        # copy-sized array to `_PAIR_CHUNK_ELEMENTS` elements, so the peak
+        # stays the same at four times the bumps.
+        peaks = []
+        for curve_degree in (3, 15):
+            anim = random_animation(rng, num_strokes=1, num_frames=200,
+                                    curve_degree=curve_degree, trajectory_degree=99)
+            tracks = random_tracks(rng, num_points=4, num_frames=200)
+            targets = rng.uniform(0, 100, (1, 200, 2))
+            tracemalloc.start()
+            try:
+                finite_difference_check(anim, tracks, targets, LossWeights(), 8)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        bumps = 2 * round(0.05 * 16 * 100 * 2)
+        assert bumps * 200 * 8 * 2 * 8 > 8e6
+        assert peaks[1] < 1.1 * peaks[0] and max(peaks) < 3e6
+
+    def test_overflow_in_unsampled_stroke_raises(self, rng):
+        # 60 strokes of 12 coefficients: 720 > 512 coordinates, so the check
+        # samples 36 of them and some strokes have none. An attachment term
+        # that overflows in such a stroke moves no central difference and
+        # leaves the gradient finite; the unbumped terms still report it.
+        anim = random_animation(rng, num_strokes=60, num_frames=3, curve_degree=1,
+                                trajectory_degree=2)
+        sampled = np.random.default_rng(0).choice(720, 36, replace=False) // 12
+        stroke = min(set(range(60)) - set(sampled.tolist()))
+        targets = rng.uniform(0, 100, (60, 3, 2))
+        weights = LossWeights(w_s=1.0, w_c=0.0)
+        assert finite_difference_check(anim, None, targets, weights, 3) < 1e-6
+        targets[stroke] = 1e200
+        with np.errstate(over="ignore"):
+            _, grad = total_loss(anim, None, targets, weights, 3)
+            assert np.all(np.isfinite(grad))
+            with pytest.raises(DivergenceError, match=f"stroke {stroke} is not finite"):
+                finite_difference_check(anim, None, targets, weights, 3)
 
 
 def fresh_rows(samples, tracks):
