@@ -5,9 +5,10 @@ the trajectory coefficients, so their gradients are exact. The one nonlinearity
 is the nearest-tracked-point assignment inside the consistency loss; it is
 piecewise constant, so it is recomputed once per iteration and *frozen* during
 each gradient evaluation, which makes the gradient exact almost everywhere.
-The control points at the frame times are formed once per evaluation and
-shared by the sampled stroke points and the attachment term; the samples in
-turn are shared by the assignment and the consistency term.
+Both terms read the same curves at the same frame times: one basis product
+per evaluation forms every stroke's N_p sampled points and, last, its
+attachment midpoint (u = 0.5), and one adjoint product maps both terms'
+weighted point gradients, written into one array, back to the coefficients.
 
 The consistency term sums, over every source frame i and target frame t,
 the squared mismatch between a sampled point's displacement and that of the
@@ -62,10 +63,10 @@ stroke, and so does each attachment term. A bump of stroke s's coefficients
 moves only f_s, so the checker takes each central difference of f_s alone.
 It freezes one assignment and builds A and own once; copies of the strokes,
 each with at most one coordinate bumped, then go through the optimizer's own
-steps (control points, samples, motion, pair norms, attachment residuals) in
-chunks of bounded size, with their strokes' rows of A and own. Every
-stroke's unbumped f_s is evaluated too, so an overflow in a stroke without a
-sampled coordinate is still reported.
+steps (curve points, motion, pair norms, attachment residuals) in chunks of
+bounded size, with their strokes' rows of A and own. Every stroke's unbumped
+f_s is evaluated too, so an overflow in a stroke without a sampled
+coordinate is still reported.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bernstein import BasisKind, basis_matrix, basis_row
+from .bernstein import BasisKind, basis_matrix
 from .errors import DivergenceError, ValidationError
 from .tracking import TrackSet, _nearest
 from .tracking import nearest_rows  # noqa: F401  (unused; the benchmark tracer wraps it here)
@@ -160,8 +161,8 @@ class _Objective:
     """The weighted objective w_s*attachment + w_g*geometry + w_c*consistency.
 
     Checks its inputs and precomputes the bases once: trajectory rows at the
-    frame times (B_t), curve rows at the N_p-point u grid (B_u) and the
-    midpoint row (u = 0.5). Zero-weight terms need no inputs and are skipped.
+    frame times (B_t) and curve rows (B_u) at the N_p-point u grid, then at
+    the midpoint u = 0.5. Zero-weight terms need no inputs and are skipped.
     """
 
     def __init__(
@@ -199,10 +200,8 @@ class _Objective:
         self.attachment_scale = 1.0 / (anim.num_frames * anim.num_strokes)
         first = anim.strokes[0]
         self.b_t = basis_matrix(first.basis, first.trajectory_degree, anim.frame_times())
-        self.b_u = basis_matrix(
-            BasisKind.BERNSTEIN, first.curve_degree, np.linspace(0.0, 1.0, n_p)
-        )
-        self.b_mid = basis_row(BasisKind.BERNSTEIN, first.curve_degree, 0.5).values
+        u = np.append(np.linspace(0.0, 1.0, n_p), 0.5)
+        self.n_p, self.b_u = n_p, basis_matrix(BasisKind.BERNSTEIN, first.curve_degree, u)
         if weights.w_c > 0:
             # Track motion relative to frame 0 and centered, (K, 2, N_f): a
             # static point and a static track then differ by exact zeros.
@@ -217,15 +216,10 @@ class _Objective:
             self._rows = np.zeros(size, dtype=np.intp)
             self._radius2 = np.zeros(size)
 
-    def control_points(self, q: np.ndarray) -> np.ndarray:
-        """Control points at the frame times, shape (N_f, N_s, m+1, 2), from
-        which `samples` and `attachment` both read."""
-        return _at_frames(q, self.b_t)
-
-    def samples(self, ctrl: np.ndarray) -> np.ndarray:
-        """Sampled stroke points at the frame times, shape (N_f, N_s, N_p, 2),
-        from the control points `ctrl` of `control_points`."""
-        return self.b_u @ ctrl
+    def points(self, q: np.ndarray) -> np.ndarray:
+        """Curve points at the frame times, shape (N_f, N_s, N_p+1, 2): the
+        N_p sampled stroke points, then the stroke midpoint."""
+        return self.b_u @ _at_frames(q, self.b_t)
 
     def assign(self, samples: np.ndarray) -> np.ndarray:
         """Nearest tracked-point row per sampled stroke point, shape (N_f, N_s, N_p).
@@ -321,7 +315,7 @@ class _Objective:
     def consistency_value(self, motion: np.ndarray, counts: csr_matrix, own: np.ndarray) -> float:
         """The consistency value of the module docstring, its pair sum
         weighting the norms of `pair_norms` by A's counts."""
-        num_frames, n_p = self.b_t.shape[0], self.b_u.shape[0]
+        num_frames, n_p = self.b_t.shape[0], self.n_p
         value = float(counts.data @ self.pair_norms(motion, counts))
         diff = motion - own
         value += num_frames * float(np.vdot(diff, diff))
@@ -330,31 +324,22 @@ class _Objective:
     def consistency_grad(
         self, motion: np.ndarray, counts: csr_matrix, own: np.ndarray
     ) -> np.ndarray:
-        """Coefficient gradient of the consistency value, from the closed form
-        in the module docstring."""
-        num_frames, n_p = self.b_t.shape[0], self.b_u.shape[0]
+        """w_c times the gradient of the consistency value with respect to the
+        sampled points (N_f, N_s, N_p, 2): the closed form of the module
+        docstring, for the sample rows of `value_grad`'s point gradient."""
+        num_frames, n_p = self.b_t.shape[0], self.n_p
         grad = (2.0 * num_frames) * motion
         grad -= num_frames * own
         grad += own.sum(axis=2, keepdims=True)
         grad -= (counts @ self.track_centered.reshape(counts.shape[1], -1)).reshape(motion.shape)
+        grad *= 2.0 * self.weights.w_c / (n_p * num_frames)
+        return grad.transpose(2, 0, 1).reshape(num_frames, -1, n_p, 2)
 
-        scale = 1.0 / (n_p * num_frames)
-        point_grad = (2.0 * scale) * grad.transpose(2, 0, 1).reshape(num_frames, -1, n_p, 2)
-        return _to_coefficients(self.b_u.T @ point_grad, self.b_t)
-
-    def attachment_residual(self, ctrl: np.ndarray, strokes=slice(None)) -> np.ndarray:
-        """Stroke midpoints (u = 0.5) minus their targets, shape (N_f, B, 2),
-        from the control points `ctrl` (N_f, B, m+1, 2) of copies of the
-        strokes `strokes` (all strokes by default)."""
-        return self.b_mid @ ctrl - self.targets.transpose(1, 0, 2)[:, strokes]
-
-    def attachment(self, ctrl: np.ndarray) -> tuple[float, np.ndarray]:
-        """Attachment value and coefficient gradient from the control points
-        `ctrl` of `control_points`."""
-        diff = self.attachment_residual(ctrl)
-        value = self.attachment_scale * float(np.sum(diff * diff))
-        ctrl_grad = self.b_mid[:, None] * ((2.0 * self.attachment_scale) * diff)[:, :, None, :]
-        return value, _to_coefficients(ctrl_grad, self.b_t)
+    def attachment_residual(self, points: np.ndarray, strokes=slice(None)) -> np.ndarray:
+        """Stroke midpoints minus their targets, shape (N_f, B, 2): the last
+        row of `points` (N_f, B, N_p+1, 2) of copies of the strokes `strokes`
+        (all by default), whose gradient fills that row of the point gradient."""
+        return points[:, :, -1] - self.targets.transpose(1, 0, 2)[:, strokes]
 
     def stroke_values(
         self, q: np.ndarray, strokes: np.ndarray, frozen: tuple[csr_matrix, np.ndarray] | None
@@ -371,12 +356,12 @@ class _Objective:
         """
         w = self.weights
         values = np.zeros(len(q))
-        ctrl = self.control_points(q)
+        points = self.points(q)
         if w.w_c > 0:
-            num_frames, n_p = self.b_t.shape[0], self.b_u.shape[0]
-            points = (strokes[:, None] * n_p + np.arange(n_p)).reshape(-1)
-            counts, own = frozen[0][points], frozen[1][points]
-            motion = self.motion(self.samples(ctrl))
+            num_frames, n_p = self.b_t.shape[0], self.n_p
+            rows = (strokes[:, None] * n_p + np.arange(n_p)).reshape(-1)
+            counts, own = frozen[0][rows], frozen[1][rows]
+            motion = self.motion(points[:, :, :n_p])
             # Every point has at least one pair, so no copy's pair run is empty.
             pairs = np.add.reduceat(
                 counts.data * self.pair_norms(motion, counts), counts.indptr[:-1:n_p]
@@ -385,7 +370,7 @@ class _Objective:
             own_terms = np.einsum("be,be->b", diff, diff)
             values += (w.w_c / (n_p * num_frames)) * (pairs + num_frames * own_terms)
         if w.w_s > 0:
-            diff = self.attachment_residual(ctrl, strokes)
+            diff = self.attachment_residual(points, strokes)
             values += (w.w_s * self.attachment_scale) * np.einsum("fbc,fbc->b", diff, diff)
         return values
 
@@ -403,21 +388,27 @@ class _Objective:
         ``consistency_value=False`` skips the consistency value: the breakdown
         reads it as nan and its total covers the other terms."""
         w = self.weights
-        grad = np.zeros_like(q) if gradient else None
         consistency = attachment = geometry = 0.0
-        ctrl = self.control_points(q)
+        points = self.points(q)
+        grad = None
         if w.w_c > 0:
-            samples = self.samples(ctrl)
+            samples = points[:, :, : self.n_p]
             if frozen is None:
                 frozen = self.freeze(self.assign(samples))
             motion = self.motion(samples)
-            if gradient:
-                grad += w.w_c * self.consistency_grad(motion, *frozen)
             consistency = self.consistency_value(motion, *frozen) if consistency_value else np.nan
+            samples_grad = self.consistency_grad(motion, *frozen) if gradient else None
         if w.w_s > 0:
-            attachment, g = self.attachment(ctrl)
-            if gradient:
-                grad += w.w_s * g
+            diff = self.attachment_residual(points)
+            attachment = self.attachment_scale * float(np.sum(diff * diff))
+        if gradient:
+            # Allocated once the consistency gradient's temporaries are freed (peak memory).
+            point_grad = np.zeros_like(points)
+            if w.w_c > 0:
+                point_grad[:, :, : self.n_p] = samples_grad
+            if w.w_s > 0:
+                point_grad[:, :, -1] = (2.0 * w.w_s * self.attachment_scale) * diff
+            grad = _to_coefficients(self.b_u.T @ point_grad, self.b_t)
         if w.w_g > 0:
             geometry, g = self.geometry_term(replace_coefficients(self.anim, q))
             if gradient:
@@ -441,8 +432,7 @@ def consistency_assignments(
 ) -> np.ndarray:
     """Nearest tracked-point row per sampled stroke point, shape (N_f, N_s, N_p)."""
     objective = _Objective(anim, tracks, None, _CONSISTENCY_ONLY, n_p)
-    ctrl = objective.control_points(animation_coefficients(anim))
-    return objective.assign(objective.samples(ctrl))
+    return objective.assign(objective.points(animation_coefficients(anim))[:, :, :n_p])
 
 
 def consistency_loss_grad(
@@ -474,7 +464,8 @@ def attachment_loss_grad(
     in the semantic-loss slot; its gradient is exact (the map is linear).
     """
     objective = _Objective(anim, None, targets, _ATTACHMENT_ONLY, 2)
-    return objective.attachment(objective.control_points(animation_coefficients(anim)))
+    breakdown, grad = objective.value_grad(animation_coefficients(anim))
+    return breakdown.attachment, grad
 
 
 def total_loss(
@@ -565,7 +556,7 @@ def _stroke_differences(
     coordinate of stroke s is (f_s(q0 + h e) - f_s(q0 - h e)) / 2h. One list
     of stroke copies (each stroke unbumped, then each coordinate bumped by +h
     and by -h) goes through `stroke_values` in chunks; a chunk's copy-sized
-    arrays (coefficients, control points, samples, motion) hold at most
+    arrays (coefficients, control points, curve points, motion) hold at most
     `_PAIR_CHUNK_ELEMENTS` elements each, so peak memory does not grow with
     the number of bumps.
     """
@@ -622,8 +613,7 @@ def finite_difference_check(
     # One frozen A and own serve every evaluation; each one recomputes only X.
     frozen = None
     if weights.w_c > 0:
-        samples = objective.samples(objective.control_points(q0))
-        frozen = objective.freeze(objective.assign(samples))
+        frozen = objective.freeze(objective.assign(objective.points(q0)[:, :, :n_p]))
     _, grad = objective.value_grad(q0, frozen, consistency_value=False)
     flat_grad = grad.reshape(-1)
     bad = np.flatnonzero(~np.isfinite(flat_grad))

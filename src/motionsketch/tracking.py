@@ -134,6 +134,18 @@ def _xy_to_array(obj: dict, path: str) -> dict:
     return obj
 
 
+def _point_id(value, where: str) -> int:
+    """A track point id read with `int()`. A value that does not convert, or
+    converts outside the int64 of `TrackSet.ids`, is a ParseError naming it."""
+    try:
+        pid = int(value)
+    except (TypeError, ValueError, OverflowError):
+        pid = None
+    if pid is None or not -(2**63) <= pid < 2**63:
+        raise ParseError(f"{where}: point id {value!r} does not convert to a 64-bit integer")
+    return pid
+
+
 def _load_tracks_json(path: str) -> TrackSet:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -151,10 +163,10 @@ def _load_tracks_json(path: str) -> TrackSet:
     points: dict[int, np.ndarray] = {}
     for entry in entries:
         try:
-            pid = int(entry["id"])
-            xy = entry["xy"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raw_id, xy = entry["id"], entry["xy"]
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"{path}: each point needs 'id' and 'xy'") from exc
+        pid = _point_id(raw_id, path)
         if pid in points:
             raise ValidationError(f"duplicate point id {pid}")
         if len(xy) != num_frames:
@@ -182,9 +194,10 @@ def _load_tracks_csv(path: str) -> TrackSet:
             if not row:
                 continue
             try:
-                rows.append((int(row[0]), int(row[1]), float(row[2]), float(row[3])))
+                frame, raw_id, x, y = int(row[0]), row[1], float(row[2]), float(row[3])
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+            rows.append((frame, _point_id(raw_id, f"{path}: line {lineno}"), x, y))
     if not rows:
         raise ValidationError("no points: track file has no data rows")
     ids = sorted({r[1] for r in rows})
@@ -233,17 +246,22 @@ def save_tracks(tracks: TrackSet, path: str) -> None:
         fh.write("]}\n")
 
 
+def _motion_weights(coords: np.ndarray) -> np.ndarray:
+    """Square root of the summed per-step Euclidean displacement of each row
+    of `coords` (K, N_f, 2)."""
+    steps = np.linalg.norm(np.diff(coords, axis=1), axis=2)
+    return np.sqrt(np.sum(steps, axis=1))
+
+
 def motion_weight(tracks: TrackSet, point_id: int) -> float:
-    """Square root of the summed per-step Euclidean displacement of one point."""
+    """Motion weight of one point: its row of `motion_weights`."""
     row = tracks.row_of(point_id)
-    steps = np.linalg.norm(np.diff(tracks.coords[row], axis=0), axis=1)
-    return float(np.sqrt(np.sum(steps)))
+    return float(_motion_weights(tracks.coords[row : row + 1])[0])
 
 
 def motion_weights(tracks: TrackSet) -> np.ndarray:
     """Motion weights for all points, ordered like ``tracks.ids``."""
-    steps = np.linalg.norm(np.diff(tracks.coords, axis=1), axis=2)
-    return np.sqrt(np.sum(steps, axis=1))
+    return _motion_weights(tracks.coords)
 
 
 def build_motion_heatmap(

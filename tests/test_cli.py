@@ -79,6 +79,21 @@ class TestExitCodes:
         assert main([*command, "--w-g", "1"]) == 1
         assert "--w-g" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text", [
+        ("big.json", '{"num_frames": 1, "points": [{"id": 1180591620717411303424, "xy": [[1, 2]]}]}'),
+        ("float.json", '{"num_frames": 1, "points": [{"id": 1e200, "xy": [[1, 2]]}]}'),
+        ("big.csv", "frame,point_id,x,y\n0,3,1,2\n0,-1180591620717411303424,5,6\n"),
+    ], ids=["json-2**70", "json-1e200", "csv-minus-2**70"])
+    def test_track_id_outside_int64_is_parse_error(self, capsys, tmp_path, name, text):
+        tracks, out = tmp_path / name, tmp_path / "m.json"
+        tracks.write_text(text)
+        capsys.readouterr()
+        assert main(["init", "--tracks", str(tracks), "--canvas", "32x32", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "point id" in err[0]
+        assert "1180591620717411303424" in err[0] or "1e+200" in err[0]
+        assert not out.exists()
+
     def test_validation_error_exit_one(self, tmp_path, tracks_path):
         code = main([
             "init", "--tracks", tracks_path, "--canvas", "32x32",

@@ -156,7 +156,7 @@ class TestConsistencyLoss:
         anim = random_animation(rng, num_strokes=2, num_frames=400)
         tracks = random_tracks(rng, num_points=300, num_frames=400)
         objective = optimize._Objective(anim, tracks, None, LossWeights(w_s=0.0, w_c=1.0), 8)
-        samples = objective.samples(objective.control_points(animation_coefficients(anim)))
+        samples = objective.points(animation_coefficients(anim))[:, :, :8]
         counts, own = objective.freeze(rng.integers(0, 300, samples.shape[:-1]))
         motion = objective.motion(samples)
         assert counts.nnz * motion[0].size * 8 > 20e6
@@ -400,7 +400,7 @@ def frozen_objective(anim, tracks, targets, weights, n_p):
     the animation's coefficients, as the checker freezes them."""
     objective = optimize._Objective(anim, tracks, targets, weights, n_p)
     q = animation_coefficients(anim)
-    rows = objective.assign(objective.samples(objective.control_points(q)))
+    rows = objective.assign(objective.points(q)[:, :, :n_p])
     return objective, q, objective.freeze(rows)
 
 
@@ -642,16 +642,30 @@ class TestTotalLoss:
         breakdown, _ = total_loss(anim, tracks, None, LossWeights(w_s=0.0, w_c=1.0), 4)
         assert breakdown.total < 1e-24
 
-    def test_components_recomputed_independently(self, rng):
+    # Both terms share one point gradient and one adjoint product; unequal
+    # weights catch a weight applied to the other term's rows.
+    @pytest.mark.parametrize("w_s, w_c", [(1.0, 1.0), (0.7, 1.9)])
+    def test_components_recomputed_independently(self, rng, w_s, w_c):
         anim = random_animation(rng)
         tracks = random_tracks(rng)
         targets = rng.uniform(0, 100, (2, 3, 2))
-        weights = LossWeights(w_s=1.0, w_g=0.0, w_c=1.0)
+        weights = LossWeights(w_s=w_s, w_g=0.0, w_c=w_c)
         breakdown, grad = total_loss(anim, tracks, targets, weights, 3)
         consistency, g_c = consistency_loss_grad(anim, tracks, 3)
         attachment, g_a = attachment_loss_grad(anim, targets)
-        assert breakdown.total == pytest.approx(consistency + attachment)
-        assert_allclose(grad, g_c + g_a, rtol=1e-12)
+        assert breakdown.total == pytest.approx(w_c * consistency + w_s * attachment)
+        assert_allclose(grad, w_s * g_a + w_c * g_c, rtol=1e-12)
+
+    @pytest.mark.parametrize("curve_degree", range(1, 9))
+    def test_midpoint_row_is_the_attachment_midpoint(self, rng, curve_degree):
+        # The last curve row is the u = 0.5 row that `derive_attachment_targets`
+        # and `eval_curve_point` use, bit for bit (direct route up to degree 60).
+        anim = random_animation(rng, curve_degree=curve_degree)
+        objective = optimize._Objective(anim, None, rng.uniform(0, 100, (2, 3, 2)),
+                                        LossWeights(w_s=1.0, w_c=0.0), 4)
+        assert objective.b_u.shape == (5, curve_degree + 1)
+        assert np.array_equal(objective.b_u[-1],
+                              basis_row(BasisKind.BERNSTEIN, curve_degree, 0.5).values)
 
     def test_weights_validation(self):
         with pytest.raises(ValidationError):

@@ -194,6 +194,16 @@ class TestMotionWeight:
         with pytest.raises(LookupError):
             motion_weight(simple_tracks(), 99)
 
+    @pytest.mark.parametrize("source", ["demo", "random-300"])
+    def test_each_row_is_motion_weights(self, rng, source):
+        # One formula: each point's weight is its row of `motion_weights`, bit for bit.
+        if source == "demo":
+            tracks = load_tracks("data/demo_tracks.json")
+        else:
+            tracks = TrackSet(ids=rng.permutation(300), coords=rng.uniform(0, 100, (300, 40, 2)))
+        weights = motion_weights(tracks)
+        assert all(motion_weight(tracks, pid) == weights[k] for k, pid in enumerate(tracks.ids))
+
 
 class TestHeatmap:
     def test_single_mover_peaks_at_nearest_pixel(self):
