@@ -3,9 +3,11 @@
 The model file is single-line JSON (format_version 1) carrying everything
 needed to re-evaluate the animation: canvas, widths, and per-stroke trajectory
 coefficients. Per-frame and animated exports share one path-data builder, fed
-by the library's one batch-invariant evaluator, ``trajectory.control_points``,
-so the k-th key geometry of an animated SVG is byte-identical to the frame
-export at the same time. Numbers are written with 6 decimals, locale-independent.
+by the library's one batch-invariant basis product (the one behind
+``trajectory.control_points``), so the k-th key geometry of an animated SVG
+is byte-identical to the frame export at the same time. An animated export
+builds each trajectory basis once for all its strokes. Numbers are written
+with 6 decimals, locale-independent.
 """
 
 from __future__ import annotations
@@ -24,7 +26,14 @@ from .errors import (
     UnsupportedVersionError,
     ValidationError,
 )
-from .trajectory import SketchAnimation, Stroke, TrajectoryPoly, control_points
+from .trajectory import (
+    SketchAnimation,
+    Stroke,
+    TrajectoryPoly,
+    _basis_product,
+    _stroke_coefficients,
+    control_points,
+)
 
 FORMAT_VERSION = 1
 
@@ -149,56 +158,64 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _piecewise_cubics(points: np.ndarray) -> np.ndarray:
-    """Approximate the degree-m>3 Bezier curve with control `points` by cubics
-    through on-curve points, shape (segments, 4, 2).
+def _piecewise_cubics(points: np.ndarray) -> list[np.ndarray]:
+    """Approximate each degree-m>3 Bezier curve with control `points` (T, m+1,
+    2) by cubics through on-curve points, shape (segments, 4, 2) per curve.
 
     Segment endpoints (and the two interior collocation points defining each
-    cubic) lie exactly on the curve; segment count doubles until the parsed
-    curve deviates less than the subdivision tolerance. Each round evaluates
-    every segment's on-curve and check points with one curve-basis product and
-    solves all segments' collocation systems at once.
+    cubic) lie exactly on the curve; a curve's segment count doubles until its
+    parsed curve deviates less than the subdivision tolerance, so each curve
+    leaves at its own count. Each round takes every curve still subdividing:
+    one curve-basis product per curve evaluates every segment's on-curve and
+    check points, and one solve covers all their collocation systems.
     """
-    m = points.shape[0] - 1
+    m = points.shape[1] - 1
     segments = max(2, (m + 2) // 3)
     check_u = np.linspace(0.0, 1.0, 9)
     check_rows = basis_matrix(BasisKind.BERNSTEIN, 3, check_u)
+    done = [None] * len(points)
+    active = np.arange(len(points))
     while True:
         cuts = np.linspace(0.0, 1.0, segments + 1)
         a, span = cuts[:-1, None], np.diff(cuts)[:, None]
         u = np.concatenate([a + span * _CUBIC_NODES, a + span * check_u], axis=1)
-        on_curve = basis_matrix(BasisKind.BERNSTEIN, m, u.reshape(-1)) @ points
-        on_curve = on_curve.reshape(segments, -1, 2)
-        nodes, exact = on_curve[:, :4], on_curve[:, 4:]
-        rhs = nodes.transpose(1, 0, 2).reshape(4, -1)
-        cubics = solve_control_points(rhs, _CUBIC_NODES).reshape(4, segments, 2)
-        cubics = cubics.transpose(1, 0, 2)
-        worst = float(np.max(np.abs(check_rows @ cubics - exact)))
-        if worst <= _SUBDIVISION_TOLERANCE or segments >= 1024:
-            return cubics
+        on_curve = basis_matrix(BasisKind.BERNSTEIN, m, u.reshape(-1)) @ points[active]
+        on_curve = on_curve.reshape(len(active), segments, -1, 2)
+        nodes, exact = on_curve[:, :, :4], on_curve[:, :, 4:]
+        rhs = nodes.transpose(2, 0, 1, 3).reshape(4, -1)
+        cubics = solve_control_points(rhs, _CUBIC_NODES).reshape(4, len(active), segments, 2)
+        cubics = cubics.transpose(1, 2, 0, 3)
+        worst = np.abs(check_rows @ cubics - exact).max(axis=(1, 2, 3))
+        finished = (worst <= _SUBDIVISION_TOLERANCE) | (segments >= 1024)
+        for curve, curve_cubics in zip(active[finished], cubics[finished]):
+            done[curve] = curve_cubics
+        active = active[~finished]
+        if not len(active):
+            return done
         segments *= 2
 
 
-def _path_data(points: np.ndarray) -> str:
-    """SVG path `d` for the Bezier curve with control `points` (m+1, 2).
+def _path_data(points: np.ndarray) -> list[str]:
+    """SVG path `d` for each Bezier curve with control `points` (T, m+1, 2).
 
     All coordinates of a key are formatted at once, as Python floats from one
     ``tolist``: "%.6f" prints them exactly like `_fmt` prints numpy scalars.
     """
-    m = points.shape[0] - 1
-    if m > 3:
-        cubics = _piecewise_cubics(points)
+    m = points.shape[1] - 1
+    if m <= 3:
+        template = "M %.6f,%.6f " + "LQC"[m - 1] + " %.6f,%.6f" * m
+        return [template % tuple(key) for key in points.reshape(len(points), -1).tolist()]
+    paths = []
+    for cubics in _piecewise_cubics(points):
         template = "M %.6f,%.6f" + " C %.6f,%.6f %.6f,%.6f %.6f,%.6f" * len(cubics)
         coords = np.concatenate([cubics[0, 0], cubics[:, 1:].reshape(-1)])
-    else:
-        template = "M %.6f,%.6f " + "LQC"[m - 1] + " %.6f,%.6f" * m
-        coords = points.reshape(-1)
-    return template % tuple(coords.tolist())
+        paths.append(template % tuple(coords.tolist()))
+    return paths
 
 
 def stroke_path_data(stroke: Stroke, t: float) -> str:
     """SVG path `d` for the stroke at time t (L/Q/C for m = 1/2/3, cubics above)."""
-    return _path_data(control_points(stroke, t)[0])
+    return _path_data(control_points(stroke, t))[0]
 
 
 def width_at(anim: SketchAnimation, t: float) -> float:
@@ -245,8 +262,12 @@ def render_animated_svg(anim: SketchAnimation, plan: FrameRatePlan) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',
     ]
+    bases = {}  # one trajectory basis per (kind, degree), shared by its strokes
     for stroke in anim.strokes:
-        keys = [_path_data(points) for points in control_points(stroke, times)]
+        kind, degree = stroke.basis, stroke.trajectory_degree
+        if (kind, degree) not in bases:
+            bases[kind, degree] = basis_matrix(kind, degree, times)
+        keys = _path_data(_basis_product(bases[kind, degree], _stroke_coefficients(stroke)))
         lines.append(
             f'  <path d="{keys[0]}" fill="none" stroke="black" '
             f'stroke-width="{widths[0]}" stroke-linecap="round">'

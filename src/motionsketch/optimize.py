@@ -10,26 +10,41 @@ per evaluation forms every stroke's N_p sampled points and, last, its
 attachment midpoint (u = 0.5), and one adjoint product maps both terms'
 weighted point gradients, written into one array, back to the coefficients.
 
+Every array keeps the layout its products need, so no evaluation copies one
+into another layout. The coefficients, the gradient and the Adam moments are
+trajectory-major, (n+1, N_s, m+1, 2): B_t and its adjoint are one BLAS call
+each on the (n+1) x rest matrix, read transposed. Curve points, sample
+motions, own and the point gradient are point-major with the frames last,
+(N_s, N_p+1, 2, N_f) and (P, 2, N_f) with P = N_s N_p: B_u and its adjoint
+are one batched matmul over the strokes, and a point's motion is one row.
+
 The consistency term sums, over every source frame i and target frame t,
 the squared mismatch between a sampled point's displacement and that of the
 track row r_i it was assigned in frame i. Let X_p and Y_r be the motions of
 sample point p and track row r relative to frame 0 and centered over the N_f
 frames (a static point or track is exactly 0). The frozen assignment enters
-through A, the sparse (points x tracks) counts of the distinct (point, row)
-pairs, and own_p(i) = Y_{r_i}(i). A centered motion sums to zero over the
+through A, the (points x tracks) counts of the distinct (point, row) pairs,
+and own_p(i) = Y_{r_i}(i). A centered motion sums to zero over the
 frames, so the terms of source frame i add up to |X_p - Y_r|^2 +
 N_f |X_p(i) - Y_r(i)|^2 with r = r_i. The value, and its gradient with
 respect to sample point p at frame s, are
 
     value = (sum_{(p,r) in A} A_pr |X_p - Y_r|^2 + N_f |X - own|^2) / (N_p N_f),
-    grad = 2/(N_p N_f) * (2 N_f X_p(s) - N_f own_p(s) + sum_i own_p(i) - (A @ Y)_p(s)).
+    grad = 2/(N_p N_f) * (2 N_f X_p(s) - offset_p(s)),
+    offset_p(s) = N_f own_p(s) - sum_i own_p(i) + (A @ Y)_p(s),
 
-A is a scipy CSR matrix; `scipy.sparse` is imported on the first freeze of
-an assignment, so only a consistency-weighted objective loads it.
+and the offset is fixed with the assignment.
+
+A is built dense, one block of points at a time (about 2^17 counts, 1 MiB):
+one `np.bincount` of the block's (point, row) keys gives its counts, BLAS
+products with Y give its rows of A @ Y, and its nonzeros, read in row-major
+order, give its pairs, sorted by point and then by row (a CSR matrix's
+order). Only the pairs and A @ Y (in the offset) outlive the block, so the
+counts never occupy more than a block.
 
 The value is a sum of squared differences, so nothing cancels (the expanded
 form does, and a zero loss would read as roundoff). Its pair sum walks A's
-pairs in their CSR order, in chunks of a bounded number of elements: a chunk
+pairs in their order, in chunks of a bounded number of elements: a chunk
 gathers its rows Y_r and its pairs' points X_p into two buffers reused by
 every chunk, so peak memory stays independent of N_f. The walk yields one
 squared norm per pair, which the value weights by A's counts and the
@@ -61,18 +76,18 @@ Under a frozen assignment the objective is a sum of per-stroke terms f_s:
 each pair of A and each own-term belongs to a sampled point, hence to its
 stroke, and so does each attachment term. A bump of stroke s's coefficients
 moves only f_s, so the checker takes each central difference of f_s alone.
-It freezes one assignment and builds A and own once; copies of the strokes,
-each with at most one coordinate bumped, then go through the optimizer's own
-steps (curve points, motion, pair norms, attachment residuals) in chunks of
-bounded size, with their strokes' rows of A and own. Every stroke's unbumped
-f_s is evaluated too, so an overflow in a stroke without a sampled
-coordinate is still reported.
+It freezes one assignment once; copies of the strokes, each with at most one
+coordinate bumped and gathered trajectory-major, then go through the
+optimizer's own steps (curve points, motion, pair norms, attachment
+residuals) in chunks of bounded size, with their strokes' pairs and
+own-terms. Every stroke's unbumped f_s is evaluated too, so an overflow in a
+stroke without a sampled coordinate is still reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,9 +96,6 @@ from .errors import DivergenceError, ValidationError
 from .tracking import TrackSet, _nearest
 from .tracking import nearest_rows  # noqa: F401  (unused; the benchmark tracer wraps it here)
 from .trajectory import SketchAnimation, animation_coefficients, replace_coefficients
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 
 @dataclass(frozen=True)
@@ -140,21 +152,40 @@ class LossBreakdown:
 # copy-sized array of the gradient checker at most this many values.
 _PAIR_CHUNK_ELEMENTS = 1 << 15
 
+# Counts per block of the dense (point x track row) counts of `freeze`: a
+# block of points holds at most this many (1 MiB of float64), or one point's
+# row if that is larger. Smaller blocks make more, thinner products with the
+# track motions: a scene freeze (1024 points, 2000 tracks, 200 frames) took
+# 54-74 ms at 2^15, 38-43 ms at 2^17 and 37-42 ms at 2^18 (2-vCPU host).
+_COUNT_BLOCK_ELEMENTS = 1 << 17
 
-# BLAS, not the einsum of `trajectory.eval_trajectories`, which costs 45-80x more
-# here (per call, 2-vCPU host: demo 27 us -> 1.19 ms, scene 1.5 -> 120 ms); the
-# optimizer always evaluates all frames together, so needs no batch invariance.
-def _at_frames(q: np.ndarray, b_t: np.ndarray) -> np.ndarray:
-    """Control points at the frame times, shape (N_f, N_s, m+1, 2)."""
-    flat = q.transpose(2, 0, 1, 3).reshape(q.shape[2], -1)
-    return (b_t @ flat).reshape(b_t.shape[0], q.shape[0], q.shape[1], 2)
+# Track rows per BLAS product of `freeze`, whose partial products add up in
+# a fixed order. BLAS may split a longer contraction into partial sums that
+# depend on its thread count: with OpenBLAS 0.3.31, one product over 2000
+# rows differed between 1 and 2 threads, while products over up to 384 rows
+# did not.
+_PRODUCT_ROWS = 128
 
 
-def _to_coefficients(g: np.ndarray, b_t: np.ndarray) -> np.ndarray:
-    """Adjoint of `_at_frames`: (N_f, N_s, m+1, 2) -> (N_s, m+1, n+1, 2)."""
-    num_frames, num_strokes, m1, _ = g.shape
-    flat = b_t.T @ g.reshape(num_frames, -1)
-    return flat.reshape(-1, num_strokes, m1, 2).transpose(1, 2, 0, 3)
+def _trajectory_major(packed: np.ndarray) -> np.ndarray:
+    """Packed coefficients (N_s, m+1, n+1, 2) as a trajectory-major copy
+    (n+1, N_s, m+1, 2), the optimizer's layout."""
+    return np.ascontiguousarray(packed.transpose(2, 0, 1, 3))
+
+
+def _packed(q: np.ndarray) -> np.ndarray:
+    """The packed (N_s, m+1, n+1, 2) view of trajectory-major coefficients."""
+    return q.transpose(1, 2, 0, 3)
+
+
+class _Frozen(NamedTuple):
+    """A frozen assignment (see `_Objective.freeze`)."""
+
+    points: np.ndarray  # sample point p of each distinct (p, r) pair, in row-major order
+    rows: np.ndarray  # track row r of each pair
+    counts: np.ndarray  # A_pr: frames in which p is assigned r, as float64
+    own: np.ndarray  # own_p(i) = Y_{r_i}(i), shape (P, 2, N_f)
+    offset: np.ndarray  # the gradient's X-free part, N_f own - sum_i own + A @ Y
 
 
 class _Objective:
@@ -163,6 +194,9 @@ class _Objective:
     Checks its inputs and precomputes the bases once: trajectory rows at the
     frame times (B_t) and curve rows (B_u) at the N_p-point u grid, then at
     the midpoint u = 0.5. Zero-weight terms need no inputs and are skipped.
+    Coefficients are trajectory-major, (n+1, B, m+1, 2) for B strokes, and
+    every per-evaluation array is point-major with the frames last (see the
+    module docstring).
     """
 
     def __init__(
@@ -193,6 +227,7 @@ class _Objective:
                 raise ValidationError(
                     f"targets must have shape {expected}, got {targets.shape}"
                 )
+            targets = np.ascontiguousarray(targets.transpose(0, 2, 1))  # like the midpoints
         if weights.w_g > 0 and geometry_term is None:
             raise ValidationError("geometry weight is positive but no geometry term given")
         self.anim, self.tracks, self.targets = anim, tracks, targets
@@ -209,20 +244,28 @@ class _Objective:
             motion = np.subtract(coords, coords[:, :, :1], out=np.empty(coords.shape))
             motion -= motion.mean(axis=2, keepdims=True)
             self.track_centered = motion
-            # The certified assignment of `assign`, per (frame, sample point).
+            # The pair walk's two buffers, made once: allocating them per
+            # walk costs page faults in every evaluation of the value.
+            num_frames = anim.num_frames
+            chunk = max(1, _PAIR_CHUNK_ELEMENTS // num_frames)  # pairs per chunk
+            self._walk = np.empty((2, chunk, 2 * num_frames))
+            # The certified assignment of `assign`, per (sample point, frame).
             # A zero radius certifies nothing, so the first call queries all.
-            size = self.b_t.shape[0] * anim.num_strokes * n_p
-            self._anchor = np.zeros((size, 2))
-            self._rows = np.zeros(size, dtype=np.intp)
-            self._radius2 = np.zeros(size)
+            self._anchor = np.zeros((anim.num_strokes, n_p, 2, num_frames))
+            self._rows = np.zeros((anim.num_strokes, n_p, num_frames), dtype=np.intp)
+            self._radius2 = np.zeros(self._rows.shape)
 
     def points(self, q: np.ndarray) -> np.ndarray:
-        """Curve points at the frame times, shape (N_f, N_s, N_p+1, 2): the
-        N_p sampled stroke points, then the stroke midpoint."""
-        return self.b_u @ _at_frames(q, self.b_t)
+        """Curve points at the frame times, shape (B, N_p+1, 2, N_f), of the
+        trajectory-major coefficients `q` (n+1, B, m+1, 2): the N_p sampled
+        stroke points, then the stroke midpoint."""
+        at_frames = q.reshape(len(q), -1).T @ self.b_t.T  # (B*(m+1)*2, N_f)
+        points = self.b_u @ at_frames.reshape(q.shape[1], q.shape[2], -1)
+        return points.reshape(q.shape[1], len(self.b_u), 2, -1)
 
     def assign(self, samples: np.ndarray) -> np.ndarray:
-        """Nearest tracked-point row per sampled stroke point, shape (N_f, N_s, N_p).
+        """Nearest tracked-point row per sampled stroke point and frame, shape
+        (B, N_p, N_f), of `samples` (B, N_p, 2, N_f).
 
         Rows are certified between calls. Each query also yields a radius
         (half the gap to the second-nearest track, less a relative slack of
@@ -235,75 +278,95 @@ class _Objective:
         only their anchor, row and radius are refreshed. The rows therefore
         equal a full query bit for bit; the caller gets a copy of them.
 
-        The queried points go to `tracking._nearest` in one call. Squared
+        The queried points go to `tracking._nearest` in one call, frame by
+        frame, so the KD-tree route's per-frame groups come sorted. Squared
         distances that overflow at diverged coefficients are left as inf
         without a warning; the finiteness check of the loss reports the
         divergence.
         """
-        points = samples.reshape(-1, 2)
-        per_frame = len(points) // len(samples)
+        num_frames = samples.shape[-1]
+        current = np.ascontiguousarray(samples).reshape(-1, 2, num_frames)  # (P, 2, N_f)
+        anchor = self._anchor.reshape(current.shape)
+        radius2, point_rows = (a.reshape(-1, num_frames) for a in (self._radius2, self._rows))
         with np.errstate(over="ignore", invalid="ignore"):
-            moved = points - self._anchor
+            moved = current - anchor
             moved *= moved
-            stale = ~(moved[:, 0] + moved[:, 1] < self._radius2)
-        index = np.flatnonzero(stale)
-        queries = points[index]
+            stale = ~(moved[:, 0] + moved[:, 1] < radius2)
+        frames, points = np.divmod(np.flatnonzero(stale.T), len(stale))  # frame by frame
+        queries = current[points, :, frames]
         with np.errstate(over="ignore"):
-            rows, radius = _nearest(queries, index // per_frame, self.tracks)
-        self._anchor[index] = queries
-        self._rows[index] = rows
-        self._radius2[index] = radius * radius
-        return self._rows.reshape(samples.shape[:-1]).copy()
+            rows, radius = _nearest(queries, frames, self.tracks)
+        anchor[points, :, frames] = queries
+        point_rows[points, frames] = rows
+        radius2[points, frames] = radius * radius
+        return self._rows.copy()
 
     def motion(self, samples: np.ndarray) -> np.ndarray:
-        """X of the module docstring: the sample motion relative to frame 0
-        and centered, shape (P, 2, N_f)."""
-        num_frames = samples.shape[0]
-        motion = np.ascontiguousarray(samples.reshape(num_frames, -1, 2).transpose(1, 2, 0))
-        motion -= motion[:, :, :1]
-        motion -= motion.mean(axis=2, keepdims=True)
-        return motion
+        """X of the module docstring: the motion of `samples` (B, N_p, 2, N_f)
+        relative to frame 0 and centered, shape (P, 2, N_f)."""
+        motion = samples - samples[..., :1]
+        motion -= motion.mean(axis=-1, keepdims=True)
+        return motion.reshape(-1, 2, samples.shape[-1])
 
-    def freeze(self, rows: np.ndarray) -> tuple[csr_matrix, np.ndarray]:
-        """(A, own) of the module docstring for the frozen `rows` (N_f, N_s,
-        N_p); A is (P x K), own has shape (P, 2, N_f)."""
-        num_frames = rows.shape[0]
-        point_rows = rows.reshape(num_frames, -1).T  # r_i per point, (P, N_f)
-        num_points, num_rows = point_rows.shape[0], self.track_centered.shape[0]
-        # Consistency term only: not at module level, so init, export and interp skip scipy.sparse.
-        from scipy.sparse import csr_matrix
+    def freeze(self, rows: np.ndarray) -> _Frozen:
+        """The frozen assignment of point-major `rows` (B, N_p, N_f): A's
+        pairs and counts, own, and the part of the gradient (module
+        docstring) that does not depend on X.
 
-        counts = csr_matrix(
-            (np.ones(point_rows.size), point_rows.reshape(-1),
-             np.arange(0, point_rows.size + 1, num_frames)),
-            shape=(num_points, num_rows),
-        )
-        counts.sum_duplicates()
-        # own[p, c, i] = Y[r_i, c, i], one gather from the flat (K, 2, N_f) array.
-        offsets = np.arange(2 * num_frames).reshape(2, num_frames)
-        own = np.take(self.track_centered, point_rows[:, None, :] * (2 * num_frames) + offsets)
-        return counts, own
-
-    def pair_norms(self, motion: np.ndarray, counts: csr_matrix) -> np.ndarray:
-        """|X_p - Y_r|^2 per pair of A, in A's CSR order.
-
-        The walk takes A's pairs in chunks of at most `_PAIR_CHUNK_ELEMENTS`
-        elements cut between any two pairs. A chunk gathers its rows Y_r and
-        its pairs' points X_p into two buffers reused by every chunk,
-        subtracts them in place and reduces each pair's squared norm.
+        The counts of a block of points are one `np.bincount` of their
+        (point, row) keys, dense (points x K), and BLAS products over
+        `_PRODUCT_ROWS` track rows at a time (one for K up to that) map the
+        block to its rows of A @ Y. Each block's nonzeros, read in row-major
+        order, are its pairs: sorted by point, then by row.
         """
         num_frames = self.b_t.shape[0]
-        num_points, num_pairs = counts.shape[0], counts.nnz
-        chunk = max(1, _PAIR_CHUNK_ELEMENTS // num_frames)  # pairs per chunk
-        x = motion.reshape(num_points, -1)
-        y = self.track_centered.reshape(counts.shape[1], -1)
-        pair_points = np.repeat(np.arange(num_points), np.diff(counts.indptr))
-        buffer = np.empty((min(chunk, num_pairs), x.shape[1]))
-        points = np.empty_like(buffer)
+        point_rows = rows.reshape(-1, num_frames)  # r_i per point, (P, N_f)
+        num_points, num_rows = len(point_rows), len(self.track_centered)
+        y = self.track_centered.reshape(num_rows, -1)
+        offset = np.empty((num_points, y.shape[1]))  # A @ Y first
+        block = max(1, _COUNT_BLOCK_ELEMENTS // num_rows)  # points per block
+        keys, counts = [], []
+        for start in range(0, num_points, block):
+            part = point_rows[start : start + block]
+            local = part + np.arange(0, len(part) * num_rows, num_rows)[:, None]
+            dense = np.bincount(local.reshape(-1), minlength=len(part) * num_rows)
+            nonzero = np.flatnonzero(dense != 0)  # a bool mask scans fastest
+            keys.append(nonzero + start * num_rows)
+            counts.append(dense[nonzero])
+            dense = dense.reshape(len(part), num_rows).astype(np.float64)
+            out = offset[start : start + block]
+            np.matmul(dense[:, :_PRODUCT_ROWS], y[:_PRODUCT_ROWS], out=out)
+            for row in range(_PRODUCT_ROWS, num_rows, _PRODUCT_ROWS):
+                out += dense[:, row : row + _PRODUCT_ROWS] @ y[row : row + _PRODUCT_ROWS]
+        pair_points, pair_rows = np.divmod(np.concatenate(keys), num_rows)
+        # own[p, c, i] = Y[r_i, c, i], one gather from the flat (K, 2, N_f) array.
+        columns = np.arange(2 * num_frames).reshape(2, num_frames)
+        own = np.take(self.track_centered, point_rows[:, None, :] * (2 * num_frames) + columns)
+        offset = offset.reshape(own.shape)
+        offset += num_frames * own
+        offset -= own.sum(axis=2, keepdims=True)
+        counts = np.concatenate(counts).astype(np.float64)
+        return _Frozen(pair_points, pair_rows, counts, own, offset)
+
+    def pair_norms(
+        self, motion: np.ndarray, pair_points: np.ndarray, pair_rows: np.ndarray
+    ) -> np.ndarray:
+        """|X_p - Y_r|^2 per pair (p, r) of `pair_points` and `pair_rows`.
+
+        The walk takes the pairs in their order, in chunks of at most
+        `_PAIR_CHUNK_ELEMENTS` elements cut between any two pairs. A chunk
+        gathers its rows Y_r and its pairs' points X_p into two buffers
+        reused by every chunk and every walk, subtracts them in place and
+        reduces each pair's squared norm.
+        """
+        buffer, points = self._walk
+        chunk, num_pairs = len(buffer), len(pair_rows)
+        x = motion.reshape(len(motion), -1)
+        y = self.track_centered.reshape(len(self.track_centered), -1)
         norms = np.empty(num_pairs)
         for start in range(0, num_pairs, chunk):
             pairs = slice(start, start + chunk)
-            rows = counts.indices[pairs]
+            rows = pair_rows[pairs]
             diff, x_p = buffer[: len(rows)], points[: len(rows)]
             # mode="clip" writes straight into the buffers (the indices are in range).
             np.take(y, rows, axis=0, out=diff, mode="clip")
@@ -312,78 +375,86 @@ class _Objective:
             np.einsum("ke,ke->k", diff, diff, out=norms[pairs])
         return norms
 
-    def consistency_value(self, motion: np.ndarray, counts: csr_matrix, own: np.ndarray) -> float:
+    def consistency_value(self, motion: np.ndarray, frozen: _Frozen) -> float:
         """The consistency value of the module docstring, its pair sum
         weighting the norms of `pair_norms` by A's counts."""
         num_frames, n_p = self.b_t.shape[0], self.n_p
-        value = float(counts.data @ self.pair_norms(motion, counts))
-        diff = motion - own
-        value += num_frames * float(np.vdot(diff, diff))
+        # Both sums are einsums, not BLAS: OpenBLAS splits a dot product of
+        # more than 10^4 elements over its threads, which makes the sum depend
+        # on the thread count, and on a 2-vCPU host the handoff took up to
+        # 4 ms per call, against tens of microseconds for the sum.
+        norms = self.pair_norms(motion, frozen.points, frozen.rows)
+        value = float(np.einsum("k,k->", frozen.counts, norms))
+        diff = motion - frozen.own
+        value += num_frames * float(np.einsum("pcf,pcf->", diff, diff))
         return value / (n_p * num_frames)
 
-    def consistency_grad(
-        self, motion: np.ndarray, counts: csr_matrix, own: np.ndarray
-    ) -> np.ndarray:
+    def consistency_grad(self, motion: np.ndarray, frozen: _Frozen) -> np.ndarray:
         """w_c times the gradient of the consistency value with respect to the
-        sampled points (N_f, N_s, N_p, 2): the closed form of the module
-        docstring, for the sample rows of `value_grad`'s point gradient."""
+        sampled points, shape (P, 2, N_f): the closed form of the module
+        docstring, 2 N_f X less the frozen offset, for the sample rows of
+        `value_grad`'s point gradient."""
         num_frames, n_p = self.b_t.shape[0], self.n_p
         grad = (2.0 * num_frames) * motion
-        grad -= num_frames * own
-        grad += own.sum(axis=2, keepdims=True)
-        grad -= (counts @ self.track_centered.reshape(counts.shape[1], -1)).reshape(motion.shape)
+        grad -= frozen.offset
         grad *= 2.0 * self.weights.w_c / (n_p * num_frames)
-        return grad.transpose(2, 0, 1).reshape(num_frames, -1, n_p, 2)
+        return grad
 
     def attachment_residual(self, points: np.ndarray, strokes=slice(None)) -> np.ndarray:
-        """Stroke midpoints minus their targets, shape (N_f, B, 2): the last
-        row of `points` (N_f, B, N_p+1, 2) of copies of the strokes `strokes`
+        """Stroke midpoints minus their targets, shape (B, 2, N_f): the last
+        row of `points` (B, N_p+1, 2, N_f) of copies of the strokes `strokes`
         (all by default), whose gradient fills that row of the point gradient."""
-        return points[:, :, -1] - self.targets.transpose(1, 0, 2)[:, strokes]
+        return points[:, -1] - self.targets[strokes]
 
     def stroke_values(
-        self, q: np.ndarray, strokes: np.ndarray, frozen: tuple[csr_matrix, np.ndarray] | None
+        self, q: np.ndarray, strokes: np.ndarray, frozen: _Frozen | None
     ) -> np.ndarray:
         """Per-stroke objective terms f_s of copies of strokes, shape (B,).
 
-        `q` (B, m+1, n+1, 2) holds the coefficients of B stroke copies; copy
+        `q` (n+1, B, m+1, 2) holds the coefficients of B stroke copies; copy
         b stands for stroke ``strokes[b]``: its sampled points take that
-        stroke's rows of ``frozen = freeze(rows)`` and its midpoint that
-        stroke's targets. Under a frozen assignment every pair, own-term and
-        attachment term belongs to one stroke, so the weighted objective is
-        the sum of f_s over the strokes. The terms reduce the same pair
-        norms and attachment residuals as the total, per copy.
+        stroke's pairs and own-terms of ``frozen = freeze(rows)`` and its
+        midpoint that stroke's targets. Under a frozen assignment every pair,
+        own-term and attachment term belongs to one stroke, so the weighted
+        objective is the sum of f_s over the strokes. The terms reduce the
+        same pair norms and attachment residuals as the total, per copy.
         """
         w = self.weights
-        values = np.zeros(len(q))
+        values = np.zeros(len(strokes))
         points = self.points(q)
         if w.w_c > 0:
             num_frames, n_p = self.b_t.shape[0], self.n_p
-            rows = (strokes[:, None] * n_p + np.arange(n_p)).reshape(-1)
-            counts, own = frozen[0][rows], frozen[1][rows]
-            motion = self.motion(points[:, :, :n_p])
-            # Every point has at least one pair, so no copy's pair run is empty.
-            pairs = np.add.reduceat(
-                counts.data * self.pair_norms(motion, counts), counts.indptr[:-1:n_p]
-            )
-            diff = (motion - own).reshape(len(q), -1)
+            # Each stroke's pairs are a run, as the pairs are sorted by point.
+            bounds = np.searchsorted(frozen.points, np.arange(0, len(frozen.own) + 1, n_p))
+            first, size = bounds[strokes], np.diff(bounds)[strokes]
+            starts = np.cumsum(size) - size  # of each copy's run in the walk
+            pairs = np.arange(starts[-1] + size[-1]) + np.repeat(first - starts, size)
+            pair_points = frozen.points[pairs]
+            pair_points += np.repeat((np.arange(len(strokes)) - strokes) * n_p, size)
+            motion = self.motion(points[:, :n_p])
+            # Every point has at least one pair, so no copy's run is empty.
+            norms = self.pair_norms(motion, pair_points, frozen.rows[pairs])
+            pair_sums = np.add.reduceat(frozen.counts[pairs] * norms, starts)
+            own = frozen.own.reshape(-1, n_p * 2 * num_frames)[strokes]
+            diff = motion.reshape(len(strokes), -1) - own
             own_terms = np.einsum("be,be->b", diff, diff)
-            values += (w.w_c / (n_p * num_frames)) * (pairs + num_frames * own_terms)
+            values += (w.w_c / (n_p * num_frames)) * (pair_sums + num_frames * own_terms)
         if w.w_s > 0:
             diff = self.attachment_residual(points, strokes)
-            values += (w.w_s * self.attachment_scale) * np.einsum("fbc,fbc->b", diff, diff)
+            values += (w.w_s * self.attachment_scale) * np.einsum("bcf,bcf->b", diff, diff)
         return values
 
     def value_grad(
         self,
         q: np.ndarray,
-        frozen: tuple[csr_matrix, np.ndarray] | None = None,
+        frozen: _Frozen | None = None,
         *,
         consistency_value: bool = True,
         gradient: bool = True,
     ) -> tuple[LossBreakdown, np.ndarray | None]:
-        """(LossBreakdown, gradient) at coefficients `q`, with the assignment
-        frozen as ``frozen = freeze(rows)`` (assigned at `q` when None).
+        """(LossBreakdown, gradient) at trajectory-major coefficients `q`,
+        with the assignment frozen as ``frozen = freeze(rows)`` (assigned at
+        `q` when None); the gradient is trajectory-major too.
         ``gradient=False`` returns None for the gradient.
         ``consistency_value=False`` skips the consistency value: the breakdown
         reads it as nan and its total covers the other terms."""
@@ -392,12 +463,13 @@ class _Objective:
         points = self.points(q)
         grad = None
         if w.w_c > 0:
-            samples = points[:, :, : self.n_p]
+            samples = points[:, : self.n_p]
             if frozen is None:
                 frozen = self.freeze(self.assign(samples))
             motion = self.motion(samples)
-            consistency = self.consistency_value(motion, *frozen) if consistency_value else np.nan
-            samples_grad = self.consistency_grad(motion, *frozen) if gradient else None
+            consistency = self.consistency_value(motion, frozen) if consistency_value else np.nan
+            samples_grad = self.consistency_grad(motion, frozen) if gradient else None
+            del motion, frozen  # freed before the point gradient is made (peak memory)
         if w.w_s > 0:
             diff = self.attachment_residual(points)
             attachment = self.attachment_scale * float(np.sum(diff * diff))
@@ -405,14 +477,16 @@ class _Objective:
             # Allocated once the consistency gradient's temporaries are freed (peak memory).
             point_grad = np.zeros_like(points)
             if w.w_c > 0:
-                point_grad[:, :, : self.n_p] = samples_grad
+                point_grad[:, : self.n_p] = samples_grad.reshape(samples.shape)
             if w.w_s > 0:
-                point_grad[:, :, -1] = (2.0 * w.w_s * self.attachment_scale) * diff
-            grad = _to_coefficients(self.b_u.T @ point_grad, self.b_t)
+                point_grad[:, -1] = (2.0 * w.w_s * self.attachment_scale) * diff
+            # The adjoints of `points`: B_u^T per stroke, then B_t^T.
+            at_frames = self.b_u.T @ point_grad.reshape(len(points), len(self.b_u), -1)
+            grad = (self.b_t.T @ at_frames.reshape(-1, len(self.b_t)).T).reshape(q.shape)
         if w.w_g > 0:
-            geometry, g = self.geometry_term(replace_coefficients(self.anim, q))
+            geometry, g = self.geometry_term(replace_coefficients(self.anim, _packed(q)))
             if gradient:
-                grad += w.w_g * g
+                grad += w.w_g * _trajectory_major(g)
         total = w.w_s * attachment + w.w_g * geometry
         if consistency_value:
             total += w.w_c * consistency
@@ -432,7 +506,14 @@ def consistency_assignments(
 ) -> np.ndarray:
     """Nearest tracked-point row per sampled stroke point, shape (N_f, N_s, N_p)."""
     objective = _Objective(anim, tracks, None, _CONSISTENCY_ONLY, n_p)
-    return objective.assign(objective.points(animation_coefficients(anim))[:, :, :n_p])
+    q = _trajectory_major(animation_coefficients(anim))
+    rows = objective.assign(objective.points(q)[:, :n_p])
+    return np.ascontiguousarray(rows.transpose(2, 0, 1))
+
+
+def _freeze_assignments(objective: _Objective, assignments: np.ndarray) -> _Frozen:
+    """`freeze` of public (N_f, N_s, N_p) assignments."""
+    return objective.freeze(assignments.reshape(len(objective.b_t), -1).T)
 
 
 def consistency_loss_grad(
@@ -450,9 +531,10 @@ def consistency_loss_grad(
     form of the module docstring; both are always computed.
     """
     objective = _Objective(anim, tracks, None, _CONSISTENCY_ONLY, n_p)
-    frozen = None if assignments is None else objective.freeze(assignments)
-    breakdown, grad = objective.value_grad(animation_coefficients(anim), frozen)
-    return breakdown.consistency, grad
+    frozen = None if assignments is None else _freeze_assignments(objective, assignments)
+    q = _trajectory_major(animation_coefficients(anim))
+    breakdown, grad = objective.value_grad(q, frozen)
+    return breakdown.consistency, _packed(grad)
 
 
 def attachment_loss_grad(
@@ -464,8 +546,8 @@ def attachment_loss_grad(
     in the semantic-loss slot; its gradient is exact (the map is linear).
     """
     objective = _Objective(anim, None, targets, _ATTACHMENT_ONLY, 2)
-    breakdown, grad = objective.value_grad(animation_coefficients(anim))
-    return breakdown.attachment, grad
+    breakdown, grad = objective.value_grad(_trajectory_major(animation_coefficients(anim)))
+    return breakdown.attachment, _packed(grad)
 
 
 def total_loss(
@@ -485,8 +567,9 @@ def total_loss(
     objective = _Objective(anim, tracks, targets, weights, n_p, geometry_term)
     frozen = None
     if assignments is not None and weights.w_c > 0:
-        frozen = objective.freeze(assignments)
-    return objective.value_grad(animation_coefficients(anim), frozen)
+        frozen = _freeze_assignments(objective, assignments)
+    breakdown, grad = objective.value_grad(_trajectory_major(animation_coefficients(anim)), frozen)
+    return breakdown, _packed(grad)
 
 
 def optimize_animation(
@@ -507,9 +590,10 @@ def optimize_animation(
     non-finite.
     """
     objective = _Objective(anim, tracks, targets, weights, config.n_p, geometry_term)
-    q = animation_coefficients(anim).copy()
+    q = _trajectory_major(animation_coefficients(anim))
     moment1 = np.zeros_like(q)
     moment2 = np.zeros_like(q)
+    scratch = np.empty_like(q)
     beta1, beta2 = config.moment_decay_1, config.moment_decay_2
     history: list[tuple[int, float]] = []
     components: list[tuple[int, float, float, float]] = []
@@ -517,7 +601,8 @@ def optimize_animation(
     for it in range(1, config.iterations + 1):
         logged = it == 1 or it % config.log_every == 0 or it == config.iterations
         loss, grad = objective.value_grad(q, consistency_value=logged)
-        if not (np.isfinite(loss.total) and np.all(np.isfinite(grad))):
+        largest = np.abs(grad).max()  # nan or inf if any entry is
+        if not (np.isfinite(loss.total) and np.isfinite(largest)):
             raise DivergenceError(
                 f"non-finite loss or gradient at iteration {it}", iteration=it
             )
@@ -526,56 +611,67 @@ def optimize_animation(
             components.append((it, loss.total, loss.consistency, loss.attachment))
         # A gradient at roundoff scale means converged; the scale-free moment
         # normalization would otherwise amplify numerical noise into drift.
-        if np.abs(grad).max() <= 1e-12 * max(1.0, np.abs(q).max()):
+        if largest <= 1e-12 * max(1.0, np.abs(q).max()):
             continue
-        moment1 = beta1 * moment1 + (1.0 - beta1) * grad
-        moment2 = beta2 * moment2 + (1.0 - beta2) * grad * grad
-        corrected1 = moment1 / (1.0 - beta1**it)
-        corrected2 = moment2 / (1.0 - beta2**it)
-        q = q - config.step_size * corrected1 / (np.sqrt(corrected2) + config.epsilon)
+        # In place, operation for operation:
+        #   m1 = beta1 m1 + (1 - beta1) g,  m2 = beta2 m2 + (1 - beta2) g g,
+        #   q = q - step (m1 / c1) / (sqrt(m2 / c2) + epsilon).
+        moment1 *= beta1
+        moment1 += np.multiply(grad, 1.0 - beta1, out=scratch)
+        moment2 *= beta2
+        np.multiply(grad, 1.0 - beta2, out=scratch)
+        moment2 += np.multiply(scratch, grad, out=scratch)
+        update = np.divide(moment1, 1.0 - beta1**it, out=grad)
+        update *= config.step_size
+        np.divide(moment2, 1.0 - beta2**it, out=scratch)
+        scratch = np.sqrt(scratch, out=scratch)
+        scratch += config.epsilon
+        update /= scratch
+        q -= update
 
     final, _ = objective.value_grad(q, gradient=False)
     if not np.isfinite(final.total):
         it = config.iterations
         raise DivergenceError(f"non-finite loss after iteration {it}", iteration=it)
     breakdown = replace(final, history=tuple(history), component_history=tuple(components))
-    return replace_coefficients(anim, q), breakdown
+    return replace_coefficients(anim, _packed(q)), breakdown
 
 
 def _stroke_differences(
     objective: _Objective,
     q0: np.ndarray,
-    frozen: tuple[csr_matrix, np.ndarray] | None,
+    frozen: _Frozen | None,
     indices: np.ndarray,
     step: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(central differences at the flat coordinates `indices` of `q0`, every
-    stroke's unbumped term f_s(q0)).
+    """(central differences at the flat coordinates `indices` of the packed
+    (N_s, m+1, n+1, 2) coefficients, every stroke's unbumped term f_s(q0)),
+    for trajectory-major `q0`.
 
     A bump of stroke s's coefficients moves only f_s, so the difference at a
     coordinate of stroke s is (f_s(q0 + h e) - f_s(q0 - h e)) / 2h. One list
     of stroke copies (each stroke unbumped, then each coordinate bumped by +h
-    and by -h) goes through `stroke_values` in chunks; a chunk's copy-sized
-    arrays (coefficients, control points, curve points, motion) hold at most
-    `_PAIR_CHUNK_ELEMENTS` elements each, so peak memory does not grow with
-    the number of bumps.
+    and by -h) goes through `stroke_values` in chunks, each chunk's copies
+    gathered trajectory-major; a chunk's copy-sized arrays (coefficients,
+    control points, curve points, motion) hold at most `_PAIR_CHUNK_ELEMENTS`
+    elements each, so peak memory does not grow with the number of bumps.
     """
-    num_strokes, num_frames = len(q0), objective.b_t.shape[0]
-    flat = q0.reshape(num_strokes, -1)
-    bumped_strokes, bumped_coords = np.divmod(indices, flat.shape[1])
+    n1, num_strokes, m1, _ = q0.shape
+    num_frames, per_stroke = objective.b_t.shape[0], m1 * n1 * 2
+    bumped_strokes, bumped_coords = np.divmod(indices, per_stroke)
     strokes = np.concatenate([np.arange(num_strokes), np.repeat(bumped_strokes, 2)])
     coords = np.concatenate([np.zeros(num_strokes, np.intp), np.repeat(bumped_coords, 2)])
     deltas = np.concatenate([np.zeros(num_strokes), np.tile([step, -step], len(indices))])
-    per_copy = max(flat.shape[1], 2 * num_frames * max(q0.shape[1], objective.b_u.shape[0]))
+    control, trajectory, axis = np.unravel_index(coords, (m1, n1, 2))
+    per_copy = max(per_stroke, 2 * num_frames * max(m1, objective.b_u.shape[0]))
     chunk = max(1, _PAIR_CHUNK_ELEMENTS // per_copy)  # copies per chunk
     values = np.empty(len(strokes))
     for start in range(0, len(strokes), chunk):
         part = slice(start, start + chunk)
-        batch = flat[strokes[part]]
-        batch[np.arange(len(batch)), coords[part]] += deltas[part]
-        values[part] = objective.stroke_values(
-            batch.reshape(-1, *q0.shape[1:]), strokes[part], frozen
-        )
+        batch = q0[:, strokes[part]]
+        copies = np.arange(batch.shape[1])
+        batch[trajectory[part], copies, control[part], axis[part]] += deltas[part]
+        values[part] = objective.stroke_values(batch, strokes[part], frozen)
     plus, minus = values[num_strokes::2], values[num_strokes + 1 :: 2]
     with np.errstate(invalid="ignore"):  # inf - inf: the caller reports it
         return (plus - minus) / (2.0 * step), values[:num_strokes]
@@ -609,13 +705,13 @@ def finite_difference_check(
     if not 0.0 < step < np.inf:
         raise ValidationError(f"step must be positive and finite, got {step}")
     objective = _Objective(anim, tracks, targets, weights, n_p)
-    q0 = animation_coefficients(anim)
-    # One frozen A and own serve every evaluation; each one recomputes only X.
+    q0 = _trajectory_major(animation_coefficients(anim))
+    # One frozen assignment serves every evaluation; each one recomputes only X.
     frozen = None
     if weights.w_c > 0:
-        frozen = objective.freeze(objective.assign(objective.points(q0)[:, :, :n_p]))
+        frozen = objective.freeze(objective.assign(objective.points(q0)[:, :n_p]))
     _, grad = objective.value_grad(q0, frozen, consistency_value=False)
-    flat_grad = grad.reshape(-1)
+    flat_grad = _packed(grad).reshape(-1)  # coordinates count in the packed order
     bad = np.flatnonzero(~np.isfinite(flat_grad))
     if bad.size:
         raise DivergenceError(f"analytic gradient at coordinate {bad[0]} is not finite")

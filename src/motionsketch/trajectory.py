@@ -130,17 +130,29 @@ def default_trajectory_degree(num_frames: int) -> int:
 def eval_trajectories(kind: BasisKind, coeffs: np.ndarray, times) -> np.ndarray:
     """Packed trajectories (n+1, ..., 2) at each time, shape (T, ..., 2).
 
-    The library's one basis product, over ``basis_matrix`` rows (log-space
-    Bernstein rows above ``DIRECT_EVAL_MAX_DEGREE``). Einsum, unlike BLAS, gives
-    row i the same bits however many times are evaluated together.
+    The library's one basis product (`_basis_product`), over ``basis_matrix``
+    rows (log-space Bernstein rows above ``DIRECT_EVAL_MAX_DEGREE``).
     """
-    return np.einsum("tb,b...->t...", basis_matrix(kind, coeffs.shape[0] - 1, times), coeffs)
+    return _basis_product(basis_matrix(kind, coeffs.shape[0] - 1, times), coeffs)
+
+
+def _basis_product(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Basis rows `basis` (T, n+1) times packed trajectories (n+1, ..., 2).
+
+    Einsum, unlike BLAS, gives row i the same bits however many times are
+    evaluated together, so a caller may build the rows once for many strokes.
+    """
+    return np.einsum("tb,b...->t...", basis, coeffs)
+
+
+def _stroke_coefficients(stroke: Stroke) -> np.ndarray:
+    """The stroke's trajectories packed as (n+1, m+1, 2)."""
+    return np.stack([traj.coeffs for traj in stroke.control_trajectories], axis=1)
 
 
 def control_points(stroke: Stroke, times) -> np.ndarray:
     """The stroke's control points at each time, shape (T, m+1, 2)."""
-    coeffs = np.stack([traj.coeffs for traj in stroke.control_trajectories], axis=1)
-    return eval_trajectories(stroke.basis, coeffs, times)
+    return eval_trajectories(stroke.basis, _stroke_coefficients(stroke), times)
 
 
 def eval_trajectory(traj: TrajectoryPoly, t: float) -> np.ndarray:

@@ -112,3 +112,23 @@ def test_demo_init_export_interp_load_no_scipy(tmp_path):
     assert json.loads(lines[-1]) == []
     assert all((tmp_path / name).stat().st_size for name in ("model.json", "export.svg",
                                                             "interp.svg"))
+
+
+def test_demo_optimize_and_check_grad_load_no_scipy(tmp_path):
+    # The demo's 16 tracks take the scan route, and the frozen assignment's
+    # counts are dense numpy blocks: neither stage loads scipy.sparse, or any
+    # other scipy module.
+    lines = run_fresh(f"""
+        from motionsketch import cli
+        steps = (
+            ["init", "--tracks", {DEMO_TRACKS!r}, "--canvas", "256x256",
+             "--num-strokes", "16", "--seed", "2", "--out", "model.json"],
+            ["optimize", "--model", "model.json", "--tracks", {DEMO_TRACKS!r},
+             "--out", "opt.json", "--iterations", "20", "--step", "0.5"],
+            ["check-grad", "--model", "opt.json", "--tracks", {DEMO_TRACKS!r}],
+        )
+        for argv in steps:
+            assert cli.main(argv) == 0, argv
+    """, cwd=str(tmp_path))
+    assert json.loads(lines[-1]) == []
+    assert "max relative gradient error" in lines[-2]

@@ -299,18 +299,24 @@ class TestAnimatedSvg:
     def test_keys_match_frame_exports(self, rng):
         # Quadratic strokes, and quintic ones (piecewise cubics) whose degree-61
         # trajectories take the log-space basis route; 4 -> 7 frames puts
-        # keys between the model's frames.
+        # keys between the model's frames. The keys of a quintic stroke are
+        # subdivided together but leave at their own segment counts, which
+        # differ between keys of one stroke here.
         for curve_degree, trajectory_degree in ((2, 3), (5, 61)):
             anim = random_animation(rng, num_frames=4, curve_degree=curve_degree,
                                     trajectory_degree=trajectory_degree)
             plan = resample_framerate(anim, 4.0, 8.0)
             svg = render_animated_svg(anim, plan)
+            segment_counts = set()
             for stroke, (times, keys) in zip(anim.strokes, parse_animated_keys(svg)):
                 assert len(keys) == plan.num_output_frames
+                segment_counts.add(frozenset(key.count(" C ") for key in keys))
                 for t, key in zip(plan.output_frame_times, keys):
                     frame_paths = parse_frame_paths(render_frame_svg(anim, float(t)))
                     assert key in frame_paths  # byte-identical path data
                     assert key == stroke_path_data(stroke, float(t))
+            if curve_degree > 3:
+                assert max(len(counts) for counts in segment_counts) > 1
 
     def test_static_animation_identical_keys(self):
         anim = static_animation()

@@ -156,13 +156,13 @@ class TestConsistencyLoss:
         anim = random_animation(rng, num_strokes=2, num_frames=400)
         tracks = random_tracks(rng, num_points=300, num_frames=400)
         objective = optimize._Objective(anim, tracks, None, LossWeights(w_s=0.0, w_c=1.0), 8)
-        samples = objective.points(animation_coefficients(anim))[:, :, :8]
-        counts, own = objective.freeze(rng.integers(0, 300, samples.shape[:-1]))
+        samples = objective.points(optimize._trajectory_major(animation_coefficients(anim)))[:, :8]
+        frozen = objective.freeze(rng.integers(0, 300, objective._rows.shape))
         motion = objective.motion(samples)
-        assert counts.nnz * motion[0].size * 8 > 20e6
+        assert len(frozen.counts) * motion[0].size * 8 > 20e6
         tracemalloc.start()
         try:
-            value = objective.consistency_value(motion, counts, own)
+            value = objective.consistency_value(motion, frozen)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -258,14 +258,14 @@ class TestConsistencyLoss:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            rows = objective.assign(samples)
-            radius = np.sqrt(objective._radius2).reshape(samples.shape[:-1])
+            rows = frame_major_assign(objective, samples)
+            radius = np.sqrt(objective._radius2).transpose(2, 0, 1)
             direction = np.random.default_rng(1).normal(size=samples.shape)
             direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
             outside = np.arange(radius.size).reshape(radius.shape) % 2 == 1
             step = np.where(outside, radius + 1.5, 0.5 * radius)
             moved = samples + step[..., None] * direction
-            moved_rows = objective.assign(moved)
+            moved_rows = frame_major_assign(objective, moved)
         finally:
             sys.setswitchinterval(interval)
         assert pools == [cpus, cpus]  # the two assign calls; the oracle starts more
@@ -380,7 +380,7 @@ class TestAttachmentLoss:
         assert len(assigned) == 1 and len(frozen_rows) == 1
 
         def refreezing_stroke_values(self, q, strokes, frozen):
-            chunks.append(len(q))
+            chunks.append(q.shape[1])
             return stroke_values(self, q, strokes, freeze(self, frozen_rows[0]))
 
         monkeypatch.setattr(objective, "stroke_values", refreezing_stroke_values)
@@ -396,12 +396,84 @@ class TestAttachmentLoss:
 
 
 def frozen_objective(anim, tracks, targets, weights, n_p):
-    """(objective, coefficients, frozen A and own) with the rows assigned at
-    the animation's coefficients, as the checker freezes them."""
+    """(objective, trajectory-major coefficients, frozen assignment) with the
+    rows assigned at the animation's coefficients, as the checker freezes them."""
     objective = optimize._Objective(anim, tracks, targets, weights, n_p)
-    q = animation_coefficients(anim)
-    rows = objective.assign(objective.points(q)[:, :, :n_p])
+    q = optimize._trajectory_major(animation_coefficients(anim))
+    rows = objective.assign(objective.points(q)[:, :n_p])
     return objective, q, objective.freeze(rows)
+
+
+def frame_major_assign(objective, samples):
+    """`objective.assign` of frame-major `samples` (N_f, N_s, N_p, 2), its
+    rows frame-major (N_f, N_s, N_p) like `consistency_assignments`."""
+    return objective.assign(samples.transpose(1, 2, 3, 0)).transpose(2, 0, 1)
+
+
+# Counts per block: one point per block, three points per block, one block.
+_BLOCK_SIZES = {"one-point": 1, "three-points": None, "one-block": 1 << 30}
+
+
+class TestBlockedCounts:
+    """`freeze` builds A's dense counts one block of points at a time."""
+
+    @staticmethod
+    def frozen_per_block_size(monkeypatch, num_tracks, seed):
+        """{block size: (objective, rows, frozen)} for the same random rows,
+        drawn from few rows per point so that counts above 1 occur."""
+        rng = np.random.default_rng(seed)
+        anim = random_animation(rng, num_strokes=3, num_frames=7)
+        tracks = random_tracks(rng, num_points=num_tracks, num_frames=7)
+        rows = rng.integers(0, num_tracks, (3, 4, 7)) % rng.integers(1, 4, (3, 4, 1))
+        frozen = {}
+        for name, elements in _BLOCK_SIZES.items():
+            monkeypatch.setattr(optimize, "_COUNT_BLOCK_ELEMENTS", elements or 3 * num_tracks)
+            objective = optimize._Objective(anim, tracks, None, LossWeights(w_s=0.0, w_c=1.0), 4)
+            frozen[name] = objective, rows, objective.freeze(rows)
+        return frozen
+
+    @pytest.mark.parametrize("num_tracks", [5, 300])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_product_is_the_per_point_row_sum(self, monkeypatch, num_tracks, seed):
+        # Row p of A @ Y is sum_i Y[r_i(p)], whatever the block size; the
+        # gradient's offset adds N_f own_p - sum_i own_p(i) to it.
+        for objective, rows, frozen in self.frozen_per_block_size(
+            monkeypatch, num_tracks, seed
+        ).values():
+            y = objective.track_centered
+            point_rows = rows.reshape(-1, 7)
+            product = np.stack([sum(y[r] for r in point) for point in point_rows])
+            own = np.stack([y[point, :, np.arange(7)].T for point in point_rows])
+            assert np.array_equal(frozen.own, own)
+            expected = product + 7 * own - own.sum(axis=2, keepdims=True)
+            assert frozen.offset.shape == expected.shape == (12, 2, 7)
+            assert_allclose(frozen.offset, expected, rtol=1e-13,
+                            atol=1e-13 * float(np.abs(expected).max()))
+
+    @pytest.mark.parametrize("num_tracks", [5, 300])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pairs_are_the_unique_keys_in_row_major_order(self, monkeypatch, num_tracks, seed):
+        # The pairs and counts are np.unique of the (point, row) keys: sorted
+        # by point, then by row (CSR order), each with its number of frames.
+        for _, rows, frozen in self.frozen_per_block_size(monkeypatch, num_tracks, seed).values():
+            points = np.repeat(np.arange(12), 7)
+            keys, counts = np.unique(points * num_tracks + rows.reshape(-1), return_counts=True)
+            assert np.array_equal(frozen.points, keys // num_tracks)
+            assert np.array_equal(frozen.rows, keys % num_tracks)
+            assert np.array_equal(frozen.counts, counts) and frozen.counts.dtype == np.float64
+            assert counts.max() > 1
+
+    @pytest.mark.parametrize("num_tracks", [5, 300])
+    def test_value_is_bit_identical_across_block_sizes(self, monkeypatch, num_tracks):
+        for seed in range(3):
+            values = set()
+            for objective, _, frozen in self.frozen_per_block_size(
+                monkeypatch, num_tracks, seed
+            ).values():
+                q = optimize._trajectory_major(animation_coefficients(objective.anim))
+                samples = objective.points(q)[:, :4]
+                values.add(objective.consistency_value(objective.motion(samples), frozen))
+            assert len(values) == 1
 
 
 class TestStrokeDifferences:
@@ -428,7 +500,7 @@ class TestStrokeDifferences:
             terms = objective.stroke_values(q, np.arange(num_strokes), frozen)
             assert terms.sum() == pytest.approx(breakdown.total, rel=1e-12)
             copies = rng.integers(0, num_strokes, 7)
-            assert_allclose(objective.stroke_values(q[copies], copies, frozen), terms[copies],
+            assert_allclose(objective.stroke_values(q[:, copies], copies, frozen), terms[copies],
                             rtol=1e-13)
 
     def test_match_full_objective_differences(self, rng):
@@ -444,13 +516,14 @@ class TestStrokeDifferences:
         indices = np.arange(q.size)
         fd, unbumped = optimize._stroke_differences(objective, q, frozen, indices, step)
         full = []
+        packed = optimize._packed(q)
         for idx in indices:
             values = []
             for sign in (1.0, -1.0):
-                bumped = q.copy().reshape(-1)
+                bumped = packed.copy().reshape(-1)
                 bumped[idx] += sign * step
-                values.append(objective.value_grad(bumped.reshape(q.shape), frozen,
-                                                   gradient=False)[0].total)
+                bumped = optimize._trajectory_major(bumped.reshape(packed.shape))
+                values.append(objective.value_grad(bumped, frozen, gradient=False)[0].total)
             full.append((values[0] - values[1]) / (2.0 * step))
         total = objective.value_grad(q, frozen, gradient=False)[0].total
         assert unbumped.sum() == pytest.approx(total, rel=1e-12)
@@ -556,8 +629,8 @@ class TestCertifiedAssignment:
         samples = rng.uniform(-2.0, 40.0, (num_frames, 2, 4, 2))
         sites = tracks.coords.transpose(1, 0, 2)
         for step in ("jump", *steps):
-            anchor = objective._anchor.reshape(samples.shape)
-            radius = np.sqrt(objective._radius2).reshape(samples.shape[:-1])[..., None]
+            anchor = objective._anchor.transpose(3, 0, 1, 2)
+            radius = np.sqrt(objective._radius2).transpose(2, 0, 1)[..., None]
             direction = rng.normal(size=samples.shape)
             direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
             if step == "toward":
@@ -586,12 +659,12 @@ class TestCertifiedAssignment:
             samples = np.where(pick, moved, samples)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                rows = objective.assign(samples)
+                rows = frame_major_assign(objective, samples)
             assert np.array_equal(rows, fresh_rows(samples, tracks))
             rows.fill(-1)
-        rows = objective.assign(samples)
+        rows = frame_major_assign(objective, samples)
         rows[...] = 7
-        assert np.array_equal(objective.assign(samples), fresh_rows(samples, tracks))
+        assert np.array_equal(frame_major_assign(objective, samples), fresh_rows(samples, tracks))
 
     @pytest.mark.parametrize("num_points", [12, 300])
     def test_optimizer_queries_fewer_points_and_stays_exact(self, rng, monkeypatch, num_points):
@@ -614,7 +687,8 @@ class TestCertifiedAssignment:
         def checked(objective, samples):
             queried.append([])
             rows = assign(objective, samples)
-            assert np.array_equal(rows, fresh_rows(samples, tracks))
+            frame_major = samples.transpose(3, 0, 1, 2)
+            assert np.array_equal(rows.transpose(2, 0, 1), fresh_rows(frame_major, tracks))
             return rows
 
         monkeypatch.setattr(optimize._Objective, "assign", checked)
