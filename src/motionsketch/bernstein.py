@@ -7,17 +7,20 @@ before that, so high-degree rows are computed in log space instead: each entry i
 
     exp(log C(n, i) + i * log t + (n - i) * log(1 - t))
 
-with the log-binomial obtained from log-gamma. The entries of a Bernstein row
-are bounded by 1, so converting back from logs is safe even when the three
-summands individually reach +-1e3. The log-gamma is scipy's `gammaln`, imported
-on the first log-route call (degree above 60), so a process that stays on the
-direct route never loads `scipy.special`.
+The log-binomials are logs of exact binomials: those are built as Python
+integers by the recurrence C(n, i+1) = C(n, i) * (n - i) // (i + 1), and
+`math.log` of each is taken once per degree and cached. The entries of a
+Bernstein row are bounded by 1, so converting back from logs is safe even when
+the three summands individually reach +-1e3. The route needs only numpy and
+the standard library.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,21 +82,36 @@ def bernstein_matrix_direct(n: int, t: np.ndarray) -> np.ndarray:
     return rows
 
 
+# Unbounded, but callers stay within MAX_DEGREE: at most 1025 arrays, 4.2 MB.
+@lru_cache(maxsize=None)
+def _log_binomials(n: int) -> np.ndarray:
+    """log C(n, i) for i = 0..n as a read-only float64 array.
+
+    Each binomial is an exact integer from the multiplicative recurrence (the
+    division is exact), so every entry is `math.log` of the true value.
+    """
+    logs = np.empty(n + 1)
+    binom = 1
+    for i in range(n + 1):
+        logs[i] = math.log(binom)
+        binom = binom * (n - i) // (i + 1)
+    logs.flags.writeable = False
+    return logs
+
+
 def bernstein_matrix_log(n: int, t: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """Rows of Bernstein values at each parameter in `t`, via log-gamma.
+    """Rows of Bernstein values at each parameter in `t`, via exact log-binomials.
 
     Boundary parameters (t exactly 0 or 1) are emitted exactly without taking
-    any logarithm. `dtype` may be float32 to mirror 32-bit arithmetic; all
-    intermediate logs are then computed in float32 as well, and a parameter
-    that rounds to 0 or 1 in float32 is a boundary parameter.
+    any logarithm. `dtype` may be float32 to mirror 32-bit arithmetic: the
+    exact log-binomials are then rounded to float32 once, every log, product
+    and exp that depends on `t` is computed in float32, and a parameter that
+    rounds to 0 or 1 in float32 is a boundary parameter.
     """
-    # Log route only (degree > 60): not at module level, so the direct route skips scipy.special.
-    from scipy.special import gammaln
-
     t = np.asarray(t).astype(dtype, copy=False)
     out = np.zeros((t.size, n + 1), dtype=dtype)
     i = np.arange(n + 1, dtype=dtype)
-    log_binom = gammaln(np.asarray(n + 1, dtype=dtype)) - gammaln(i + 1) - gammaln(n - i + 1)
+    log_binom = _log_binomials(n).astype(dtype, copy=False)
 
     at_zero = t == 0.0
     at_one = t == 1.0
@@ -152,8 +170,9 @@ def basis_row(kind: BasisKind, n: int, t: float) -> BasisRow:
 def basis_row_log(n: int, t: float, dtype=np.float64) -> BasisRow:
     """Log-space evaluation of a Bernstein row; finite for any degree up to the cap.
 
-    With ``dtype=np.float32`` every intermediate (log-gamma, logs, products,
-    exp) is carried in single precision.
+    The log-binomials are exact in float64. With ``dtype=np.float32`` they are
+    rounded to single precision once, and every intermediate that depends on
+    `t` (logs, products, exp) is carried in single precision.
     """
     _check_degree(n)
     _check_unit(t)

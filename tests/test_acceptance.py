@@ -301,9 +301,15 @@ def pipeline_outputs(tmp_path_factory):
     return runs, timer.seconds
 
 
+def _file_digest(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).digest()
+
+
 def _keys_match_library(svg_path: str, anim, times) -> float:
     """Worst deviation between parsed key geometries and library evaluation."""
-    svg_text = open(svg_path).read()
+    with open(svg_path) as fh:
+        svg_text = fh.read()
     per_stroke = parse_animated_keys(svg_text)
     assert len(per_stroke) == anim.num_strokes
     # Nine samples at u = k/8, the parameters of eval_piecewise_path's grid.
@@ -322,8 +328,7 @@ def test_criterion_9_end_to_end_cli(pipeline_outputs):
     anim = ms.load_model(runs[0]["opt"])
     worst = _keys_match_library(runs[0]["anim"], anim, anim.frame_times())
     identical = all(
-        hashlib.sha256(open(runs[0][k], "rb").read()).digest()
-        == hashlib.sha256(open(runs[1][k], "rb").read()).digest()
+        _file_digest(runs[0][k]) == _file_digest(runs[1][k])
         for k in ("model", "opt", "anim", "interp")
     )
     ok = worst < 1e-5 and identical and seconds < 60.0

@@ -2,7 +2,7 @@
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, log
 
 import numpy as np
 import pytest
@@ -22,7 +22,14 @@ from motionsketch import (
     collocation_matrix,
     solve_control_points,
 )
-from motionsketch.bernstein import DIRECT_EVAL_MAX_DEGREE, MAX_DEGREE, basis_matrix
+from motionsketch.bernstein import (
+    DIRECT_EVAL_MAX_DEGREE,
+    MAX_DEGREE,
+    _log_binomials,
+    basis_matrix,
+    bernstein_matrix_direct,
+    bernstein_matrix_log,
+)
 
 # Exact rational values C(199, i) / 2^199, frozen from a Fraction computation.
 EXACT_199_HALF = {
@@ -199,6 +206,56 @@ class TestBasisProperties:
             else:
                 expected = basis_row_log(n, t).values
             assert np.array_equal(row, expected)
+
+
+# Bounds of the log route's roundoff, each at least twice the worst case
+# measured with exact log-binomials and below the worst case of log-gamma
+# binomials, which these tests exist to catch:
+# - |direct - log| over degrees 0..60: measured 4.8e-15 (t = 2.8e-7 at degree
+#   60, where the direct route's rounded 1 - t dominates); log-gamma reached
+#   1.9e-14.
+# - |row sum - 1| over degrees 61..1024, in units of n * eps: measured 0.44;
+#   log-gamma reached 7.9.
+_DIRECT_LOG_BOUND = 1.2e-14
+# Per degree: rows of degree n may deviate from 1 by n times this.
+_ROW_SUM_BOUND = 1.0 * np.finfo(np.float64).eps
+
+
+def _row_sum_deviation(n: int, t: np.ndarray) -> float:
+    return float(np.abs(bernstein_matrix_log(n, t).sum(axis=1) - 1.0).max())
+
+
+class TestLogRouteExactness:
+    @pytest.mark.parametrize("n", [61, 99, 199, 512, 1024])
+    def test_log_binomials_are_logs_of_exact_binomials(self, n):
+        expected = np.array([log(comb(n, k)) for k in range(n + 1)])
+        got = _log_binomials(n)
+        assert np.array_equal(got, expected)
+        assert not got.flags.writeable
+
+    def test_direct_and_log_rows_agree_on_a_dense_grid(self):
+        t = np.linspace(0.0, 1.0, 1001)
+        for n in range(DIRECT_EVAL_MAX_DEGREE + 1):
+            err = np.abs(bernstein_matrix_direct(n, t) - bernstein_matrix_log(n, t)).max()
+            assert err <= _DIRECT_LOG_BOUND, f"degree {n}: {err:.3e}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, DIRECT_EVAL_MAX_DEGREE), ts=_PARAMS)
+    def test_direct_and_log_rows_agree(self, n, ts):
+        t = np.array(ts)
+        err = np.abs(bernstein_matrix_direct(n, t) - bernstein_matrix_log(n, t)).max()
+        assert err <= _DIRECT_LOG_BOUND
+
+    def test_row_sums_stay_within_n_eps_up_to_the_cap(self):
+        t = np.linspace(0.0, 1.0, 101)
+        for n in range(DIRECT_EVAL_MAX_DEGREE + 1, MAX_DEGREE + 1):
+            dev = _row_sum_deviation(n, t)
+            assert dev <= n * _ROW_SUM_BOUND, f"degree {n}: {dev / (n * _ROW_SUM_BOUND):.2f} n eps"
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(DIRECT_EVAL_MAX_DEGREE + 1, MAX_DEGREE), ts=_PARAMS)
+    def test_row_sums_stay_within_n_eps(self, n, ts):
+        assert _row_sum_deviation(n, np.array(ts)) <= n * _ROW_SUM_BOUND
 
 
 class TestCollocation:

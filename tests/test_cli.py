@@ -30,7 +30,8 @@ def model_path(tmp_path, tracks_path):
 
 
 def sha256(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 class TestExitCodes:

@@ -1,5 +1,5 @@
-"""Cold start: the package imports numpy only, and each scipy subpackage loads
-on the one route that needs it.
+"""Cold start: the package imports numpy only, and scipy loads only on the
+KD-tree route of the nearest-track query, which needs `scipy.spatial`.
 
 Every test runs its code in a fresh interpreter, since this test process has
 long since imported scipy.
@@ -76,22 +76,22 @@ def test_kdtree_route_imports_scipy_spatial_on_first_query():
     assert "scipy.spatial" in loaded
 
 
-def test_log_route_imports_scipy_special_on_first_row():
+def test_log_route_row_loads_no_scipy():
+    # Degree 61 is the first log-route degree; its log-binomials come from the
+    # standard library.
     t = np.linspace(0.0, 1.0, 17)
     expected = basis_matrix(BasisKind.BERNSTEIN, 61, t)
     lines = run_fresh("""
-        import json, sys
+        import json
         import numpy as np
         from motionsketch import BasisKind, basis_matrix
-        print(json.dumps("scipy.special" in sys.modules))
         rows = basis_matrix(BasisKind.BERNSTEIN, 61, np.linspace(0.0, 1.0, 17))
         print(json.dumps(rows.tobytes().hex()))
     """)
-    before, got, loaded = (json.loads(line) for line in lines[-3:])
-    assert before is False
+    got, loaded = (json.loads(line) for line in lines[-2:])
     got = np.frombuffer(bytes.fromhex(got), dtype=np.float64).reshape(expected.shape)
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-    assert "scipy.special" in loaded
+    assert loaded == []
 
 
 def test_demo_init_export_interp_load_no_scipy(tmp_path):
@@ -132,3 +132,27 @@ def test_demo_optimize_and_check_grad_load_no_scipy(tmp_path):
     """, cwd=str(tmp_path))
     assert json.loads(lines[-1]) == []
     assert "max relative gradient error" in lines[-2]
+
+
+def test_detail_degree_80_stages_load_no_scipy(tmp_path):
+    # Degree-80 trajectories take the log-route basis in every stage; the
+    # demo's 16 tracks keep the nearest-track query on the scan route.
+    lines = run_fresh(f"""
+        from motionsketch import bernstein, cli
+        steps = (
+            ["init", "--tracks", {DEMO_TRACKS!r}, "--canvas", "256x256",
+             "--num-strokes", "4", "--curve-degree", "5", "--degree", "80",
+             "--span", "3.2", "--seed", "2", "--out", "model.json"],
+            ["optimize", "--model", "model.json", "--tracks", {DEMO_TRACKS!r},
+             "--out", "opt.json", "--iterations", "5"],
+            ["check-grad", "--model", "opt.json", "--tracks", {DEMO_TRACKS!r}],
+            ["interp", "--model", "opt.json", "--out", "interp.svg",
+             "--fps-in", "24", "--fps-out", "2"],
+        )
+        for argv in steps:
+            assert cli.main(argv) == 0, argv
+        assert bernstein._log_binomials.cache_info().currsize
+    """, cwd=str(tmp_path))
+    assert json.loads(lines[-1]) == []
+    assert any("max relative gradient error" in line for line in lines)
+    assert (tmp_path / "interp.svg").stat().st_size
