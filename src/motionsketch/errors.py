@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the strict JSON integer
+reader of the file loaders."""
 
 
 class MotionSketchError(Exception):
@@ -43,3 +44,13 @@ class DivergenceError(MotionSketchError, RuntimeError):
     def __init__(self, message: str, iteration: int | None = None):
         super().__init__(message)
         self.iteration = iteration
+
+
+def _json_int(value, field: str, where: str) -> int:
+    """`value`, read from the JSON field `field` of the file `where`, as an
+    int. It must be a JSON integer within int64: a bool, a float (even a
+    whole one like 50.0) or a string is a ParseError naming the field, as is
+    an integer outside int64."""
+    if type(value) is not int or not -(2**63) <= value < 2**63:
+        raise ParseError(f"{where}: {field} must be a 64-bit JSON integer, got {value!r}")
+    return value

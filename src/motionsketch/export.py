@@ -2,12 +2,12 @@
 
 The model file is single-line JSON (format_version 1) carrying everything
 needed to re-evaluate the animation: canvas, widths, and per-stroke trajectory
-coefficients. Per-frame and animated exports share one path-data builder, fed
-by the library's one batch-invariant basis product (the one behind
-``trajectory.control_points``), so the k-th key geometry of an animated SVG
-is byte-identical to the frame export at the same time. An animated export
-builds each trajectory basis once for all its strokes. Numbers are written
-with 6 decimals, locale-independent.
+coefficients. Per-frame and animated exports share one path-data builder and
+one document header. The builder builds each trajectory basis once for all
+strokes of its (basis, degree) and feeds the library's one batch-invariant
+basis product (the one behind ``trajectory.control_points``), so the k-th key
+geometry of an animated SVG is byte-identical to the frame export at the
+same time. Numbers are written with 6 decimals, locale-independent.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .errors import (
     ParseError,
     UnsupportedVersionError,
     ValidationError,
+    _json_int,
 )
 from .trajectory import (
     SketchAnimation,
@@ -32,7 +33,6 @@ from .trajectory import (
     TrajectoryPoly,
     _basis_product,
     _stroke_coefficients,
-    control_points,
 )
 
 FORMAT_VERSION = 1
@@ -129,8 +129,9 @@ def load_model(path: str) -> SketchAnimation:
     if unknown:
         warnings.warn(f"{path}: ignoring unknown model fields {sorted(unknown)}")
     try:
-        canvas = (int(doc["canvas"][0]), int(doc["canvas"][1]))
-        num_frames = int(doc["num_frames"])
+        where = f"{path}: malformed model document"
+        canvas = tuple(_json_int(doc["canvas"][k], "'canvas'", where) for k in (0, 1))
+        num_frames = _json_int(doc["num_frames"], "'num_frames'", where)
         widths = np.asarray(doc["widths"], dtype=np.float64)
         strokes = []
         for entry in doc["strokes"]:
@@ -213,9 +214,20 @@ def _path_data(points: np.ndarray) -> list[str]:
     return paths
 
 
+def _stroke_keys(strokes, times):
+    """Each stroke's SVG path `d` at every time of `times`, one list per
+    stroke; the trajectory basis is built once per (basis, degree)."""
+    bases = {}
+    for stroke in strokes:
+        kind, degree = stroke.basis, stroke.trajectory_degree
+        if (kind, degree) not in bases:
+            bases[kind, degree] = basis_matrix(kind, degree, times)
+        yield _path_data(_basis_product(bases[kind, degree], _stroke_coefficients(stroke)))
+
+
 def stroke_path_data(stroke: Stroke, t: float) -> str:
     """SVG path `d` for the stroke at time t (L/Q/C for m = 1/2/3, cubics above)."""
-    return _path_data(control_points(stroke, t))[0]
+    return next(_stroke_keys((stroke,), t))[0]
 
 
 def width_at(anim: SketchAnimation, t: float) -> float:
@@ -223,19 +235,24 @@ def width_at(anim: SketchAnimation, t: float) -> float:
     return float(np.interp(t, anim.frame_times(), anim.widths))
 
 
-def render_frame_svg(anim: SketchAnimation, t: float) -> str:
-    """One SVG document showing the animation at time t."""
-    _check_unit(t)
+def _svg_header(anim: SketchAnimation) -> list[str]:
+    """The opening lines of an SVG document on the animation's canvas."""
     w, h = anim.canvas
-    width = _fmt(width_at(anim, t))
-    lines = [
+    return [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',
     ]
-    for stroke in anim.strokes:
+
+
+def render_frame_svg(anim: SketchAnimation, t: float) -> str:
+    """One SVG document showing the animation at time t."""
+    _check_unit(t)
+    width = _fmt(width_at(anim, t))
+    lines = _svg_header(anim)
+    for keys in _stroke_keys(anim.strokes, t):
         lines.append(
-            f'  <path d="{stroke_path_data(stroke, t)}" fill="none" stroke="black" '
+            f'  <path d="{keys[0]}" fill="none" stroke="black" '
             f'stroke-width="{width}" stroke-linecap="round"/>'
         )
     lines.append("</svg>")
@@ -252,22 +269,12 @@ def render_animated_svg(anim: SketchAnimation, plan: FrameRatePlan) -> str:
 
     Each key's path data equals the per-frame export at the same t.
     """
-    w, h = anim.canvas
     times = plan.output_frame_times
     key_times = ";".join(_fmt(t) for t in times)
     duration = _fmt(plan.duration_seconds)
     widths = [_fmt(width_at(anim, t)) for t in times]
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-    ]
-    bases = {}  # one trajectory basis per (kind, degree), shared by its strokes
-    for stroke in anim.strokes:
-        kind, degree = stroke.basis, stroke.trajectory_degree
-        if (kind, degree) not in bases:
-            bases[kind, degree] = basis_matrix(kind, degree, times)
-        keys = _path_data(_basis_product(bases[kind, degree], _stroke_coefficients(stroke)))
+    lines = _svg_header(anim)
+    for keys in _stroke_keys(anim.strokes, times):
         lines.append(
             f'  <path d="{keys[0]}" fill="none" stroke="black" '
             f'stroke-width="{widths[0]}" stroke-linecap="round">'

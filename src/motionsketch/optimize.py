@@ -43,12 +43,15 @@ order). Only the pairs and A @ Y (in the offset) outlive the block, so the
 counts never occupy more than a block.
 
 The value is a sum of squared differences, so nothing cancels (the expanded
-form does, and a zero loss would read as roundoff). Its pair sum walks A's
-pairs in their order, in chunks of a bounded number of elements: a chunk
-gathers its rows Y_r and its pairs' points X_p into two buffers reused by
-every chunk, so peak memory stays independent of N_f. The walk yields one
-squared norm per pair, which the value weights by A's counts and the
-gradient checker sums per stroke (below).
+form does, and a zero loss would read as roundoff). Under a frozen
+assignment each pair of A, own-term and attachment term belongs to one
+stroke, so one reduction, `_Objective.stroke_sums`, gives each stroke (or a
+copy of one) its unscaled consistency sum c_s and attachment sum a_s. The
+optimizer's values are their sums over the strokes, scaled once; the
+gradient checker weights them per copy (below). The reduction walks the
+copies in chunks of bounded size, and each chunk's pairs in their order, in
+chunks of a bounded number of elements gathered into two reused buffers, so
+peak memory grows neither with N_f nor with the number of strokes.
 
 The assignment is certified between evaluations, like the skin of a Verlet
 neighbour list. Each query of a sample point also gives a radius: half the
@@ -72,14 +75,13 @@ final breakdown when the last update makes it overflow. Distances that
 overflow in the assignment at such coefficients stay silent: the
 DivergenceError is the one report.
 
-Under a frozen assignment the objective is a sum of per-stroke terms f_s:
-each pair of A and each own-term belongs to a sampled point, hence to its
-stroke, and so does each attachment term. A bump of stroke s's coefficients
-moves only f_s, so the checker takes each central difference of f_s alone.
-It freezes one assignment once; copies of the strokes, each with at most one
-coordinate bumped and gathered trajectory-major, then go through the
-optimizer's own steps (curve points, motion, pair norms, attachment
-residuals) in chunks of bounded size, with their strokes' pairs and
+The frozen objective is thus a sum of per-stroke terms
+f_s = w_c/(N_p N_f) c_s + w_s/(N_s N_f) a_s, and a bump of stroke s's
+coefficients moves only f_s, so the gradient checker takes each central
+difference of f_s alone. It freezes one assignment once; copies of the
+strokes, each with at most one coordinate bumped and gathered
+trajectory-major, then go chunk by chunk through the optimizer's own steps
+(curve points, then `stroke_sums`), with their strokes' pairs and
 own-terms. Every stroke's unbumped f_s is evaluated too, so an overflow in a
 stroke without a sampled coordinate is still reported.
 """
@@ -149,7 +151,8 @@ class LossBreakdown:
 # Size of a chunk of bounded temporaries, so they stay in L2 like the scan
 # blocks of `tracking`: the pair walk's two float64 buffers hold this many
 # (pair, frame) entries of two coordinates (512 KiB each), and each
-# copy-sized array of the gradient checker at most this many values.
+# copy-sized array of a chunk of stroke copies (`_Objective.chunks`) at most
+# this many values.
 _PAIR_CHUNK_ELEMENTS = 1 << 15
 
 # Counts per block of the dense (point x track row) counts of `freeze`: a
@@ -375,20 +378,6 @@ class _Objective:
             np.einsum("ke,ke->k", diff, diff, out=norms[pairs])
         return norms
 
-    def consistency_value(self, motion: np.ndarray, frozen: _Frozen) -> float:
-        """The consistency value of the module docstring, its pair sum
-        weighting the norms of `pair_norms` by A's counts."""
-        num_frames, n_p = self.b_t.shape[0], self.n_p
-        # Both sums are einsums, not BLAS: OpenBLAS splits a dot product of
-        # more than 10^4 elements over its threads, which makes the sum depend
-        # on the thread count, and on a 2-vCPU host the handoff took up to
-        # 4 ms per call, against tens of microseconds for the sum.
-        norms = self.pair_norms(motion, frozen.points, frozen.rows)
-        value = float(np.einsum("k,k->", frozen.counts, norms))
-        diff = motion - frozen.own
-        value += num_frames * float(np.einsum("pcf,pcf->", diff, diff))
-        return value / (n_p * num_frames)
-
     def consistency_grad(self, motion: np.ndarray, frozen: _Frozen) -> np.ndarray:
         """w_c times the gradient of the consistency value with respect to the
         sampled points, shape (P, 2, N_f): the closed form of the module
@@ -400,93 +389,95 @@ class _Objective:
         grad *= 2.0 * self.weights.w_c / (n_p * num_frames)
         return grad
 
-    def attachment_residual(self, points: np.ndarray, strokes=slice(None)) -> np.ndarray:
-        """Stroke midpoints minus their targets, shape (B, 2, N_f): the last
-        row of `points` (B, N_p+1, 2, N_f) of copies of the strokes `strokes`
-        (all by default), whose gradient fills that row of the point gradient."""
-        return points[:, -1] - self.targets[strokes]
+    def chunks(self, num_copies: int) -> list[slice]:
+        """Consecutive slices of `num_copies` stroke copies, so that each
+        copy-sized array of a slice (coefficients, control points, curve
+        points, motion) holds at most `_PAIR_CHUNK_ELEMENTS` values: the
+        one chunk rule of `stroke_sums` and of the gradient checker."""
+        (num_frames, n1), (num_rows, m1) = self.b_t.shape, self.b_u.shape
+        per_copy = max(2 * m1 * n1, 2 * num_frames * max(m1, num_rows))
+        size = max(1, _PAIR_CHUNK_ELEMENTS // per_copy)
+        return [slice(start, start + size) for start in range(0, num_copies, size)]
 
-    def stroke_values(
-        self, q: np.ndarray, strokes: np.ndarray, frozen: _Frozen | None
+    def stroke_sums(
+        self, points: np.ndarray, strokes: np.ndarray, frozen: _Frozen | None
     ) -> np.ndarray:
-        """Per-stroke objective terms f_s of copies of strokes, shape (B,).
+        """Each stroke copy's unscaled consistency and attachment sums, shape (2, B).
 
-        `q` (n+1, B, m+1, 2) holds the coefficients of B stroke copies; copy
-        b stands for stroke ``strokes[b]``: its sampled points take that
+        `points` (B, N_p+1, 2, N_f) are the curve points of B stroke copies;
+        copy b stands for stroke ``strokes[b]``: its sampled points take that
         stroke's pairs and own-terms of ``frozen = freeze(rows)`` and its
-        midpoint that stroke's targets. Under a frozen assignment every pair,
-        own-term and attachment term belongs to one stroke, so the weighted
-        objective is the sum of f_s over the strokes. The terms reduce the
-        same pair norms and attachment residuals as the total, per copy.
+        midpoint that stroke's targets. Row 0 is the pair sum plus N_f
+        |X - own|^2 over the copy's points (0 when `frozen` is None), row 1
+        |midpoint - target|^2 over the frames (0 without an attachment
+        weight). The copies are reduced in the slices of `chunks`, so the
+        pair-length temporaries stay bounded however many copies there are.
         """
-        w = self.weights
-        values = np.zeros(len(strokes))
-        points = self.points(q)
-        if w.w_c > 0:
-            num_frames, n_p = self.b_t.shape[0], self.n_p
+        # Einsums, not BLAS: OpenBLAS splits a long dot product over its
+        # threads, which would make the sums depend on the thread count.
+        sums = np.zeros((2, len(points)))
+        n_p = self.n_p
+        if frozen is not None:
             # Each stroke's pairs are a run, as the pairs are sorted by point.
             bounds = np.searchsorted(frozen.points, np.arange(0, len(frozen.own) + 1, n_p))
-            first, size = bounds[strokes], np.diff(bounds)[strokes]
-            starts = np.cumsum(size) - size  # of each copy's run in the walk
-            pairs = np.arange(starts[-1] + size[-1]) + np.repeat(first - starts, size)
-            pair_points = frozen.points[pairs]
-            pair_points += np.repeat((np.arange(len(strokes)) - strokes) * n_p, size)
-            motion = self.motion(points[:, :n_p])
-            # Every point has at least one pair, so no copy's run is empty.
-            norms = self.pair_norms(motion, pair_points, frozen.rows[pairs])
-            pair_sums = np.add.reduceat(frozen.counts[pairs] * norms, starts)
-            own = frozen.own.reshape(-1, n_p * 2 * num_frames)[strokes]
-            diff = motion.reshape(len(strokes), -1) - own
-            own_terms = np.einsum("be,be->b", diff, diff)
-            values += (w.w_c / (n_p * num_frames)) * (pair_sums + num_frames * own_terms)
-        if w.w_s > 0:
-            diff = self.attachment_residual(points, strokes)
-            values += (w.w_s * self.attachment_scale) * np.einsum("bcf,bcf->b", diff, diff)
-        return values
+            stroke_first, stroke_size = bounds[:-1], np.diff(bounds)
+            stroke_own = frozen.own.reshape(len(stroke_size), -1)
+        for part in self.chunks(len(points)):
+            chunk, copies = points[part], strokes[part]
+            if frozen is not None:
+                first, size = stroke_first[copies], stroke_size[copies]
+                starts = np.cumsum(size) - size  # of each copy's run in the walk
+                pairs = np.arange(starts[-1] + size[-1]) + np.repeat(first - starts, size)
+                pair_points = frozen.points[pairs]
+                pair_points += np.repeat((np.arange(len(copies)) - copies) * n_p, size)
+                motion = self.motion(chunk[:, :n_p])
+                # Every point has at least one pair, so no copy's run is empty.
+                norms = self.pair_norms(motion, pair_points, frozen.rows[pairs])
+                pair_sums = np.add.reduceat(frozen.counts[pairs] * norms, starts)
+                diff = motion.reshape(len(copies), -1) - stroke_own[copies]
+                sums[0, part] = pair_sums + chunk.shape[-1] * np.einsum("be,be->b", diff, diff)
+            if self.weights.w_s > 0:
+                diff = chunk[:, -1] - self.targets[copies]
+                sums[1, part] = np.einsum("bcf,bcf->b", diff, diff)
+        return sums
 
     def value_grad(
-        self,
-        q: np.ndarray,
-        frozen: _Frozen | None = None,
-        *,
-        consistency_value: bool = True,
-        gradient: bool = True,
-    ) -> tuple[LossBreakdown, np.ndarray | None]:
+        self, q: np.ndarray, frozen: _Frozen | None = None, *, consistency_value: bool = True
+    ) -> tuple[LossBreakdown, np.ndarray]:
         """(LossBreakdown, gradient) at trajectory-major coefficients `q`,
         with the assignment frozen as ``frozen = freeze(rows)`` (assigned at
-        `q` when None); the gradient is trajectory-major too.
-        ``gradient=False`` returns None for the gradient.
+        `q` when None); the gradient is trajectory-major too. The values are
+        the sums of `stroke_sums` over the strokes.
         ``consistency_value=False`` skips the consistency value: the breakdown
         reads it as nan and its total covers the other terms."""
         w = self.weights
-        consistency = attachment = geometry = 0.0
+        geometry = 0.0
         points = self.points(q)
-        grad = None
         if w.w_c > 0:
             samples = points[:, : self.n_p]
             if frozen is None:
                 frozen = self.freeze(self.assign(samples))
-            motion = self.motion(samples)
-            consistency = self.consistency_value(motion, frozen) if consistency_value else np.nan
-            samples_grad = self.consistency_grad(motion, frozen) if gradient else None
-            del motion, frozen  # freed before the point gradient is made (peak memory)
+            samples_grad = self.consistency_grad(self.motion(samples), frozen)
+        consistency, attachment = self.stroke_sums(
+            points, np.arange(len(points)), frozen if consistency_value else None
+        ).sum(axis=1).tolist()
+        del frozen  # freed before the point gradient is made (peak memory)
+        consistency /= self.n_p * self.b_t.shape[0]
+        attachment *= self.attachment_scale
+        if not consistency_value:
+            consistency = np.nan
+        point_grad = np.zeros_like(points)
+        if w.w_c > 0:
+            point_grad[:, : self.n_p] = samples_grad.reshape(samples.shape)
         if w.w_s > 0:
-            diff = self.attachment_residual(points)
-            attachment = self.attachment_scale * float(np.sum(diff * diff))
-        if gradient:
-            # Allocated once the consistency gradient's temporaries are freed (peak memory).
-            point_grad = np.zeros_like(points)
-            if w.w_c > 0:
-                point_grad[:, : self.n_p] = samples_grad.reshape(samples.shape)
-            if w.w_s > 0:
-                point_grad[:, -1] = (2.0 * w.w_s * self.attachment_scale) * diff
-            # The adjoints of `points`: B_u^T per stroke, then B_t^T.
-            at_frames = self.b_u.T @ point_grad.reshape(len(points), len(self.b_u), -1)
-            grad = (self.b_t.T @ at_frames.reshape(-1, len(self.b_t)).T).reshape(q.shape)
+            diff = points[:, -1] - self.targets
+            point_grad[:, -1] = (2.0 * w.w_s * self.attachment_scale) * diff
+        # The adjoints of `points`: B_u^T per stroke, then B_t^T.
+        at_frames = self.b_u.T @ point_grad.reshape(len(points), len(self.b_u), -1)
+        grad = (self.b_t.T @ at_frames.reshape(-1, len(self.b_t)).T).reshape(q.shape)
         if w.w_g > 0:
             geometry, g = self.geometry_term(replace_coefficients(self.anim, _packed(q)))
-            if gradient:
-                grad += w.w_g * _trajectory_major(g)
+            grad += w.w_g * _trajectory_major(g)
         total = w.w_s * attachment + w.w_g * geometry
         if consistency_value:
             total += w.w_c * consistency
@@ -629,7 +620,7 @@ def optimize_animation(
         update /= scratch
         q -= update
 
-    final, _ = objective.value_grad(q, gradient=False)
+    final, _ = objective.value_grad(q)  # its gradient is not needed
     if not np.isfinite(final.total):
         it = config.iterations
         raise DivergenceError(f"non-finite loss after iteration {it}", iteration=it)
@@ -651,27 +642,28 @@ def _stroke_differences(
     A bump of stroke s's coefficients moves only f_s, so the difference at a
     coordinate of stroke s is (f_s(q0 + h e) - f_s(q0 - h e)) / 2h. One list
     of stroke copies (each stroke unbumped, then each coordinate bumped by +h
-    and by -h) goes through `stroke_values` in chunks, each chunk's copies
-    gathered trajectory-major; a chunk's copy-sized arrays (coefficients,
-    control points, curve points, motion) hold at most `_PAIR_CHUNK_ELEMENTS`
-    elements each, so peak memory does not grow with the number of bumps.
+    and by -h) goes through `stroke_sums` in the slices of `_Objective.chunks`,
+    each slice's copies gathered trajectory-major, so peak memory does not
+    grow with the number of bumps.
     """
     n1, num_strokes, m1, _ = q0.shape
-    num_frames, per_stroke = objective.b_t.shape[0], m1 * n1 * 2
-    bumped_strokes, bumped_coords = np.divmod(indices, per_stroke)
+    bumped_strokes, bumped_coords = np.divmod(indices, m1 * n1 * 2)
     strokes = np.concatenate([np.arange(num_strokes), np.repeat(bumped_strokes, 2)])
     coords = np.concatenate([np.zeros(num_strokes, np.intp), np.repeat(bumped_coords, 2)])
     deltas = np.concatenate([np.zeros(num_strokes), np.tile([step, -step], len(indices))])
     control, trajectory, axis = np.unravel_index(coords, (m1, n1, 2))
-    per_copy = max(per_stroke, 2 * num_frames * max(m1, objective.b_u.shape[0]))
-    chunk = max(1, _PAIR_CHUNK_ELEMENTS // per_copy)  # copies per chunk
+    w = objective.weights
+    consistency_scale = w.w_c / (objective.n_p * objective.b_t.shape[0])
+    attachment_scale = w.w_s * objective.attachment_scale
     values = np.empty(len(strokes))
-    for start in range(0, len(strokes), chunk):
-        part = slice(start, start + chunk)
+    for part in objective.chunks(len(strokes)):
         batch = q0[:, strokes[part]]
         copies = np.arange(batch.shape[1])
         batch[trajectory[part], copies, control[part], axis[part]] += deltas[part]
-        values[part] = objective.stroke_values(batch, strokes[part], frozen)
+        consistency, attachment = objective.stroke_sums(
+            objective.points(batch), strokes[part], frozen
+        )
+        values[part] = consistency_scale * consistency + attachment_scale * attachment
     plus, minus = values[num_strokes::2], values[num_strokes + 1 :: 2]
     with np.errstate(invalid="ignore"):  # inf - inf: the caller reports it
         return (plus - minus) / (2.0 * step), values[:num_strokes]
@@ -704,6 +696,8 @@ def finite_difference_check(
     """
     if not 0.0 < step < np.inf:
         raise ValidationError(f"step must be positive and finite, got {step}")
+    if weights.w_g > 0:
+        raise ValidationError("finite_difference_check has no geometry term: w_g must be 0")
     objective = _Objective(anim, tracks, targets, weights, n_p)
     q0 = _trajectory_major(animation_coefficients(anim))
     # One frozen assignment serves every evaluation; each one recomputes only X.

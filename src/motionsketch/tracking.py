@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, _json_int
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
@@ -135,8 +135,9 @@ def _xy_to_array(obj: dict, path: str) -> dict:
 
 
 def _point_id(value, where: str) -> int:
-    """A track point id read with `int()`. A value that does not convert, or
-    converts outside the int64 of `TrackSet.ids`, is a ParseError naming it."""
+    """A CSV track point id read with `int()` from its text. Text that does
+    not convert, or converts outside the int64 of `TrackSet.ids`, is a
+    ParseError naming it."""
     try:
         pid = int(value)
     except (TypeError, ValueError, OverflowError):
@@ -156,9 +157,9 @@ def _load_tracks_json(path: str) -> TrackSet:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     try:
-        num_frames = int(doc["num_frames"])
+        num_frames = _json_int(doc["num_frames"], "'num_frames'", path)
         entries = list(doc["points"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: expected object with 'num_frames' and 'points'") from exc
     points: dict[int, np.ndarray] = {}
     for entry in entries:
@@ -166,7 +167,7 @@ def _load_tracks_json(path: str) -> TrackSet:
             raw_id, xy = entry["id"], entry["xy"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{path}: each point needs 'id' and 'xy'") from exc
-        pid = _point_id(raw_id, path)
+        pid = _json_int(raw_id, "point id", path)
         if pid in points:
             raise ValidationError(f"duplicate point id {pid}")
         if len(xy) != num_frames:

@@ -8,6 +8,12 @@ import pytest
 from motionsketch import BasisKind, SketchAnimation, Stroke, TrackSet, TrajectoryPoly
 
 
+# JSON texts that are not a JSON integer within int64, for the fields the
+# loaders read as one: floats (a whole one too), a string, a bool, null, and
+# integers just outside int64.
+NOT_INT64 = ["3.5", "50.0", "1e200", '"7"', "true", "null", str(2**63), str(-(2**63) - 1)]
+
+
 def make_animation(coeffs_per_stroke, num_frames, canvas=(256, 256), widths=None,
                    basis=BasisKind.BERNSTEIN):
     """Animation from nested coefficient arrays: [stroke][control] -> (n+1, 2)."""

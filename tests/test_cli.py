@@ -95,6 +95,25 @@ class TestExitCodes:
         assert "1180591620717411303424" in err[0] or "1e+200" in err[0]
         assert not out.exists()
 
+    def test_non_integer_json_field_is_parse_error(self, capsys, tmp_path, tracks_path):
+        # A frame count of 8.7 used to read as 8, a canvas of 32.0 as 32.
+        tracks, model = tmp_path / "t.json", tmp_path / "m.json"
+        with open(tracks_path) as fh:
+            doc = json.load(fh)
+        doc["num_frames"] += 0.7
+        tracks.write_text(json.dumps(doc))
+        assert main(["init", "--tracks", str(tracks), "--canvas", "32x32",
+                     "--out", str(model)]) == 2
+        assert "'num_frames' must be a 64-bit JSON integer" in capsys.readouterr().err
+        assert main(["init", "--tracks", tracks_path, "--canvas", "32x32",
+                     "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        doc["canvas"][0] = 32.0
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["export", "--model", str(model), "--animated", str(tmp_path / "a.svg")]) == 2
+        assert "'canvas' must be a 64-bit JSON integer" in capsys.readouterr().err
+
     def test_validation_error_exit_one(self, tmp_path, tracks_path):
         code = main([
             "init", "--tracks", tracks_path, "--canvas", "32x32",

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 from conftest import (
+    NOT_INT64,
     eval_piecewise_path,
     make_animation,
     parse_animated_keys,
@@ -160,6 +161,25 @@ class TestModelFile:
             doc["canvas"] = "CANVAS"
         path.write_text(json.dumps(doc).replace('"CANVAS"', "[1e400, 8]"))
         with pytest.raises(ParseError, match="malformed"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("value", NOT_INT64)
+    def test_num_frames_must_be_an_int64(self, tmp_path, rng, value):
+        path = tmp_path / "model.json"
+        doc = save_model(random_animation(rng), str(path))
+        doc["num_frames"] = "VALUE"
+        path.write_text(json.dumps(doc).replace('"VALUE"', value))
+        with pytest.raises(ParseError, match="'num_frames' must be a 64-bit JSON integer"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("value", NOT_INT64)
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_canvas_must_be_int64s(self, tmp_path, rng, value, axis):
+        path = tmp_path / "model.json"
+        doc = save_model(random_animation(rng), str(path))
+        doc["canvas"][axis] = "VALUE"
+        path.write_text(json.dumps(doc).replace('"VALUE"', value))
+        with pytest.raises(ParseError, match="'canvas' must be a 64-bit JSON integer"):
             load_model(str(path))
 
     def test_non_finite_coefficient_is_validation_error(self, tmp_path, rng):

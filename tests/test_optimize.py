@@ -156,18 +156,44 @@ class TestConsistencyLoss:
         anim = random_animation(rng, num_strokes=2, num_frames=400)
         tracks = random_tracks(rng, num_points=300, num_frames=400)
         objective = optimize._Objective(anim, tracks, None, LossWeights(w_s=0.0, w_c=1.0), 8)
-        samples = objective.points(optimize._trajectory_major(animation_coefficients(anim)))[:, :8]
+        points = objective.points(optimize._trajectory_major(animation_coefficients(anim)))
         frozen = objective.freeze(rng.integers(0, 300, objective._rows.shape))
-        motion = objective.motion(samples)
-        assert len(frozen.counts) * motion[0].size * 8 > 20e6
+        assert len(frozen.counts) * points[0, 0].size * 8 > 20e6
         tracemalloc.start()
         try:
-            value = objective.consistency_value(motion, frozen)
+            sums = objective.stroke_sums(points, np.arange(2), frozen)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert np.isfinite(value)
+        assert np.all(np.isfinite(sums))
         assert peak < 4e6
+
+    def test_value_memory_does_not_grow_with_strokes(self, rng):
+        # 16 or 128 strokes of 8 points with random rows among 300 tracks over
+        # 200 frames: about 1.2k distinct pairs per stroke. Reduced at once,
+        # the 128 strokes' six pair-length index and gather arrays would hold
+        # over 7 MB; the slices of `chunks` (9 copies here) keep the
+        # reduction's peak the same at eight times the strokes.
+        peaks = []
+        for num_strokes in (16, 128):
+            anim = random_animation(rng, num_strokes=num_strokes, num_frames=200)
+            tracks = random_tracks(rng, num_points=300, num_frames=200)
+            targets = rng.uniform(0, 100, (num_strokes, 200, 2))
+            objective = optimize._Objective(anim, tracks, targets, LossWeights(), 8)
+            assert objective.chunks(num_strokes)[0] == slice(0, 9)
+            points = objective.points(optimize._trajectory_major(animation_coefficients(anim)))
+            frozen = objective.freeze(rng.integers(0, 300, objective._rows.shape))
+            strokes = np.arange(num_strokes)
+            tracemalloc.start()
+            try:
+                sums = objective.stroke_sums(points, strokes, frozen)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert np.all(np.isfinite(sums))
+            peaks.append(peak)
+        assert len(frozen.counts) * 6 * 8 > 7e6
+        assert peaks[1] < 1.1 * peaks[0]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -363,7 +389,7 @@ class TestAttachmentLoss:
         targets = rng.uniform(0, 100, (2, 4, 2))
         weights = LossWeights(w_s=1.0, w_c=0.5)
         objective = optimize._Objective
-        assign, freeze, stroke_values = objective.assign, objective.freeze, objective.stroke_values
+        assign, freeze, stroke_sums = objective.assign, objective.freeze, objective.stroke_sums
         assigned, frozen_rows, chunks = [], [], []
 
         def recording_assign(self, samples):
@@ -379,11 +405,13 @@ class TestAttachmentLoss:
         once = finite_difference_check(anim, tracks, targets, weights, 3)
         assert len(assigned) == 1 and len(frozen_rows) == 1
 
-        def refreezing_stroke_values(self, q, strokes, frozen):
-            chunks.append(q.shape[1])
-            return stroke_values(self, q, strokes, freeze(self, frozen_rows[0]))
+        def refreezing_stroke_sums(self, points, strokes, frozen):
+            if frozen is None:  # the analytic gradient's call, which sums no pairs
+                return stroke_sums(self, points, strokes, frozen)
+            chunks.append(len(points))
+            return stroke_sums(self, points, strokes, freeze(self, frozen_rows[0]))
 
-        monkeypatch.setattr(objective, "stroke_values", refreezing_stroke_values)
+        monkeypatch.setattr(objective, "stroke_sums", refreezing_stroke_sums)
         per_bump = finite_difference_check(anim, tracks, targets, weights, 3)
         assert per_bump == once and once > 0.0
         assert chunks == [1] * (2 + 2 * animation_coefficients(anim).size)
@@ -465,14 +493,18 @@ class TestBlockedCounts:
 
     @pytest.mark.parametrize("num_tracks", [5, 300])
     def test_value_is_bit_identical_across_block_sizes(self, monkeypatch, num_tracks):
+        # Also across the value's chunks: each copy costs 70 elements here,
+        # so the chunk sizes put all 3 strokes in one chunk, 2 per chunk, and
+        # one per chunk (with pair chunks of 2 pairs and of 1 pair).
         for seed in range(3):
             values = set()
-            for objective, _, frozen in self.frozen_per_block_size(
-                monkeypatch, num_tracks, seed
-            ).values():
-                q = optimize._trajectory_major(animation_coefficients(objective.anim))
-                samples = objective.points(q)[:, :4]
-                values.add(objective.consistency_value(objective.motion(samples), frozen))
+            for chunk_elements in (1 << 15, 140, 15, 1):
+                monkeypatch.setattr(optimize, "_PAIR_CHUNK_ELEMENTS", chunk_elements)
+                for objective, _, frozen in self.frozen_per_block_size(
+                    monkeypatch, num_tracks, seed
+                ).values():
+                    q = optimize._trajectory_major(animation_coefficients(objective.anim))
+                    values.add(objective.value_grad(q, frozen)[0].consistency)
             assert len(values) == 1
 
 
@@ -483,9 +515,9 @@ class TestStrokeDifferences:
     @pytest.mark.parametrize("num_tracks", [5, 300], ids=["scan", "kdtree"])
     def test_stroke_terms_sum_to_total(self, rng, monkeypatch, chunk_elements, num_tracks):
         # Under the frozen assignment the objective is the sum of the
-        # per-stroke terms f_s, on both nearest-row routes and however the
-        # pair walk is chunked. A batch of copies in any order and
-        # multiplicity gives each copy the term of the stroke it stands for.
+        # checker's per-stroke terms f_s, on both nearest-row routes and
+        # however the pair walk is chunked. A batch of copies in any order and
+        # multiplicity gives each copy the sums of the stroke it stands for.
         if chunk_elements is not None:
             monkeypatch.setattr(optimize, "_PAIR_CHUNK_ELEMENTS", chunk_elements)
         for _ in range(4):
@@ -496,12 +528,13 @@ class TestStrokeDifferences:
             targets = rng.uniform(0, 100, (num_strokes, num_frames, 2))
             weights = LossWeights(w_s=float(rng.uniform(0.1, 2)), w_c=float(rng.uniform(0.1, 2)))
             objective, q, frozen = frozen_objective(anim, tracks, targets, weights, 4)
-            breakdown, _ = objective.value_grad(q, frozen, gradient=False)
-            terms = objective.stroke_values(q, np.arange(num_strokes), frozen)
+            breakdown, _ = objective.value_grad(q, frozen)
+            _, terms = optimize._stroke_differences(objective, q, frozen, np.arange(0), 0.1)
             assert terms.sum() == pytest.approx(breakdown.total, rel=1e-12)
+            sums = objective.stroke_sums(objective.points(q), np.arange(num_strokes), frozen)
             copies = rng.integers(0, num_strokes, 7)
-            assert_allclose(objective.stroke_values(q[:, copies], copies, frozen), terms[copies],
-                            rtol=1e-13)
+            assert_allclose(objective.stroke_sums(objective.points(q[:, copies]), copies, frozen),
+                            sums[:, copies], rtol=1e-13)
 
     def test_match_full_objective_differences(self, rng):
         # Central differences of f_s alone equal those of the full objective,
@@ -523,9 +556,9 @@ class TestStrokeDifferences:
                 bumped = packed.copy().reshape(-1)
                 bumped[idx] += sign * step
                 bumped = optimize._trajectory_major(bumped.reshape(packed.shape))
-                values.append(objective.value_grad(bumped, frozen, gradient=False)[0].total)
+                values.append(objective.value_grad(bumped, frozen)[0].total)
             full.append((values[0] - values[1]) / (2.0 * step))
-        total = objective.value_grad(q, frozen, gradient=False)[0].total
+        total = objective.value_grad(q, frozen)[0].total
         assert unbumped.sum() == pytest.approx(total, rel=1e-12)
         assert np.abs(fd - np.array(full)).max() <= 16 * np.finfo(float).eps * total / step
 
@@ -781,7 +814,7 @@ class TestTotalLoss:
             total_loss(anim, None, targets, weights, 3)
         with pytest.raises(ValidationError):
             optimize_animation(anim, None, targets, weights, config)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="finite_difference_check has no geometry term"):
             finite_difference_check(anim, None, targets, weights, 3)
 
     @settings(max_examples=40, deadline=None)

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import NOT_INT64
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -145,6 +146,27 @@ class TestLoading:
         path.write_text(doc)
         with pytest.raises(ParseError):
             load_tracks(str(path))
+
+    @pytest.mark.parametrize("value", NOT_INT64)
+    def test_json_num_frames_must_be_an_int64(self, tmp_path, value):
+        path = tmp_path / "t.json"
+        path.write_text('{"num_frames": %s, "points": [{"id": 0, "xy": [[1, 2]]}]}' % value)
+        with pytest.raises(ParseError, match="'num_frames' must be a 64-bit JSON integer"):
+            load_tracks(str(path))
+
+    @pytest.mark.parametrize("value", NOT_INT64)
+    def test_json_point_id_must_be_an_int64(self, tmp_path, value):
+        # `true` used to read as id 1, "7" as 7 and 3.5 as 3.
+        path = tmp_path / "t.json"
+        path.write_text('{"num_frames": 1, "points": [{"id": %s, "xy": [[1, 2]]}]}' % value)
+        with pytest.raises(ParseError, match="point id must be a 64-bit JSON integer"):
+            load_tracks(str(path))
+
+    def test_json_int64_bounds_load(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text('{"num_frames": 1, "points": [{"id": %d, "xy": [[1, 2]]}, '
+                        '{"id": %d, "xy": [[3, 4]]}]}' % (-(2**63), 2**63 - 1))
+        assert list(load_tracks(str(path)).ids) == [-(2**63), 2**63 - 1]
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
