@@ -129,9 +129,8 @@ def power_matrix(n: int, t: np.ndarray) -> np.ndarray:
     """Rows [1, t, t^2, ..., t^n] at each parameter in `t` (0^0 taken as 1)."""
     t = np.asarray(t, dtype=np.float64)
     rows = np.ones((t.size, n + 1))
-    for i in range(1, n + 1):
-        rows[:, i] = rows[:, i - 1] * t
-    return rows
+    rows[:, 1:] = t[:, None]
+    return np.multiply.accumulate(rows, axis=1)
 
 
 def basis_matrix(kind: BasisKind, n: int, t: np.ndarray) -> np.ndarray:

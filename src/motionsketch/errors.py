@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the strict JSON integer
-reader of the file loaders."""
+"""Exception types shared across the package, the strict JSON integer
+reader of the file loaders, and the array rule of the frozen value types."""
+
+import numpy as np
 
 
 class MotionSketchError(Exception):
@@ -54,3 +56,27 @@ def _json_int(value, field: str, where: str) -> int:
     if type(value) is not int or not -(2**63) <= value < 2**63:
         raise ParseError(f"{where}: {field} must be a 64-bit JSON integer, got {value!r}")
     return value
+
+
+def _frozen_field(value, name: str, what: str, dtype=np.float64) -> np.ndarray:
+    """Replace the array field `name` of the frozen dataclass `value` by a
+    read-only, C-ordered copy in `dtype`, and return it. The copy means the
+    value never shares memory with the caller; a non-finite entry is a
+    ValidationError naming `what`. Conversion errors propagate unchanged."""
+    arr = np.array(getattr(value, name), dtype=dtype, order="C")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what} must be finite")
+    arr.setflags(write=False)
+    object.__setattr__(value, name, arr)
+    return arr
+
+
+def _check_time_grid(times: np.ndarray, what: str) -> None:
+    """Normalized times: 1-D, at least two values, strictly increasing, from
+    0 to 1 within 1e-12."""
+    if times.ndim != 1 or times.size < 2:
+        raise ValidationError(f"{what} must be a vector of at least two values, got {times.shape}")
+    if np.any(np.diff(times) <= 0):
+        raise ValidationError(f"{what} must be strictly increasing")
+    if abs(times[0]) > 1e-12 or abs(times[-1] - 1.0) > 1e-12:
+        raise ValidationError(f"{what} must start at 0 and end at 1")

@@ -24,7 +24,8 @@ from .errors import (
     MotionSketchError,
     ParseError,
     UnsupportedVersionError,
-    ValidationError,
+    _check_time_grid,
+    _frozen_field,
     _json_int,
 )
 from .trajectory import (
@@ -57,13 +58,8 @@ class FrameRatePlan:
     output_frame_times: np.ndarray
 
     def __post_init__(self):
-        times = np.array(self.output_frame_times, dtype=np.float64, order="C")
-        if times.size < 2 or np.any(np.diff(times) <= 0):
-            raise ValidationError("output times must be strictly increasing")
-        if abs(times[0]) > 1e-12 or abs(times[-1] - 1.0) > 1e-12:
-            raise ValidationError("output times must start at 0 and end at 1")
-        times.setflags(write=False)
-        object.__setattr__(self, "output_frame_times", times)
+        times = _frozen_field(self, "output_frame_times", "output times")
+        _check_time_grid(times, "output times")
 
     @property
     def num_output_frames(self) -> int:

@@ -24,7 +24,13 @@ from enum import Enum
 import numpy as np
 
 from .bernstein import BasisKind, basis_matrix
-from .errors import ConditioningError, DomainError, ValidationError
+from .errors import (
+    ConditioningError,
+    DomainError,
+    ValidationError,
+    _check_time_grid,
+    _frozen_field,
+)
 from .tracking import TrackSet
 from .trajectory import TrajectoryPoly
 
@@ -48,24 +54,13 @@ class FitSamples:
     positions: np.ndarray
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=np.float64, order="C")
-        positions = np.array(self.positions, dtype=np.float64, order="C")
-        if times.ndim != 1 or positions.shape != (times.size, 2):
+        times = _frozen_field(self, "times", "sample times")
+        positions = _frozen_field(self, "positions", "sample positions")
+        _check_time_grid(times, "sample times")
+        if positions.shape != (times.size, 2):
             raise ValidationError(
-                f"times must be (N_f,), positions (N_f, 2); got {times.shape}, {positions.shape}"
+                f"positions must be (N_f, 2) for {times.size} times; got {positions.shape}"
             )
-        if times.size < 2:
-            raise ValidationError("need at least two frames")
-        if np.any(np.diff(times) <= 0):
-            raise ValidationError("times must be strictly increasing")
-        if abs(times[0]) > 1e-12 or abs(times[-1] - 1.0) > 1e-12:
-            raise ValidationError("times must start at 0 and end at 1")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(positions))):
-            raise ValidationError("samples must be finite")
-        times.setflags(write=False)
-        positions.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "positions", positions)
 
     @property
     def num_frames(self) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import BasisKind, basis_matrix, basis_row
-from .errors import DegenerateInputError, ParseError, ValidationError
+from .errors import DegenerateInputError, ParseError, ValidationError, _frozen_field
 from .fitting import DEFAULT_RIDGE_LAMBDA, fit_ridge_columns
 from .tracking import MotionHeatmap, TrackSet, nearest_rows
 from .trajectory import (
@@ -38,18 +38,14 @@ class DensityMap:
     unnormalized: np.ndarray
 
     def __post_init__(self):
-        probs = np.array(self.probabilities, dtype=np.float64, order="C")
-        raw = np.array(self.unnormalized, dtype=np.float64, order="C")
+        probs = _frozen_field(self, "probabilities", "density probabilities")
+        raw = _frozen_field(self, "unnormalized", "unnormalized density")
         if probs.shape != (self.height, self.width) or raw.shape != probs.shape:
             raise ValidationError("density maps must have shape (H, W)")
         if np.any(probs < 0):
             raise ValidationError("densities must be nonnegative")
         if abs(probs.sum() - 1.0) > 1e-9:
             raise ValidationError("probabilities must sum to 1")
-        probs.setflags(write=False)
-        raw.setflags(write=False)
-        object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "unnormalized", raw)
 
 
 @dataclass(frozen=True)
@@ -84,14 +80,12 @@ class MaskAreas:
     canvas: tuple[int, int]
 
     def __post_init__(self):
-        areas = np.array(self.areas, dtype=np.float64, order="C")
+        areas = _frozen_field(self, "areas", "mask areas")
         w, h = self.canvas
         if areas.ndim != 1 or areas.size < 1:
             raise ValidationError("areas must be a nonempty vector")
         if np.any(areas < 0) or np.any(areas > w * h):
             raise ValidationError(f"areas must lie in [0, {w * h}]")
-        areas.setflags(write=False)
-        object.__setattr__(self, "areas", areas)
         object.__setattr__(self, "canvas", (int(w), int(h)))
 
 

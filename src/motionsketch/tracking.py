@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, _json_int
+from .errors import ParseError, ValidationError, _frozen_field, _json_int
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
@@ -46,8 +46,8 @@ class TrackSet:
     _trees: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = np.array(self.ids, dtype=np.int64, order="C")
-        coords = np.array(self.coords, dtype=np.float64, order="C")
+        ids = _frozen_field(self, "ids", "track point ids", dtype=np.int64)
+        coords = _frozen_field(self, "coords", "track coordinates")
         if ids.ndim != 1 or ids.size < 1:
             raise ValidationError("track set needs at least one point")
         if coords.ndim != 3 or coords.shape[0] != ids.size or coords.shape[2] != 2:
@@ -56,12 +56,6 @@ class TrackSet:
             )
         if np.unique(ids).size != ids.size:
             raise ValidationError("track point ids must be unique")
-        if not np.all(np.isfinite(coords)):
-            raise ValidationError("track coordinates must be finite")
-        ids.setflags(write=False)
-        coords.setflags(write=False)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "_row_of", {int(p): k for k, p in enumerate(ids)})
 
     @property
@@ -106,7 +100,7 @@ class MotionHeatmap:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64, order="C")
+        values = _frozen_field(self, "values", "heatmap values")
         if values.shape != (self.height, self.width):
             raise ValidationError(
                 f"heatmap values must have shape (H, W)=({self.height}, {self.width}), "
@@ -114,8 +108,6 @@ class MotionHeatmap:
             )
         if values.size and (values.min() < 0.0 or values.max() > 1.0):
             raise ValidationError("heatmap values must lie in [0, 1]")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
 
 def _xy_to_array(obj: dict, path: str) -> dict:
@@ -344,17 +336,19 @@ def _scan_rows_radius(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest rows and certified radii of the queries `points` (N, 2), query
     n against ``sites[frames[n]]``, `sites` of shape (F, K, 2), by scanning
-    cache-sized blocks of queries. Ties go to the lowest row."""
+    cache-sized blocks of queries. Ties go to the lowest row. A distance
+    whose square overflows is inf, as in the KD-tree, and warns of nothing."""
     num_sites = sites.shape[1]
     block = max(1, _SCAN_BLOCK_ELEMENTS // num_sites)
     second = min(1, num_sites - 1)  # a single site is its own "second": radius 0
     rows = np.empty(len(points), dtype=np.intp)
     radius = np.empty(len(points))
-    for a in range(0, len(points), block):
-        d2 = _scan_distances(points[a : a + block], sites[frames[a : a + block]])
-        rows[a : a + block] = np.argmin(d2, axis=-1)
-        d2 = np.partition(d2, second, axis=-1)
-        radius[a : a + block] = _certified_radius(np.sqrt(d2[:, 0]), np.sqrt(d2[:, second]))
+    with np.errstate(over="ignore"):
+        for a in range(0, len(points), block):
+            d2 = _scan_distances(points[a : a + block], sites[frames[a : a + block]])
+            rows[a : a + block] = np.argmin(d2, axis=-1)
+            d2 = np.partition(d2, second, axis=-1)
+            radius[a : a + block] = _certified_radius(np.sqrt(d2[:, 0]), np.sqrt(d2[:, second]))
     return rows, radius
 
 

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import BasisKind, _check_unit, basis_matrix, basis_row, bernstein_matrix_direct
-from .errors import DomainError, ValidationError
-
-
-def _frozen_array(values, shape_hint: str, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, order="C", copy=True)
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{shape_hint} must be finite")
-    arr.setflags(write=False)
-    return arr
+from .errors import DomainError, ValidationError, _frozen_field
 
 
 @dataclass(frozen=True)
@@ -38,10 +30,9 @@ class TrajectoryPoly:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.coeffs, "trajectory coefficients")
+        arr = _frozen_field(self, "coeffs", "trajectory coefficients")
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
             raise ValidationError(f"coeffs must have shape (n+1, 2), got {arr.shape}")
-        object.__setattr__(self, "coeffs", arr)
 
     @property
     def degree(self) -> int:
@@ -97,7 +88,7 @@ class SketchAnimation:
             raise ValidationError("animation needs at least one stroke")
         if self.num_frames < 2:
             raise ValidationError("animation needs at least two frames")
-        widths = _frozen_array(self.widths, "stroke widths")
+        widths = _frozen_field(self, "widths", "stroke widths")
         if widths.shape != (self.num_frames,):
             raise ValidationError(
                 f"widths must have one entry per frame: got {widths.shape}, "
@@ -109,7 +100,6 @@ class SketchAnimation:
         if w < 1 or h < 1:
             raise ValidationError(f"canvas must be at least 1x1, got {self.canvas}")
         object.__setattr__(self, "strokes", strokes)
-        object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "canvas", (int(w), int(h)))
 
     @property

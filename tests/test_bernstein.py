@@ -29,6 +29,7 @@ from motionsketch.bernstein import (
     basis_matrix,
     bernstein_matrix_direct,
     bernstein_matrix_log,
+    power_matrix,
 )
 
 # Exact rational values C(199, i) / 2^199, frozen from a Fraction computation.
@@ -130,6 +131,19 @@ class TestBasisMatrix:
     def test_domain_error(self, kind, n, ts):
         with pytest.raises(DomainError):
             basis_matrix(kind, n, np.array(ts))
+
+
+class TestPowerMatrix:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 60, 199, 1024])
+    def test_bit_equal_to_the_running_product(self, n):
+        # Column i is column i-1 times t, multiplied in that order.
+        t = np.concatenate([np.linspace(0.0, 1.0, 1001), [0.0, 1.0, 1e-300, 1.0 - 1e-16]])
+        expected = np.ones((t.size, n + 1))
+        for i in range(1, n + 1):
+            expected[:, i] = expected[:, i - 1] * t
+        rows = power_matrix(n, t)
+        assert rows.shape == (t.size, n + 1)
+        assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
 
 
 class TestInvariants:

@@ -1,6 +1,7 @@
 """Track ingestion, motion weights, heatmap, nearest queries, motion transfer."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,15 +11,20 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from motionsketch import (
+    BasisKind,
     DensityMap,
     FitSamples,
     FrameRatePlan,
     MaskAreas,
     MotionHeatmap,
     ParseError,
+    SketchAnimation,
+    Stroke,
     TrackSet,
+    TrajectoryPoly,
     ValidationError,
     build_motion_heatmap,
+    compose_density_map,
     load_tracks,
     motion_weight,
     motion_weights,
@@ -379,6 +385,18 @@ class TestNearestSample:
         rows, _ = _scan_rows_radius(points.reshape(-1, 2), centers, frame_of)
         assert np.array_equal(rows, np.argmin(d2, axis=-1).reshape(-1))
 
+    @pytest.mark.parametrize("num_points", [40, 300])
+    def test_overflowing_distances_do_not_warn(self, num_points):
+        # Squared distances of 1e300 overflow to inf in the scan as in the
+        # KD-tree: no RuntimeWarning, and the scan's lowest row.
+        from motionsketch.tracking import nearest_rows
+
+        tracks = TrackSet(ids=np.arange(num_points), coords=np.zeros((num_points, 1, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = nearest_rows(np.array([[1e300, 0.0], [0.0, -1e300]]), 0, tracks)
+        assert np.array_equal(rows, [0, 0])
+
     def test_kdtree_three_way_tie(self):
         # Rows 5, 7 and 250 are equidistant from the query; the rest are far.
         from motionsketch.tracking import nearest_rows
@@ -541,6 +559,11 @@ VALUE_TYPES = [
     (DensityMap, lambda: {"width": 4, "height": 3, "probabilities": np.full((3, 4), 1 / 12),
                           "unnormalized": np.ones((3, 4))}),
     (MaskAreas, lambda: {"areas": np.ones(4), "canvas": (4, 3)}),
+    (TrajectoryPoly, lambda: {"basis": BasisKind.BERNSTEIN, "coeffs": np.zeros((3, 2))}),
+    (SketchAnimation, lambda: {
+        "strokes": (Stroke(tuple(TrajectoryPoly(BasisKind.POWER, np.zeros((2, 2)))
+                                 for _ in range(2))),),
+        "num_frames": 4, "canvas": (8, 8), "widths": np.ones(4)}),
 ]
 
 
@@ -559,3 +582,32 @@ def test_value_types_copy_the_callers_arrays(kind, arguments):
         assert not np.shares_memory(kwargs[name], field_array)
         view[(0,) * view.ndim] += 1
         assert np.array_equal(field_array, before)
+
+
+@pytest.mark.parametrize(("kind", "arguments"), VALUE_TYPES,
+                         ids=[kind.__name__ for kind, _ in VALUE_TYPES])
+def test_value_types_refuse_non_finite_entries_and_store_read_only_arrays(kind, arguments):
+    names = [name for name, arr in arguments().items() if isinstance(arr, np.ndarray)]
+    value = kind(**arguments())
+    for name in names:
+        assert not getattr(value, name).flags.writeable
+        if not np.issubdtype(getattr(value, name).dtype, np.floating):
+            continue  # integer ids cannot hold NaN or inf
+        for bad in (np.nan, np.inf):
+            kwargs = arguments()
+            kwargs[name][(0,) * kwargs[name].ndim] = bad
+            with pytest.raises(ValidationError, match="finite"):
+                kind(**kwargs)
+
+
+def test_frame_rate_plan_refuses_two_dimensional_times():
+    with pytest.raises(ValidationError, match="output times"):
+        FrameRatePlan(input_fps=6.0, output_fps=6.0,
+                      output_frame_times=np.linspace(0, 1, 6).reshape(2, 3))
+
+
+def test_compose_density_map_refuses_a_nan_map():
+    edge = np.ones((3, 4))
+    edge[1, 2] = np.nan
+    with pytest.raises(ValidationError, match="finite"):
+        compose_density_map(edge, np.ones((3, 4)), np.ones((3, 4)), 0.5)
