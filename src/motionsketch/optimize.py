@@ -81,9 +81,9 @@ coefficients moves only f_s, so the gradient checker takes each central
 difference of f_s alone. It freezes one assignment once; copies of the
 strokes, each with at most one coordinate bumped and gathered
 trajectory-major, then go chunk by chunk through the optimizer's own steps
-(curve points, then `stroke_sums`), with their strokes' pairs and
-own-terms. Every stroke's unbumped f_s is evaluated too, so an overflow in a
-stroke without a sampled coordinate is still reported.
+(curve points, X and residual, then `stroke_sums`), with their strokes'
+pairs and own-terms. Every stroke's unbumped f_s is evaluated too, so an
+overflow in a stroke without a sampled coordinate is still reported.
 """
 
 from __future__ import annotations
@@ -378,17 +378,6 @@ class _Objective:
             np.einsum("ke,ke->k", diff, diff, out=norms[pairs])
         return norms
 
-    def consistency_grad(self, motion: np.ndarray, frozen: _Frozen) -> np.ndarray:
-        """w_c times the gradient of the consistency value with respect to the
-        sampled points, shape (P, 2, N_f): the closed form of the module
-        docstring, 2 N_f X less the frozen offset, for the sample rows of
-        `value_grad`'s point gradient."""
-        num_frames, n_p = self.b_t.shape[0], self.n_p
-        grad = (2.0 * num_frames) * motion
-        grad -= frozen.offset
-        grad *= 2.0 * self.weights.w_c / (n_p * num_frames)
-        return grad
-
     def chunks(self, num_copies: int) -> list[slice]:
         """Consecutive slices of `num_copies` stroke copies, so that each
         copy-sized array of a slice (coefficients, control points, curve
@@ -400,44 +389,45 @@ class _Objective:
         return [slice(start, start + size) for start in range(0, num_copies, size)]
 
     def stroke_sums(
-        self, points: np.ndarray, strokes: np.ndarray, frozen: _Frozen | None
+        self, motion: np.ndarray | None, residual: np.ndarray | None,
+        strokes: np.ndarray, frozen: _Frozen | None,
     ) -> np.ndarray:
         """Each stroke copy's unscaled consistency and attachment sums, shape (2, B).
 
-        `points` (B, N_p+1, 2, N_f) are the curve points of B stroke copies;
-        copy b stands for stroke ``strokes[b]``: its sampled points take that
-        stroke's pairs and own-terms of ``frozen = freeze(rows)`` and its
-        midpoint that stroke's targets. Row 0 is the pair sum plus N_f
-        |X - own|^2 over the copy's points (0 when `frozen` is None), row 1
-        |midpoint - target|^2 over the frames (0 without an attachment
-        weight). The copies are reduced in the slices of `chunks`, so the
-        pair-length temporaries stay bounded however many copies there are.
+        Copy b stands for stroke ``strokes[b]``: `motion` (B N_p, 2, N_f) is X
+        of its sampled points, which take that stroke's pairs and own-terms of
+        ``frozen = freeze(rows)``, and `residual` (B, 2, N_f) its midpoint less
+        that stroke's targets. Row 0 is the pair sum plus N_f |X - own|^2 over
+        the copy's points (0 when `frozen` is None; `motion` is then unread),
+        row 1 |residual|^2 over the frames (0 when `residual` is None). The
+        copies are reduced in the slices of `chunks`, so the pair-length
+        temporaries stay bounded however many copies there are.
         """
         # Einsums, not BLAS: OpenBLAS splits a long dot product over its
         # threads, which would make the sums depend on the thread count.
-        sums = np.zeros((2, len(points)))
+        sums = np.zeros((2, len(strokes)))
         n_p = self.n_p
         if frozen is not None:
             # Each stroke's pairs are a run, as the pairs are sorted by point.
             bounds = np.searchsorted(frozen.points, np.arange(0, len(frozen.own) + 1, n_p))
             stroke_first, stroke_size = bounds[:-1], np.diff(bounds)
             stroke_own = frozen.own.reshape(len(stroke_size), -1)
-        for part in self.chunks(len(points)):
-            chunk, copies = points[part], strokes[part]
+        for part in self.chunks(len(strokes)):
+            copies = strokes[part]
             if frozen is not None:
                 first, size = stroke_first[copies], stroke_size[copies]
                 starts = np.cumsum(size) - size  # of each copy's run in the walk
                 pairs = np.arange(starts[-1] + size[-1]) + np.repeat(first - starts, size)
                 pair_points = frozen.points[pairs]
                 pair_points += np.repeat((np.arange(len(copies)) - copies) * n_p, size)
-                motion = self.motion(chunk[:, :n_p])
+                x = motion[part.start * n_p : part.stop * n_p]
                 # Every point has at least one pair, so no copy's run is empty.
-                norms = self.pair_norms(motion, pair_points, frozen.rows[pairs])
+                norms = self.pair_norms(x, pair_points, frozen.rows[pairs])
                 pair_sums = np.add.reduceat(frozen.counts[pairs] * norms, starts)
-                diff = motion.reshape(len(copies), -1) - stroke_own[copies]
-                sums[0, part] = pair_sums + chunk.shape[-1] * np.einsum("be,be->b", diff, diff)
-            if self.weights.w_s > 0:
-                diff = chunk[:, -1] - self.targets[copies]
+                diff = x.reshape(len(copies), -1) - stroke_own[copies]
+                sums[0, part] = pair_sums + x.shape[-1] * np.einsum("be,be->b", diff, diff)
+            if residual is not None:
+                diff = residual[part]
                 sums[1, part] = np.einsum("bcf,bcf->b", diff, diff)
         return sums
 
@@ -446,32 +436,39 @@ class _Objective:
     ) -> tuple[LossBreakdown, np.ndarray]:
         """(LossBreakdown, gradient) at trajectory-major coefficients `q`,
         with the assignment frozen as ``frozen = freeze(rows)`` (assigned at
-        `q` when None); the gradient is trajectory-major too. The values are
-        the sums of `stroke_sums` over the strokes.
+        `q` when None); the gradient is trajectory-major too. The motion X and
+        the attachment residual are formed once: the values are the sums of
+        `stroke_sums` of them, and the point gradient is formed from them.
         ``consistency_value=False`` skips the consistency value: the breakdown
         reads it as nan and its total covers the other terms."""
         w = self.weights
         geometry = 0.0
+        num_frames = self.b_t.shape[0]
         points = self.points(q)
+        motion = None
         if w.w_c > 0:
             samples = points[:, : self.n_p]
             if frozen is None:
                 frozen = self.freeze(self.assign(samples))
-            samples_grad = self.consistency_grad(self.motion(samples), frozen)
+            motion = self.motion(samples)
+        residual = points[:, -1] - self.targets if w.w_s > 0 else None
         consistency, attachment = self.stroke_sums(
-            points, np.arange(len(points)), frozen if consistency_value else None
+            motion, residual, np.arange(len(points)), frozen if consistency_value else None
         ).sum(axis=1).tolist()
-        del frozen  # freed before the point gradient is made (peak memory)
-        consistency /= self.n_p * self.b_t.shape[0]
+        consistency /= self.n_p * num_frames
         attachment *= self.attachment_scale
         if not consistency_value:
             consistency = np.nan
+        if w.w_c > 0:  # the gradient's sample rows, in place on X (module docstring)
+            motion *= 2.0 * num_frames
+            motion -= frozen.offset
+            motion *= 2.0 * w.w_c / (self.n_p * num_frames)
+        del frozen  # freed before the point gradient is made (peak memory)
         point_grad = np.zeros_like(points)
         if w.w_c > 0:
-            point_grad[:, : self.n_p] = samples_grad.reshape(samples.shape)
+            point_grad[:, : self.n_p] = motion.reshape(samples.shape)
         if w.w_s > 0:
-            diff = points[:, -1] - self.targets
-            point_grad[:, -1] = (2.0 * w.w_s * self.attachment_scale) * diff
+            point_grad[:, -1] = (2.0 * w.w_s * self.attachment_scale) * residual
         # The adjoints of `points`: B_u^T per stroke, then B_t^T.
         at_frames = self.b_u.T @ point_grad.reshape(len(points), len(self.b_u), -1)
         grad = (self.b_t.T @ at_frames.reshape(-1, len(self.b_t)).T).reshape(q.shape)
@@ -643,7 +640,8 @@ def _stroke_differences(
     coordinate of stroke s is (f_s(q0 + h e) - f_s(q0 - h e)) / 2h. One list
     of stroke copies (each stroke unbumped, then each coordinate bumped by +h
     and by -h) goes through `stroke_sums` in the slices of `_Objective.chunks`,
-    each slice's copies gathered trajectory-major, so peak memory does not
+    each slice's copies gathered trajectory-major and their motion and
+    residual formed right after their curve points, so peak memory does not
     grow with the number of bumps.
     """
     n1, num_strokes, m1, _ = q0.shape
@@ -657,12 +655,13 @@ def _stroke_differences(
     attachment_scale = w.w_s * objective.attachment_scale
     values = np.empty(len(strokes))
     for part in objective.chunks(len(strokes)):
-        batch = q0[:, strokes[part]]
-        copies = np.arange(batch.shape[1])
-        batch[trajectory[part], copies, control[part], axis[part]] += deltas[part]
-        consistency, attachment = objective.stroke_sums(
-            objective.points(batch), strokes[part], frozen
-        )
+        copies = strokes[part]
+        batch = q0[:, copies]
+        batch[trajectory[part], np.arange(len(copies)), control[part], axis[part]] += deltas[part]
+        points = objective.points(batch)
+        motion = None if frozen is None else objective.motion(points[:, : objective.n_p])
+        residual = None if w.w_s == 0 else points[:, -1] - objective.targets[copies]
+        consistency, attachment = objective.stroke_sums(motion, residual, copies, frozen)
         values[part] = consistency_scale * consistency + attachment_scale * attachment
     plus, minus = values[num_strokes::2], values[num_strokes + 1 :: 2]
     with np.errstate(invalid="ignore"):  # inf - inf: the caller reports it

@@ -67,6 +67,14 @@ def per_point_consistency(anim, tracks, n_p, rows=None):
     return consistency / (n_p * len(times))
 
 
+def copy_inputs(objective, points, strokes):
+    """The motion and the residual that `stroke_sums` reduces, of the curve
+    points (B, N_p+1, 2, N_f) of stroke copies, formed as its callers do."""
+    motion = objective.motion(points[:, : objective.n_p])
+    residual = None if objective.targets is None else points[:, -1] - objective.targets[strokes]
+    return motion, residual
+
+
 def per_point_consistency_grad(anim, tracks, n_p, rows):
     """Coefficient gradient of the consistency loss with `rows` frozen, from
     its definition one (point, source frame) term at a time: the term
@@ -161,7 +169,8 @@ class TestConsistencyLoss:
         assert len(frozen.counts) * points[0, 0].size * 8 > 20e6
         tracemalloc.start()
         try:
-            sums = objective.stroke_sums(points, np.arange(2), frozen)
+            strokes = np.arange(2)
+            sums = objective.stroke_sums(*copy_inputs(objective, points, strokes), strokes, frozen)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -184,9 +193,10 @@ class TestConsistencyLoss:
             points = objective.points(optimize._trajectory_major(animation_coefficients(anim)))
             frozen = objective.freeze(rng.integers(0, 300, objective._rows.shape))
             strokes = np.arange(num_strokes)
+            motion, residual = copy_inputs(objective, points, strokes)  # inputs, like points
             tracemalloc.start()
             try:
-                sums = objective.stroke_sums(points, strokes, frozen)
+                sums = objective.stroke_sums(motion, residual, strokes, frozen)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -405,11 +415,11 @@ class TestAttachmentLoss:
         once = finite_difference_check(anim, tracks, targets, weights, 3)
         assert len(assigned) == 1 and len(frozen_rows) == 1
 
-        def refreezing_stroke_sums(self, points, strokes, frozen):
+        def refreezing_stroke_sums(self, motion, residual, strokes, frozen):
             if frozen is None:  # the analytic gradient's call, which sums no pairs
-                return stroke_sums(self, points, strokes, frozen)
-            chunks.append(len(points))
-            return stroke_sums(self, points, strokes, freeze(self, frozen_rows[0]))
+                return stroke_sums(self, motion, residual, strokes, frozen)
+            chunks.append(len(strokes))
+            return stroke_sums(self, motion, residual, strokes, freeze(self, frozen_rows[0]))
 
         monkeypatch.setattr(objective, "stroke_sums", refreezing_stroke_sums)
         per_bump = finite_difference_check(anim, tracks, targets, weights, 3)
@@ -531,10 +541,42 @@ class TestStrokeDifferences:
             breakdown, _ = objective.value_grad(q, frozen)
             _, terms = optimize._stroke_differences(objective, q, frozen, np.arange(0), 0.1)
             assert terms.sum() == pytest.approx(breakdown.total, rel=1e-12)
-            sums = objective.stroke_sums(objective.points(q), np.arange(num_strokes), frozen)
+            strokes = np.arange(num_strokes)
+            inputs = copy_inputs(objective, objective.points(q), strokes)
+            sums = objective.stroke_sums(*inputs, strokes, frozen)
             copies = rng.integers(0, num_strokes, 7)
-            assert_allclose(objective.stroke_sums(objective.points(q[:, copies]), copies, frozen),
+            inputs = copy_inputs(objective, objective.points(q[:, copies]), copies)
+            assert_allclose(objective.stroke_sums(*inputs, copies, frozen),
                             sums[:, copies], rtol=1e-13)
+
+    def test_motion_is_formed_once_per_evaluation(self, rng, monkeypatch):
+        # The value reduction reads the motion X its caller formed: a
+        # value_grad forms X once for its value and its gradient, and the
+        # checker once per chunk of stroke copies, after the one of its
+        # analytic gradient. 2000 elements per chunk fit 40 of the 147 copies
+        # (3 unbumped strokes, then each of the 72 coordinates bumped twice).
+        monkeypatch.setattr(optimize, "_PAIR_CHUNK_ELEMENTS", 2000)
+        anim = random_animation(rng, num_strokes=3, num_frames=5, curve_degree=2,
+                                trajectory_degree=3)
+        tracks = random_tracks(rng, num_points=6, num_frames=5)
+        targets = rng.uniform(0, 100, (3, 5, 2))
+        motion, calls = optimize._Objective.motion, []
+
+        def counting_motion(self, samples):
+            calls.append(len(samples))
+            return motion(self, samples)
+
+        monkeypatch.setattr(optimize._Objective, "motion", counting_motion)
+        objective, q, frozen = frozen_objective(anim, tracks, targets, LossWeights(), 4)
+        for given_frozen, valued in ((frozen, True), (None, True), (frozen, False)):
+            calls.clear()
+            objective.value_grad(q, given_frozen, consistency_value=valued)
+            assert calls == [3]
+        calls.clear()
+        finite_difference_check(anim, tracks, targets, LossWeights(), 4)
+        chunks = objective.chunks(3 + 2 * q.size)
+        assert len(chunks) == 4
+        assert calls == [3] + [len(range(147)[part]) for part in chunks]
 
     def test_match_full_objective_differences(self, rng):
         # Central differences of f_s alone equal those of the full objective,
