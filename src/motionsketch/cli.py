@@ -199,6 +199,8 @@ def _cmd_init(args) -> int:
         ones = uniform_map(width, height)
         density = compose_density_map(ones, ones, ones, args.beta)
 
+    if args.mask_areas and args.mask_area is not None:
+        raise _UsageError("choose at most one of --mask-areas or --mask-area")
     if args.mask_areas:
         mask = load_mask_areas(args.mask_areas, (width, height))
     else:
@@ -324,8 +326,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-
-cli_main = main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -130,7 +130,7 @@ def load_model(path: str) -> SketchAnimation:
         num_frames = _json_int(doc["num_frames"], "'num_frames'", where)
         widths = np.asarray(doc["widths"], dtype=np.float64)
         strokes = []
-        for entry in doc["strokes"]:
+        for index, entry in enumerate(doc["strokes"]):
             stroke_unknown = set(entry) - _KNOWN_STROKE_FIELDS
             if stroke_unknown:
                 warnings.warn(
@@ -142,6 +142,11 @@ def load_model(path: str) -> SketchAnimation:
                 for coeffs in entry["control_trajectories"]
             )
             strokes.append(Stroke(trajs))
+            for name in ("curve_degree", "trajectory_degree"):
+                field = f"stroke {index} '{name}'"
+                declared, actual = _json_int(entry[name], field, where), getattr(strokes[-1], name)
+                if declared != actual:
+                    raise ParseError(f"{where}: {field} is {declared}, its arrays give {actual}")
     except MotionSketchError:
         raise
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
@@ -268,7 +273,7 @@ def render_animated_svg(anim: SketchAnimation, plan: FrameRatePlan) -> str:
     times = plan.output_frame_times
     key_times = ";".join(_fmt(t) for t in times)
     duration = _fmt(plan.duration_seconds)
-    widths = [_fmt(width_at(anim, t)) for t in times]
+    widths = [_fmt(w) for w in np.interp(times, anim.frame_times(), anim.widths)]
     lines = _svg_header(anim)
     for keys in _stroke_keys(anim.strokes, times):
         lines.append(
@@ -305,8 +310,10 @@ def resample_framerate(
     if not intervals < np.inf:
         raise DomainError(f"output frame count overflows at {output_fps}/{input_fps} fps")
     count = int(round(intervals)) + 1
+    try:
+        times = np.linspace(0.0, 1.0, count)
+    except (ValueError, MemoryError):  # numpy cannot hold that many
+        raise DomainError(f"cannot make {count:.6g} output frames") from None
     return FrameRatePlan(
-        input_fps=float(input_fps),
-        output_fps=float(output_fps),
-        output_frame_times=np.linspace(0.0, 1.0, count),
+        input_fps=float(input_fps), output_fps=float(output_fps), output_frame_times=times
     )

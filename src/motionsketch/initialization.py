@@ -15,8 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import BasisKind, basis_matrix, basis_row
-from .errors import DegenerateInputError, ParseError, ValidationError, _frozen_field
+from .bernstein import MAX_DEGREE, BasisKind, basis_matrix, basis_row
+from .errors import (
+    CapacityError,
+    DegenerateInputError,
+    ParseError,
+    ValidationError,
+    _frozen_field,
+)
 from .fitting import DEFAULT_RIDGE_LAMBDA, fit_ridge_columns
 from .tracking import MotionHeatmap, TrackSet, nearest_rows
 from .trajectory import (
@@ -65,6 +71,12 @@ class InitConfig:
             raise ValidationError(f"beta must lie in [0, 1], got {self.beta}")
         if self.curve_degree < 1:
             raise ValidationError("curve degree must be at least 1")
+        if self.curve_degree > MAX_DEGREE:
+            raise CapacityError(
+                f"curve degree {self.curve_degree} exceeds the configured maximum {MAX_DEGREE}"
+            )
+        if self.rng_seed < 0:
+            raise ValidationError(f"rng seed must be nonnegative, got {self.rng_seed}")
         if not self.ridge_lambda >= 0.0:
             raise ValidationError(f"ridge lambda must be nonnegative, got {self.ridge_lambda}")
         span = self.initial_stroke_span

@@ -158,12 +158,13 @@ def eval_curve_point(stroke: Stroke, u: float, t: float) -> np.ndarray:
 
 def sample_stroke(stroke: Stroke, t: float, n_p: int) -> np.ndarray:
     """n_p points on the stroke at time t, uniformly spaced in u (endpoints included),
-    each equal to ``eval_curve_point`` at its u bit for bit (one product per row)."""
+    each equal to ``eval_curve_point`` at its u bit for bit (one stacked product
+    of single rows)."""
     if n_p < 2:
         raise DomainError(f"need at least two sample points, got {n_p}")
     points = control_points(stroke, t)[0]
     rows = bernstein_matrix_direct(stroke.curve_degree, np.arange(n_p) / (n_p - 1))
-    return np.stack([row @ points for row in rows])
+    return (rows[:, None, :] @ points)[:, 0]
 
 
 def sensitivity_l1(kind: BasisKind, n: int, t: float) -> float:

@@ -132,6 +132,35 @@ class TestExitCodes:
         assert "ridge lambda must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--seed", "-1"], "rng seed must be nonnegative, got -1"),
+        (["--curve-degree", "2000"], "curve degree 2000 exceeds the configured maximum 1024"),
+        (["--mask-areas", "AREAS", "--mask-area", "100"],
+         "choose at most one of --mask-areas or --mask-area"),
+    ])
+    def test_init_refuses_bad_flags(self, capsys, tmp_path, tracks_path, args, message):
+        # Each used to end in a traceback, a model that later stages refuse,
+        # or a silently ignored --mask-area.
+        areas = tmp_path / "areas.csv"
+        areas.write_text("frame,area_pixels\n" + "".join(f"{f},500\n" for f in range(8)))
+        out = tmp_path / "m.json"
+        args = [str(areas) if a == "AREAS" else a for a in args]
+        assert main(["init", "--tracks", tracks_path, "--canvas", "32x32", "--out", str(out),
+                     *args]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0] == f"error: {message}"
+        assert not out.exists()
+
+    def test_interp_refuses_an_unrepresentable_frame_count(self, capsys, tmp_path, model_path):
+        # 7 intervals at 1e300 times the frame rate: numpy cannot make the
+        # key times, so it is a domain error, not numpy's ValueError.
+        out = tmp_path / "i.svg"
+        assert main(["interp", "--model", model_path, "--fps-in", "1e-300", "--fps-out", "1",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: cannot make 7e+300 output frames"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flag, value", [
         ("check-grad", "--step", "nan"),
         ("check-grad", "--step", "inf"),

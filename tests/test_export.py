@@ -182,6 +182,25 @@ class TestModelFile:
         with pytest.raises(ParseError, match="'canvas' must be a 64-bit JSON integer"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("name", ["curve_degree", "trajectory_degree"])
+    def test_declared_degrees_must_match_the_arrays(self, tmp_path, rng, name):
+        # A cubic stroke of degree-3 trajectories that declares another
+        # degree, or a degree that is no JSON integer, or none, is refused.
+        path = tmp_path / "model.json"
+        doc = save_model(random_animation(rng, curve_degree=3, trajectory_degree=3), str(path))
+        for value, message in ((7, f"stroke 1 '{name}' is 7, its arrays give 3"),
+                               ("x", f"stroke 1 '{name}' must be a 64-bit JSON integer"),
+                               (None, f"KeyError\\('{name}'\\)")):
+            doc["strokes"][1][name] = value
+            if value is None:
+                del doc["strokes"][1][name]
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ParseError, match=message):
+                load_model(str(path))
+            doc["strokes"][1][name] = 3
+        path.write_text(json.dumps(doc))
+        assert load_model(str(path)).strokes[1].curve_degree == 3
+
     def test_non_finite_coefficient_is_validation_error(self, tmp_path, rng):
         path = tmp_path / "model.json"
         doc = save_model(random_animation(rng), str(path))

@@ -7,7 +7,8 @@ list; a key deleted or a list element dropped; a value scaled. The mutated
 file goes through the subcommands that read it. Every call must return 0, 1
 or 2 with no exception escaping, and a failed call must print exactly one
 line, starting with `error:`, and leave no output file. A JSON integer field
-(a track id, `num_frames`, the model's `canvas` and `format_version`) that a
+(a track id, `num_frames`, the model's `canvas`, `format_version` and
+stroke degrees) that a
 mutation deletes or sets to anything but a JSON integer within int64 must
 make the call fail with exit code 2.
 """
@@ -38,7 +39,8 @@ _DELETED = object()
 # JSON integer fields, as paths with "*" for any list index.
 INT_FIELDS = {
     "tracks.json": [("num_frames",), ("points", "*", "id")],
-    "model.json": [("format_version",), ("num_frames",), ("canvas", "*")],
+    "model.json": [("format_version",), ("num_frames",), ("canvas", "*"),
+                   ("strokes", "*", "curve_degree"), ("strokes", "*", "trajectory_degree")],
 }
 
 

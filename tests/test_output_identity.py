@@ -17,24 +17,27 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(motionske
 SCRIPT = os.path.join(ROOT, "scripts", "output_identity.py")
 
 
-def run_script(*args):
-    return subprocess.run(
-        [sys.executable, SCRIPT, *args], capture_output=True, text=True, timeout=300
-    )
+def start_script(*args):
+    return subprocess.Popen([sys.executable, SCRIPT, *args], stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT, text=True)
 
 
 def test_demo_and_detail_match_the_golden_file():
-    done = run_script("--cases", "demo-seed2,detail-seed2")
-    if done.returncode == 3:
-        pytest.skip(f"not the golden file's environment: {done.stdout}")
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert "all 2 cases match the golden file" in done.stdout
+    # One script per case, both at once: the cases share no files.
+    runs = [start_script("--cases", case) for case in ("demo-seed2", "detail-seed2")]
+    outs = [run.communicate(timeout=300)[0] for run in runs]
+    for run, out in zip(runs, outs):
+        if run.returncode == 3:
+            pytest.skip(f"not the golden file's environment: {out}")
+        assert run.returncode == 0, out
+        assert "all 1 cases match the golden file" in out
 
 
 def test_another_environment_is_not_a_mismatch(tmp_path):
     golden = tmp_path / "golden.json"
     golden.write_text(json.dumps({"environment": {"numpy": "0.0"}, "cases": {}}))
-    done = run_script("--golden", str(golden))
-    assert done.returncode == 3, done.stdout + done.stderr
-    assert done.stdout.startswith("environment differs")
-    assert "FAIL" not in done.stdout
+    run = start_script("--golden", str(golden))
+    out, _ = run.communicate(timeout=300)
+    assert run.returncode == 3, out
+    assert out.startswith("environment differs")
+    assert "FAIL" not in out

@@ -145,6 +145,19 @@ class TestSampleStroke:
         assert np.array_equal(pts[0], eval_curve_point(stroke, 0.0, 0.3))
         assert np.array_equal(pts[1], eval_curve_point(stroke, 1.0, 0.3))
 
+    @pytest.mark.parametrize("curve_degree", range(1, 9))
+    def test_bit_equal_to_eval_curve_point(self, rng, curve_degree):
+        # One stacked product of single rows gives every point the bits of
+        # its own `eval_curve_point`.
+        anim = random_animation(rng, num_strokes=1, curve_degree=curve_degree,
+                                trajectory_degree=5)
+        stroke = anim.strokes[0]
+        for n_p in (2, 3, 5, 8, 17, 33):
+            for t in (0.0, 0.37, 1.0):
+                pts = sample_stroke(stroke, t, n_p)
+                for k in range(n_p):
+                    assert np.array_equal(pts[k], eval_curve_point(stroke, k / (n_p - 1), t))
+
     def test_linear_stroke_midpoint(self):
         trajs = (
             constant_trajectory(np.array([0.0, 0.0]), n=2),
