@@ -101,8 +101,9 @@ def file_digest(path: str) -> str:
 
 def dir_digest(path: str) -> str:
     """One digest of every file's name and digest, in name order."""
-    lines = [f"{name} {file_digest(os.path.join(path, name))}\n" for name in sorted(os.listdir(path))]
-    return sha256("".join(lines).encode())
+    names = sorted(os.listdir(path))
+    lines = "".join(f"{name} {file_digest(os.path.join(path, name))}\n" for name in names)
+    return sha256(lines.encode())
 
 
 def blas_env(threads: int) -> dict:
@@ -193,12 +194,13 @@ def main(argv=None) -> int:
     if os.path.exists(args.golden):
         with open(args.golden) as fh:
             golden = json.load(fh)
-    if golden["environment"] != here:
+    stamped = golden["environment"]
+    if stamped != here:
         if not args.update:
             print("environment differs from the golden file's:")
-            for key in sorted(set(here) | set(golden["environment"])):
-                if here.get(key) != golden["environment"].get(key):
-                    print(f"  {key}: golden {golden['environment'].get(key)!r}, here {here.get(key)!r}")
+            for key in sorted(set(here) | set(stamped)):
+                if here.get(key) != stamped.get(key):
+                    print(f"  {key}: golden {stamped.get(key)!r}, here {here.get(key)!r}")
             return ENVIRONMENT_DIFFERS
         golden = {"environment": here, "cases": {}}  # digests of another environment go
 

@@ -168,6 +168,8 @@ def _cmd_fit_bench(args) -> int:
 
 
 def _cmd_init(args) -> int:
+    if args.mask_areas and args.mask_area is not None:
+        raise _UsageError("choose at most one of --mask-areas or --mask-area")
     tracks = load_tracks(args.tracks)
     xdog = load_pgm(args.xdog) if args.xdog else None
     attention = load_pgm(args.attention) if args.attention else None
@@ -199,8 +201,6 @@ def _cmd_init(args) -> int:
         ones = uniform_map(width, height)
         density = compose_density_map(ones, ones, ones, args.beta)
 
-    if args.mask_areas and args.mask_area is not None:
-        raise _UsageError("choose at most one of --mask-areas or --mask-area")
     if args.mask_areas:
         mask = load_mask_areas(args.mask_areas, (width, height))
     else:

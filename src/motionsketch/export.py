@@ -143,10 +143,9 @@ def load_model(path: str) -> SketchAnimation:
             )
             strokes.append(Stroke(trajs))
             for name in ("curve_degree", "trajectory_degree"):
-                field = f"stroke {index} '{name}'"
-                declared, actual = _json_int(entry[name], field, where), getattr(strokes[-1], name)
-                if declared != actual:
-                    raise ParseError(f"{where}: {field} is {declared}, its arrays give {actual}")
+                field, actual = f"stroke {index} '{name}'", getattr(strokes[-1], name)
+                if _json_int(entry[name], field, where) != actual:
+                    raise ParseError(f"{where}: {field} is {entry[name]}, its arrays give {actual}")
     except MotionSketchError:
         raise
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import MAX_DEGREE, BasisKind, basis_matrix, basis_row
-from .errors import (
-    CapacityError,
-    DegenerateInputError,
-    ParseError,
-    ValidationError,
-    _frozen_field,
-)
+from .errors import CapacityError, DegenerateInputError, ParseError, ValidationError, _frozen_field
 from .fitting import DEFAULT_RIDGE_LAMBDA, fit_ridge_columns
 from .tracking import MotionHeatmap, TrackSet, nearest_rows
 from .trajectory import (
