@@ -230,9 +230,10 @@ def stroke_path_data(stroke: Stroke, t: float) -> str:
     return next(_stroke_keys((stroke,), t))[0]
 
 
-def width_at(anim: SketchAnimation, t: float) -> float:
-    """Stroke width at time t: linear interpolation of the per-frame schedule."""
-    return float(np.interp(t, anim.frame_times(), anim.widths))
+def width_at(anim: SketchAnimation, t: float | np.ndarray) -> float | np.ndarray:
+    """Stroke width at time t, or at each of an array of times: linear
+    interpolation of the per-frame schedule."""
+    return np.interp(t, anim.frame_times(), anim.widths)
 
 
 def _svg_header(anim: SketchAnimation) -> list[str]:
@@ -272,7 +273,7 @@ def render_animated_svg(anim: SketchAnimation, plan: FrameRatePlan) -> str:
     times = plan.output_frame_times
     key_times = ";".join(_fmt(t) for t in times)
     duration = _fmt(plan.duration_seconds)
-    widths = [_fmt(w) for w in np.interp(times, anim.frame_times(), anim.widths)]
+    widths = [_fmt(w) for w in width_at(anim, times)]
     lines = _svg_header(anim)
     for keys in _stroke_keys(anim.strokes, times):
         lines.append(

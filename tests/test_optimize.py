@@ -193,15 +193,17 @@ class TestConsistencyLoss:
             points = objective.points(optimize._trajectory_major(animation_coefficients(anim)))
             frozen = objective.freeze(rng.integers(0, 300, objective._rows.shape))
             strokes = np.arange(num_strokes)
-            motion, residual = copy_inputs(objective, points, strokes)  # inputs, like points
             tracemalloc.start()
             try:
+                motion, residual = copy_inputs(objective, points, strokes)
                 sums = objective.stroke_sums(motion, residual, strokes, frozen)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert np.all(np.isfinite(sums))
-            peaks.append(peak)
+            # Beyond the inputs themselves, which grow with the strokes as
+            # the curve points do.
+            peaks.append(peak - motion.nbytes - residual.nbytes)
         assert len(frozen.counts) * 6 * 8 > 7e6
         assert peaks[1] < 1.1 * peaks[0]
 
