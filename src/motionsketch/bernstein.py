@@ -197,7 +197,10 @@ def collocation_matrix(m: int, nodes: np.ndarray) -> np.ndarray:
     nodes = np.asarray(nodes, dtype=np.float64)
     if nodes.shape != (m + 1,):
         raise DomainError(f"expected {m + 1} nodes, got shape {nodes.shape}")
-    if np.unique(nodes).size != nodes.size:
+    # Equal neighbours once sorted; NaNs sort last and, as in `np.unique`,
+    # two of them are a repeat.
+    ordered = np.sort(nodes)
+    if np.any(ordered[1:] == ordered[:-1]) or np.isnan(ordered[-2:]).sum() > 1:
         raise DegenerateInputError("collocation nodes must be pairwise distinct")
     return basis_matrix(BasisKind.BERNSTEIN, m, nodes)
 

@@ -6,10 +6,14 @@ moving regions, and the sparse-to-dense transfer that predicts where an
 arbitrary pixel of frame i lands in frame t by borrowing the displacement of
 its nearest tracked point.
 
-Nearest-track queries scan small track sets in cache-sized blocks and send
-large ones (256 points or more) to per-frame KD-trees. Only that KD-tree route
-needs scipy: `scipy.spatial` is imported when the first tree is built, so a
-process that only scans never loads it.
+Nearest-track queries pick a route per batch. A batch scans its tracks in
+cache-sized blocks when the set has fewer than 256 points, or when the scan
+needs at most `_SCAN_MAX_DISTANCES` (query, track) distances; a larger batch
+of a large set goes to per-frame KD-trees on a thread pool. Both routes give
+the same rows and radii. Only the KD-tree route needs scipy and the pool:
+`scipy.spatial` is imported when the first tree is built and
+`concurrent.futures` when the first pool starts, so a process whose batches
+all scan loads neither.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -31,6 +34,15 @@ if TYPE_CHECKING:
 
 # Below this many tracked points a vectorized scan beats building KD-trees.
 _KDTREE_MIN_POINTS = 256
+
+# A batch of a large set scans when it needs at most this many (query, track)
+# distances, and queries the KD-trees when it needs more. Warm, on 2000
+# tracks x 200 frames (2-vCPU host), a batch spread over all frames scanned
+# as fast as it queried cached trees at 2^20 distances (25 ms each) and
+# slower at 2^21 (45 against 32 ms); building its frames' trees costs about
+# 80 ms more. A batch in one frame queries a new tree faster (3 against 5.5 ms
+# at 128 queries), but its scan loads no scipy, whose import costs ~0.35 s.
+_SCAN_MAX_DISTANCES = 1 << 20
 
 # Stabilizer in the Shepard denominator: far from every site the interpolant
 # decays to 0 instead of being 0/0, and a single site still yields a peak.
@@ -54,9 +66,10 @@ class TrackSet:
             raise ValidationError(
                 f"coords must have shape (num_points, num_frames, 2), got {coords.shape}"
             )
-        if np.unique(ids).size != ids.size:
+        row_of = {int(p): k for k, p in enumerate(ids)}
+        if len(row_of) != ids.size:
             raise ValidationError("track point ids must be unique")
-        object.__setattr__(self, "_row_of", {int(p): k for k, p in enumerate(ids)})
+        object.__setattr__(self, "_row_of", row_of)
 
     @property
     def num_points(self) -> int:
@@ -87,7 +100,8 @@ class TrackSet:
     @cached_property
     def _frame_sites(self) -> np.ndarray:
         """The coordinates frame-major, (N_f, K, 2) and contiguous, for the
-        scan; built on first use, so only scanned track sets hold the copy."""
+        scan of a small set (below `_KDTREE_MIN_POINTS`); built on first use.
+        A large set scans a strided view instead, so it never holds the copy."""
         return np.ascontiguousarray(self.coords.transpose(1, 0, 2))
 
 
@@ -386,18 +400,23 @@ def _nearest(
     """Nearest rows and certified radii (see `_certified_radius`) of the
     queries `points` (N, 2), query n in frame ``frames[n]``.
 
-    Small track sets scan the queries against their frames' tracks in
-    cache-sized blocks. Large ones query each frame's KD-tree on a thread
-    pool with one worker per usable CPU, at most one per frame (a single
-    worker runs the frames serially): the queries release the GIL, the frames
-    are independent and each writes only its own entries, so the result does
-    not depend on the worker count. Both routes pick the lowest row on ties
-    and give a non-finite query the scan's row. ``np.errstate`` is per
-    thread, so each worker runs under the caller's. Queries from a single
-    frame run in the calling thread, and zero queries do no work.
+    A batch scans the queries against their frames' tracks in cache-sized
+    blocks when the set is small (its frame-major copy, `_frame_sites`) or
+    the batch needs at most `_SCAN_MAX_DISTANCES` distances (a strided view
+    of the coordinates). A larger batch of a large set queries each frame's
+    KD-tree on a thread pool with one worker per usable CPU, at most one per
+    frame (a single worker runs the frames serially): the queries release the
+    GIL, the frames are independent and each writes only its own entries, so
+    the result does not depend on the worker count. Both routes pick the
+    lowest row on ties, give a non-finite query the scan's row, and give the
+    same radii. ``np.errstate`` is per thread, so each worker runs under the
+    caller's. Queries from a single frame run in the calling thread, and
+    zero queries do no work.
     """
     if tracks.num_points < _KDTREE_MIN_POINTS:
         return _scan_rows_radius(points, tracks._frame_sites, frames)
+    if len(points) * tracks.num_points <= _SCAN_MAX_DISTANCES:
+        return _scan_rows_radius(points, tracks.coords.transpose(1, 0, 2), frames)
     rows = np.empty(len(points), dtype=np.intp)
     radius = np.empty(len(points))
     order = np.argsort(frames, kind="stable")
@@ -411,6 +430,8 @@ def _nearest(
             )
 
     if len(groups) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # the KD-tree route's alone
+
         with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(groups))) as pool:
             list(pool.map(frame_rows, groups))
     elif len(points):

@@ -1,11 +1,12 @@
 """Shared test fixtures and SVG-parsing helpers."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from motionsketch import BasisKind, SketchAnimation, Stroke, TrackSet, TrajectoryPoly
+from motionsketch import BasisKind, SketchAnimation, Stroke, TrackSet, TrajectoryPoly, tracking
 
 
 # JSON texts that are not a JSON integer within int64, for the fields the
@@ -88,3 +89,16 @@ def eval_piecewise_path(d: str, count_per_segment: int = 9) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def force_kdtree_route():
+    """A context in which every batch of a set of 256 or more tracks takes the
+    KD-tree route: batches as small as a test's would otherwise scan."""
+    return mock.patch.object(tracking, "_SCAN_MAX_DISTANCES", 0)
+
+
+@pytest.fixture
+def kdtree_route():
+    """Runs the test under `force_kdtree_route`."""
+    with force_kdtree_route():
+        yield

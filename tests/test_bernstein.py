@@ -289,6 +289,28 @@ class TestCollocation:
         with pytest.raises(DegenerateInputError):
             collocation_matrix(2, np.array([0.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("nodes", [
+        [0.0, 0.5, 0.5, 1.0], [1.0, 0.3, 1.0], [-0.0, 0.0, 1.0], [0.0, 1.0, -0.0],
+        [np.nan, np.nan, 0.5], [0.5, np.nan, 0.2, np.nan], [np.nan, 0.2, 0.5], [0.7],
+        [np.nan], [np.inf, np.inf, 0.0], [np.inf, -np.inf, 0.5], [0.0, 0.25, 0.5, 1.0],
+        [2.0, 2.0, 0.0], [1.5, 0.0, 1.0],
+    ])
+    def test_repeats_raise_as_np_unique_finds_them(self, nodes):
+        # Nodes repeat as np.unique (equal_nan) counts them: -0.0 equals 0.0,
+        # and two NaNs repeat while one does not. A repeat is a
+        # DegenerateInputError; otherwise a NaN, an infinite node or one
+        # outside [0, 1] is the basis's DomainError.
+        nodes = np.array(nodes)
+        repeated = np.unique(nodes).size != nodes.size
+        valid = bool(np.all((nodes >= 0.0) & (nodes <= 1.0)))
+        if repeated or not valid:
+            error = DegenerateInputError if repeated else DomainError
+            with pytest.raises(error):
+                collocation_matrix(nodes.size - 1, nodes)
+        else:
+            expected = basis_matrix(BasisKind.BERNSTEIN, nodes.size - 1, nodes)
+            assert np.array_equal(collocation_matrix(nodes.size - 1, nodes), expected)
+
     def test_chebyshev_nodes_span(self):
         nodes = chebyshev_nodes(6)
         assert nodes[0] == 0.0 and nodes[-1] == pytest.approx(1.0)

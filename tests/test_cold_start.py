@@ -1,8 +1,9 @@
-"""Cold start: the package imports numpy only, and scipy loads only on the
-KD-tree route of the nearest-track query, which needs `scipy.spatial`.
+"""Cold start: the package imports numpy only, and scipy and the thread pool
+(`concurrent.futures`) load only on the KD-tree route of the nearest-track
+query, which only batches too large to scan take. No stage loads `numpy.ma`.
 
 Every test runs its code in a fresh interpreter, since this test process has
-long since imported scipy.
+long since imported all three.
 """
 
 import json
@@ -19,20 +20,24 @@ from motionsketch import BasisKind, basis_matrix, tracking
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(motionsketch.__file__)))
 DEMO_TRACKS = os.path.join(os.path.dirname(SRC), "data", "demo_tracks.json")
 
-# Prints the scipy modules loaded so far, as a JSON list, on its own line.
-_SCIPY_MODULES = """
+# Prints the modules of scipy, numpy.ma and concurrent.futures loaded so far,
+# as a JSON list, on its own line.
+_WATCHED_MODULES = """
 import json as _json, sys as _sys
-print(_json.dumps(sorted(m for m in _sys.modules if m == "scipy" or m.startswith("scipy."))))
+_watched = ("scipy", "numpy.ma", "concurrent.futures")
+print(_json.dumps(sorted(
+    m for m in _sys.modules if any(m == w or m.startswith(w + ".") for w in _watched)
+)))
 """
 
 
 def run_fresh(code: str, cwd: str | None = None) -> list[str]:
     """Standard output lines of `code` run in a fresh interpreter; the last
-    line lists the scipy modules loaded by then (see `_SCIPY_MODULES`)."""
+    line lists the watched modules loaded by then (see `_WATCHED_MODULES`)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     done = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code) + _SCIPY_MODULES],
+        [sys.executable, "-c", textwrap.dedent(code) + _WATCHED_MODULES],
         env=env, cwd=cwd, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -45,16 +50,17 @@ def test_package_and_cli_import_no_scipy():
 
 
 def test_kdtree_route_imports_scipy_spatial_on_first_query():
-    # 300 tracks (the KD-tree route) and queries in 6 frames, so the first
-    # query runs the first cKDTree import on the pool's workers.
+    # 300 tracks and 4000 queries in 6 frames, too many distances to scan
+    # (the KD-tree route), so the first query runs the first cKDTree import on
+    # the pool's workers.
     setup = """
         import hashlib
         import numpy as np
         from motionsketch import TrackSet, tracking
         rng = np.random.default_rng(5)
         tracks = TrackSet(ids=np.arange(300), coords=rng.uniform(0, 200, (300, 6, 2)))
-        points = rng.uniform(-10, 210, (600, 2))
-        frames = rng.integers(0, 6, 600)
+        points = rng.uniform(-10, 210, (4000, 2))
+        frames = rng.integers(0, 6, 4000)
 
         def nearest_digest():
             rows, radius = tracking._nearest(points, frames, tracks)
@@ -63,6 +69,7 @@ def test_kdtree_route_imports_scipy_spatial_on_first_query():
     scope: dict = {}
     exec(textwrap.dedent(setup), scope)
     assert scope["tracks"].num_points >= tracking._KDTREE_MIN_POINTS
+    assert 4000 * 300 > tracking._SCAN_MAX_DISTANCES
 
     lines = run_fresh(setup + """
         import json, sys
@@ -74,6 +81,25 @@ def test_kdtree_route_imports_scipy_spatial_on_first_query():
     assert before is False
     assert got == scope["nearest_digest"]()
     assert "scipy.spatial" in loaded
+    assert "concurrent.futures" in loaded
+
+
+def test_scene_size_init_scans_and_loads_no_scipy(tmp_path):
+    # 2000 tracks take the KD-tree route only for large batches: init's one
+    # query, 128 seeds in frame 0, needs 256k distances and scans, as on the
+    # scene workload. No tree is built, so no scipy and no pool.
+    from motionsketch import make_benchmark_tracks, save_tracks
+
+    assert 128 * 2000 <= tracking._SCAN_MAX_DISTANCES
+    save_tracks(make_benchmark_tracks(2000, 20, 2, canvas=(384, 384)),
+                str(tmp_path / "tracks.json"))
+    lines = run_fresh("""
+        from motionsketch import cli
+        assert cli.main(["init", "--tracks", "tracks.json", "--canvas", "384x384",
+                         "--num-strokes", "128", "--seed", "2", "--out", "model.json"]) == 0
+    """, cwd=str(tmp_path))
+    assert json.loads(lines[-1]) == []
+    assert (tmp_path / "model.json").stat().st_size
 
 
 def test_log_route_row_loads_no_scipy():
@@ -96,7 +122,8 @@ def test_log_route_row_loads_no_scipy():
 
 def test_demo_init_export_interp_load_no_scipy(tmp_path):
     # The demo's 16 tracks take the scan route and its degree-24 trajectories
-    # the direct basis; none of these stages freezes an assignment.
+    # the direct basis; none of these stages freezes an assignment. Nor do
+    # they load numpy.ma or the thread pool.
     lines = run_fresh(f"""
         from motionsketch import cli
         steps = (
@@ -117,7 +144,7 @@ def test_demo_init_export_interp_load_no_scipy(tmp_path):
 def test_demo_optimize_and_check_grad_load_no_scipy(tmp_path):
     # The demo's 16 tracks take the scan route, and the frozen assignment's
     # counts are dense numpy blocks: neither stage loads scipy.sparse, or any
-    # other scipy module.
+    # other scipy module, numpy.ma or the thread pool.
     lines = run_fresh(f"""
         from motionsketch import cli
         steps = (
@@ -136,7 +163,8 @@ def test_demo_optimize_and_check_grad_load_no_scipy(tmp_path):
 
 def test_detail_degree_80_stages_load_no_scipy(tmp_path):
     # Degree-80 trajectories take the log-route basis in every stage; the
-    # demo's 16 tracks keep the nearest-track query on the scan route.
+    # demo's 16 tracks keep the nearest-track query on the scan route. No
+    # stage loads scipy, numpy.ma or the thread pool.
     lines = run_fresh(f"""
         from motionsketch import bernstein, cli
         steps = (

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import make_animation, random_animation, random_tracks
+from conftest import force_kdtree_route, make_animation, random_animation, random_tracks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -128,7 +128,9 @@ class TestConsistencyLoss:
     @pytest.mark.parametrize(
         "chunk_elements", [None, 15, 1], ids=["default-chunks", "tiny-chunks", "one-pair-chunks"]
     )
-    def test_switching_rows_match_per_point_definition(self, rng, monkeypatch, chunk_elements):
+    def test_switching_rows_match_per_point_definition(
+        self, rng, monkeypatch, chunk_elements, kdtree_route
+    ):
         # 300 tracks take the KD-tree route; in a dense random field every
         # sampled point changes its nearest row from frame to frame. The
         # alternating rows (frames 0, 1, 0, 1, 0) switch every frame too but
@@ -219,6 +221,7 @@ class TestConsistencyLoss:
         switching=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
+    @force_kdtree_route()
     def test_gradient_matches_per_point_oracle(
         self, num_strokes, num_frames, curve_degree, trajectory_degree, basis,
         num_points, n_p, switching, seed,
@@ -257,7 +260,7 @@ class TestConsistencyLoss:
             assert abs(fd - grad.reshape(-1)[idx]) <= 1e-6 * scale
 
     @pytest.mark.parametrize("cpus", [1, 3])
-    def test_kdtree_assign_matches_serial_queries(self, monkeypatch, cpus):
+    def test_kdtree_assign_matches_serial_queries(self, monkeypatch, cpus, kdtree_route):
         # 400 lattice sites take the KD-tree route; the samples sit on lattice
         # points, edge midpoints and cell centers (ties between 1, 2 and 4
         # sites), and each frame shuffles the rows. With one usable CPU the
@@ -266,6 +269,7 @@ class TestConsistencyLoss:
         # second call moves every other point by half its certified radius
         # (kept without a query) and the rest past it; the tied points have
         # radius 0, so every frame is queried again.
+        import concurrent.futures
         import sys
 
         from motionsketch import tracking
@@ -274,13 +278,14 @@ class TestConsistencyLoss:
         monkeypatch.setattr(tracking.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         pools = []
-        pool_type = tracking.ThreadPoolExecutor
+        pool_type = concurrent.futures.ThreadPoolExecutor
 
         def recording_pool(max_workers):
             pools.append(max_workers)
             return pool_type(max_workers=max_workers)
 
-        monkeypatch.setattr(tracking, "ThreadPoolExecutor", recording_pool)
+        # `_nearest` imports the pool from its module when it starts one.
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
         num_frames, side = 4, 20
         grid = 2.0 * np.stack(np.meshgrid(np.arange(side), np.arange(side)), -1).reshape(-1, 2)
         perms = [np.random.default_rng(f).permutation(len(grid)) for f in range(num_frames)]
@@ -525,7 +530,9 @@ class TestStrokeDifferences:
         "chunk_elements", [None, 15, 1], ids=["default-chunks", "tiny-chunks", "one-pair-chunks"]
     )
     @pytest.mark.parametrize("num_tracks", [5, 300], ids=["scan", "kdtree"])
-    def test_stroke_terms_sum_to_total(self, rng, monkeypatch, chunk_elements, num_tracks):
+    def test_stroke_terms_sum_to_total(
+        self, rng, monkeypatch, chunk_elements, num_tracks, kdtree_route
+    ):
         # Under the frozen assignment the objective is the sum of the
         # checker's per-stroke terms f_s, on both nearest-row routes and
         # however the pair walk is chunked. A batch of copies in any order and
@@ -682,6 +689,7 @@ class TestCertifiedAssignment:
         steps=st.lists(st.sampled_from(_WALK_STEPS), min_size=1, max_size=8),
         seed=st.integers(0, 2**32 - 1),
     )
+    @force_kdtree_route()
     def test_random_walk_matches_fresh_queries(
         self, kdtree, num_frames, num_sites, lattice, steps, seed
     ):
@@ -983,7 +991,7 @@ class TestOptimizer:
         assert excinfo.value.iteration == 10
 
     @pytest.mark.parametrize("num_points", [4, 300])
-    def test_non_finite_final_loss_raises(self, rng, monkeypatch, num_points):
+    def test_non_finite_final_loss_raises(self, rng, monkeypatch, num_points, kdtree_route):
         # The single update of a one-iteration run makes the consistency value
         # overflow (as above); the final breakdown is checked, so no model
         # with an infinite loss is returned. That breakdown re-assigns rows at
@@ -1006,7 +1014,7 @@ class TestOptimizer:
         assert excinfo.value.iteration == 1
 
     @pytest.mark.parametrize("num_points", [4, 300])
-    def test_non_finite_samples_raise_divergence(self, rng, num_points):
+    def test_non_finite_samples_raise_divergence(self, rng, num_points, kdtree_route):
         # Steps of 1e200 make the coefficients overflow to inf by the third
         # iteration, whose unlogged evaluation assigns rows to inf and nan
         # samples before the gradient is checked: the scan takes them, and so

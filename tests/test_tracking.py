@@ -312,7 +312,7 @@ class TestNearestSample:
         # frame 0: point 3 at (0,0), point 7 at (10,10); (5,5) is equidistant
         assert nearest_sample(np.array([5.0, 5.0]), 0, tracks) == 3
 
-    def test_brute_force_oracle(self, rng):
+    def test_brute_force_oracle(self, rng, kdtree_route):
         # 16 points take the scan, 300 and 600 the KD-tree; the lattice has exact
         # ties, which go to the lowest row (not the lowest id when ids are reversed).
         for num_points, lattice, reverse_ids in ((16, False, False), (300, False, False),
@@ -334,7 +334,7 @@ class TestNearestSample:
                         best, best_d = k, d
                 assert nearest_sample(p, frame, tracks) == ids[best]
 
-    def test_kdtree_path_matches_scan(self, rng):
+    def test_kdtree_path_matches_scan(self, rng, kdtree_route):
         # Enough points to engage the KD-tree inside batched queries.
         from motionsketch.tracking import nearest_rows
 
@@ -346,7 +346,7 @@ class TestNearestSample:
         assert np.array_equal(rows, np.argmin(d2, axis=1))
 
     @pytest.mark.parametrize("side", [10, 20])
-    def test_lattice_ties_pick_lowest_row(self, side):
+    def test_lattice_ties_pick_lowest_row(self, side, kdtree_route):
         # 100 points take the scan, 400 the KD-tree. Queries at lattice
         # points, edge midpoints and cell centers are equidistant from 1, 2
         # and 4 sites; rows are shuffled so the lowest row is anywhere.
@@ -386,7 +386,7 @@ class TestNearestSample:
         assert np.array_equal(rows, np.argmin(d2, axis=-1).reshape(-1))
 
     @pytest.mark.parametrize("num_points", [40, 300])
-    def test_overflowing_distances_do_not_warn(self, num_points):
+    def test_overflowing_distances_do_not_warn(self, num_points, kdtree_route):
         # Squared distances of 1e300 overflow to inf in the scan as in the
         # KD-tree: no RuntimeWarning, and the scan's lowest row.
         from motionsketch.tracking import nearest_rows
@@ -397,7 +397,7 @@ class TestNearestSample:
             rows = nearest_rows(np.array([[1e300, 0.0], [0.0, -1e300]]), 0, tracks)
         assert np.array_equal(rows, [0, 0])
 
-    def test_kdtree_three_way_tie(self):
+    def test_kdtree_three_way_tie(self, kdtree_route):
         # Rows 5, 7 and 250 are equidistant from the query; the rest are far.
         from motionsketch.tracking import nearest_rows
 
@@ -407,7 +407,7 @@ class TestNearestSample:
         assert nearest_rows(np.zeros((1, 2)), 0, tracks)[0] == 5
 
     @pytest.mark.parametrize("num_points", [40, 300])
-    def test_per_frame_rows_match_nearest_rows(self, rng, num_points):
+    def test_per_frame_rows_match_nearest_rows(self, rng, num_points, kdtree_route):
         # One query over all frames, in an unsorted frame order, gives each
         # frame's queries the rows of `nearest_rows` on both routes.
         from motionsketch.tracking import _nearest, nearest_rows
@@ -454,26 +454,29 @@ class TestNearestSample:
             assert np.array_equal(rows[mine], nearest_rows(points[mine], f, tracks))
 
     @pytest.mark.parametrize("cpus", [1, 3])
-    def test_lattice_queries_from_unsorted_frames(self, monkeypatch, cpus):
+    def test_lattice_queries_from_unsorted_frames(self, monkeypatch, cpus, kdtree_route):
         # 400 lattice sites take the KD-tree route, rows shuffled per frame;
         # queries on lattice points, edge midpoints and cell centers tie
         # between 1, 2 and 4 sites. Queries from five frames in random order
         # get the brute-force rows from a pool of one worker per usable CPU;
         # queries from one frame, and zero queries, start no pool, and the
         # scan's frame-major copy of the tracks is never built.
+        import concurrent.futures
+
         from motionsketch import tracking
         from motionsketch.tracking import _nearest
 
         monkeypatch.setattr(tracking.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         pools = []
-        pool_type = tracking.ThreadPoolExecutor
+        pool_type = concurrent.futures.ThreadPoolExecutor
 
         def recording_pool(max_workers):
             pools.append(max_workers)
             return pool_type(max_workers=max_workers)
 
-        monkeypatch.setattr(tracking, "ThreadPoolExecutor", recording_pool)
+        # `_nearest` imports the pool from its module when it starts one.
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
         num_frames, side = 5, 20
         grid = 2.0 * np.stack(np.meshgrid(np.arange(side), np.arange(side)), -1).reshape(-1, 2)
         perms = [np.random.default_rng(f).permutation(len(grid)) for f in range(num_frames)]
@@ -494,6 +497,38 @@ class TestNearestSample:
         rows, radius = _nearest(np.empty((0, 2)), np.empty(0, dtype=np.intp), tracks)
         assert rows.shape == radius.shape == (0,) and pools == [min(cpus, num_frames)]
         assert "_frame_sites" not in vars(tracks)
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["scan-sized", "kdtree-sized"])
+    def test_routes_agree_on_each_side_of_the_scan_budget(self, rng, monkeypatch, extra):
+        # 300 tracks on an integer lattice (many exact ties) and batches of
+        # just as many queries as the budget lets scan, and one more, with
+        # some non-finite queries. Each batch gives the same rows and radii,
+        # bit for bit, on its default route and forced down either route. A
+        # scan of the large set builds neither trees nor a frame-major copy.
+        from motionsketch import tracking
+        from motionsketch.tracking import _nearest
+
+        count = tracking._SCAN_MAX_DISTANCES // 300 + extra
+        coords = np.round(rng.uniform(0, 40, (300, 7, 2)))
+        points = np.round(rng.uniform(-2, 42, (count, 2)) * 2) / 2
+        points[:3] = [(np.nan, 1.0), (np.inf, 0.0), (1e300, -1e300)]
+        frames = rng.integers(0, 7, count)
+        tracks = TrackSet(ids=np.arange(300), coords=coords)
+        default = _nearest(points, frames, tracks)
+        assert bool(tracks._trees) == bool(extra)
+        assert "_frame_sites" not in vars(tracks)
+        results = []
+        for budget in (0, 1 << 62):  # the KD-tree route, then the scan
+            monkeypatch.setattr(tracking, "_SCAN_MAX_DISTANCES", budget)
+            results.append(_nearest(points, frames, TrackSet(ids=np.arange(300), coords=coords)))
+        for rows, radius in results:
+            assert np.array_equal(rows, default[0])
+            assert np.array_equal(radius.view(np.int64), default[1].view(np.int64))
+        assert np.any(default[1] > 0) and np.any(default[1] == 0)
+        for f in range(7):
+            mine = np.flatnonzero(frames == f)
+            mine = mine[mine >= 3]
+            assert np.array_equal(default[0][mine], brute_force_rows(points[mine], coords[:, f]))
 
     def test_frame_out_of_range(self):
         with pytest.raises(ValidationError):
