@@ -1,5 +1,6 @@
-"""Exception types shared across the package, the strict JSON integer
-reader of the file loaders, and the array rule of the frozen value types."""
+"""Exception types shared across the package, the strict JSON integer and
+float readers of the file loaders, and the array rule of the frozen value
+types."""
 
 import numpy as np
 
@@ -56,6 +57,34 @@ def _json_int(value, field: str, where: str) -> int:
     if type(value) is not int or not -(2**63) <= value < 2**63:
         raise ParseError(f"{where}: {field} must be a 64-bit JSON integer, got {value!r}")
     return value
+
+
+def _json_leaves(value):
+    """The leaves of the nested JSON lists `value`, in order."""
+    if isinstance(value, list):
+        for item in value:
+            yield from _json_leaves(item)
+    else:
+        yield value
+
+
+def _json_floats(value, field: str, where: str, has_bools: bool) -> np.ndarray:
+    """`value`, read from the JSON field `field` of the file `where`, as a
+    float64 array. Every leaf must be a JSON number: a bool, a string or a
+    null is a ParseError naming the field.
+
+    ``np.asarray`` without a dtype finds strings (kind U) and nulls (kind O),
+    but makes booleans mixed with numbers floats, so each leaf is checked
+    only when `has_bools`, whether the file's text holds ``true`` or
+    ``false``, or the kind is not numeric (an integer outside int64 is kind O
+    and is read as a float). A ragged list raises numpy's ValueError."""
+    array = np.asarray(value)
+    if has_bools or array.dtype.kind not in "fiu":
+        bad = [v for v in _json_leaves(value) if type(v) not in (int, float)]
+        if bad:
+            raise ParseError(f"{where}: {field} must hold JSON numbers only, got {bad[0]!r}")
+        array = np.asarray(value, dtype=np.float64)
+    return array.astype(np.float64, copy=False)
 
 
 def _frozen_field(value, name: str, what: str, dtype=np.float64) -> np.ndarray:

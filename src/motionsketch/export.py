@@ -26,6 +26,7 @@ from .errors import (
     UnsupportedVersionError,
     _check_time_grid,
     _frozen_field,
+    _json_floats,
     _json_int,
 )
 from .trajectory import (
@@ -106,10 +107,11 @@ def save_model(anim: SketchAnimation, path: str) -> dict:
 def load_model(path: str) -> SketchAnimation:
     """Load a model file; unknown fields are ignored with a warning."""
     with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: model document must be a JSON object")
     version = doc.get("format_version")
@@ -128,7 +130,8 @@ def load_model(path: str) -> SketchAnimation:
         where = f"{path}: malformed model document"
         canvas = tuple(_json_int(doc["canvas"][k], "'canvas'", where) for k in (0, 1))
         num_frames = _json_int(doc["num_frames"], "'num_frames'", where)
-        widths = np.asarray(doc["widths"], dtype=np.float64)
+        has_bools = "true" in text or "false" in text
+        widths = _json_floats(doc["widths"], "'widths'", where, has_bools)
         strokes = []
         for index, entry in enumerate(doc["strokes"]):
             stroke_unknown = set(entry) - _KNOWN_STROKE_FIELDS
@@ -137,8 +140,9 @@ def load_model(path: str) -> SketchAnimation:
                     f"{path}: ignoring unknown stroke fields {sorted(stroke_unknown)}"
                 )
             kind = BasisKind(entry["basis"])
+            field = f"stroke {index} 'control_trajectories'"
             trajs = tuple(
-                TrajectoryPoly(kind, np.asarray(coeffs, dtype=np.float64))
+                TrajectoryPoly(kind, _json_floats(coeffs, field, where, has_bools))
                 for coeffs in entry["control_trajectories"]
             )
             strokes.append(Stroke(trajs))

@@ -36,16 +36,18 @@ def make_benchmark_tracks(
         ],
         axis=1,
     )
-    coords = np.empty((num_points, num_frames, 2))
-    for k in range(num_points):
-        pos = np.repeat(centers[k][None, :], num_frames, axis=0)
-        for cycles, amp in zip(_CYCLES, _AMPLITUDE_SPLIT * amplitude):
-            phase = rng.uniform(0.0, 2.0 * np.pi, size=2)
-            omega = 2.0 * np.pi * cycles
-            pos[:, 0] += amp * np.sin(omega * t + phase[0])
-            pos[:, 1] += amp * np.cos(omega * t + phase[1])
-        pos += rng.uniform(-noise, noise, size=pos.shape)
-        coords[k] = pos
+    # Each point's draws in stream order: an (x, y) phase pair per sinusoid,
+    # then its (N_f, 2) noise. One draw of all points keeps that order.
+    low = np.concatenate([np.zeros(6), np.full(2 * num_frames, -noise)])
+    high = np.concatenate([np.full(6, 2.0 * np.pi), np.full(2 * num_frames, noise)])
+    draws = rng.uniform(low, high, size=(num_points, low.size))
+    phases = draws[:, :6].reshape(num_points, 3, 2)
+    coords = np.repeat(centers[:, None, :], num_frames, axis=1)
+    for c, (cycles, amp) in enumerate(zip(_CYCLES, _AMPLITUDE_SPLIT * amplitude)):
+        omega = 2.0 * np.pi * cycles
+        coords[:, :, 0] += amp * np.sin(omega * t + phases[:, c, 0, None])
+        coords[:, :, 1] += amp * np.cos(omega * t + phases[:, c, 1, None])
+    coords += draws[:, 6:].reshape(num_points, num_frames, 2)
     return TrackSet(ids=np.arange(num_points), coords=coords)
 
 

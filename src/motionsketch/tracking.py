@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, _frozen_field, _json_int
+from .errors import ParseError, ValidationError, _frozen_field, _json_floats, _json_int
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
@@ -124,18 +124,21 @@ class MotionHeatmap:
             raise ValidationError("heatmap values must lie in [0, 1]")
 
 
-def _xy_to_array(obj: dict, path: str) -> dict:
+def _xy_to_array(obj: dict, path: str, has_bools: bool) -> dict:
     # Each point's coordinates become an array as soon as its object is
     # parsed, so the file's nested lists of floats (several times the size of
     # the array) never exist all at once.
     if "xy" in obj:
         xy = obj["xy"]
+        where = f"{path}: point {obj.get('id')!r}"
         try:
-            array = np.asarray(xy, dtype=np.float64) if isinstance(xy, list) else None
+            array = _json_floats(xy, "'xy'", where, has_bools) if isinstance(xy, list) else None
+        except ParseError:
+            raise
         except (TypeError, ValueError, OverflowError):
             array = None
         if array is None or (xy and array.shape[1:] != (2,)):
-            raise ParseError(f"{path}: point {obj.get('id')!r}: 'xy' is not a list of [x, y] pairs")
+            raise ParseError(f"{where}: 'xy' is not a list of [x, y] pairs")
         obj["xy"] = array
     return obj
 
@@ -158,8 +161,9 @@ def _load_tracks_json(path: str) -> TrackSet:
         raw = fh.read()
     if not raw or raw.isspace():
         raise ValidationError("no points: track file is empty")
+    has_bools = b"true" in raw or b"false" in raw
     try:
-        doc = json.loads(raw, object_hook=lambda obj: _xy_to_array(obj, path))
+        doc = json.loads(raw, object_hook=lambda obj: _xy_to_array(obj, path, has_bools))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     try:

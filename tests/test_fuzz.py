@@ -10,7 +10,9 @@ line, starting with `error:`, and leave no output file. A JSON integer field
 (a track id, `num_frames`, the model's `canvas`, `format_version` and
 stroke degrees) that a
 mutation deletes or sets to anything but a JSON integer within int64 must
-make the call fail with exit code 2.
+make the call fail with exit code 2, and so must a JSON float field (track
+`xy`, the model's `widths` and control trajectories) in which a mutation puts
+a boolean, a string or a null.
 """
 
 import copy
@@ -20,6 +22,7 @@ import random
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from motionsketch import load_tracks
@@ -41,6 +44,12 @@ INT_FIELDS = {
     "tracks.json": [("num_frames",), ("points", "*", "id")],
     "model.json": [("format_version",), ("num_frames",), ("canvas", "*"),
                    ("strokes", "*", "curve_degree"), ("strokes", "*", "trajectory_degree")],
+}
+
+# JSON float fields: a path at or below one of these prefixes.
+FLOAT_FIELDS = {
+    "tracks.json": [("points", "*", "xy")],
+    "model.json": [("widths",), ("strokes", "*", "control_trajectories")],
 }
 
 
@@ -105,6 +114,13 @@ def _is_int_field(kind, path):
     return any(
         len(path) == len(field) and all(f in ("*", p) for f, p in zip(field, path))
         for field in INT_FIELDS.get(kind, ())
+    )
+
+
+def _in_float_field(kind, path):
+    return any(
+        len(path) >= len(field) and all(f in ("*", p) for f, p in zip(field, path))
+        for field in FLOAT_FIELDS.get(kind, ())
     )
 
 
@@ -194,3 +210,58 @@ def test_mutated_inputs_fail_cleanly(kind, count, seed, inputs, capsys):
                 as_int64 = type(value) is int and -(2**63) <= value < 2**63
                 if not as_int64:
                     assert code == 2, f"{label}: {err}"
+            if path is not None and _in_float_field(kind, path):
+                if isinstance(value, (bool, str)) or value is None:
+                    assert code == 2, f"{label}: {err}"
+
+
+# Leaves of each float field with the values put there, then whole [x, y]
+# pairs: (input, path, field name, value).
+FLOAT_LEAVES = [
+    (kind, path, field, value)
+    for kind, path, field in [
+        ("tracks.json", ("points", 3, "xy", 5, 1), "'xy'"),
+        ("tracks.json", ("points", 0, "xy", 0, 0), "'xy'"),
+        ("model.json", ("widths", 2), "'widths'"),
+        ("model.json", ("strokes", 1, "control_trajectories", 2, 3, 0),
+         "'control_trajectories'"),
+    ]
+    for value in (True, False, "7", "2.5", "abc", None)
+] + [
+    ("tracks.json", ("points", 3, "xy", 5), "'xy'", [True, "12.5"]),
+    ("model.json", ("strokes", 0, "control_trajectories", 1, 2), "'control_trajectories'",
+     ["7", True]),
+]
+
+
+@pytest.mark.parametrize(("kind", "path", "field", "value"), FLOAT_LEAVES)
+def test_float_fields_refuse_non_numbers(kind, path, field, value, inputs, capsys):
+    # A boolean among numbers would coerce to 1.0 or 0.0 and a numeric string
+    # to its number; each is a parse error (exit 2) naming the field instead.
+    doc = json.loads(inputs[kind])
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    source = str(inputs["base"] / f"float.{kind}")
+    with open(source, "w") as fh:
+        json.dump(doc, fh)
+    argv, out = _commands(kind, source, str(inputs["base"] / "float.out"))[-1]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err, err
+    assert not os.path.exists(out)
+
+
+def test_booleans_elsewhere_leave_float_fields_as_read(inputs, tmp_path):
+    # `true` outside the float fields (a visibility flag) turns on the
+    # per-element check, which passes numbers through unchanged.
+    doc = json.loads(inputs["tracks.json"])
+    for point in doc["points"]:
+        point["visible"] = [True] * len(point["xy"])
+    path = tmp_path / "tracks.json"
+    path.write_text(json.dumps(doc))
+    plain = load_tracks(DEMO_TRACKS)
+    flagged = load_tracks(str(path))
+    assert np.array_equal(flagged.coords, plain.coords)
+    assert np.array_equal(flagged.ids, plain.ids)
