@@ -12,9 +12,11 @@ directory with relative paths, so no print depends on where the case runs.
 ``optimize`` also writes its loss log, and demo and detail also run
 ``export --frames``. Every output file, every standard output and every
 standard error gets a digest. The stages run with one BLAS thread per usable
-CPU; ``optimize`` then runs once more with one BLAS thread, and the golden
-file pins that run's digests too, so a case whose bytes start to depend on
-the thread count fails. The script notes each case whose two runs differ.
+CPU; ``init``, ``optimize`` (on the first run's model, so that it is
+checked on its own) and, where the workload has it, ``fit-bench`` then run
+once more with one BLAS thread, and the golden file pins that run's digests
+too, so a case whose bytes start to depend on the thread count fails. The
+script notes each output whose two runs differ.
 
 The golden file records the environment it was made in: Python, numpy,
 scipy, the OpenBLAS version and kernel that ``numpy.show_config()`` reports,
@@ -73,6 +75,9 @@ CASES["longclip-seed2"] = (LONG_CLIP, 2, False)
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+# The stages that run again with one BLAS thread.
+ONE_THREAD_STAGES = ("init", "optimize", "fit-bench")
+
 
 def environment() -> dict:
     """What the output bytes may depend on, besides the code."""
@@ -127,52 +132,57 @@ def run_stage(argv: list[str], cwd: str, env: dict, label: str, digests: dict) -
     return done.returncode == 0
 
 
-def run_case(name: str, work: str, threads: int) -> tuple[dict, list[str]]:
-    """(digest per output, failures) of one case, run in ``work/name`` with
-    `threads` BLAS threads."""
-    workload, seed, frames = CASES[name]
-    case_dir = os.path.join(work, name)
-    os.makedirs(case_dir)
-    env = blas_env(threads)
-    tracks = os.path.basename(workloads.write_inputs(workload, seed, ROOT, case_dir))
-    digests = {"tracks.json": file_digest(os.path.join(case_dir, tracks))}
-    failures = []
-    optimize_extra = ()
-    for stage, extra in workloads.pass_stages(workload):
+def run_stages(workload, seed, stages, inputs, cwd, env, digests) -> str | None:
+    """Runs `stages` of `workload` in `cwd`, reading the track file and the
+    model that ``optimize`` starts from in the directory `inputs` (relative
+    to `cwd`), and records the digests of their prints and outputs; returns
+    the first stage that failed, or None."""
+    tracks = os.path.join(inputs, "tracks.json")
+    for stage, extra in stages:
         argv = workloads.stage_argv(workload, stage, extra, tracks, seed, "")
         if stage == "optimize":
-            optimize_extra = extra
+            argv[argv.index("--model") + 1] = os.path.join(inputs, workloads.STAGE_OUTPUTS["init"])
             argv += ["--log", "loss.csv"]
-        if not run_stage(argv, case_dir, env, stage, digests):
-            failures.append(f"{name}: {stage} failed")
-            return digests, failures
+        if not run_stage(argv, cwd, env, stage, digests):
+            return stage
         output = workloads.STAGE_OUTPUTS[stage]
         for path in (output, "loss.csv" if stage == "optimize" else None):
             if path:
-                digests[path] = file_digest(os.path.join(case_dir, path))
+                digests[path] = file_digest(os.path.join(cwd, path))
+    return None
+
+
+def run_case(name: str, work: str, threads: int) -> tuple[dict, list[str]]:
+    """(digest per output, failures) of one case, run in ``work/name`` with
+    `threads` BLAS threads, then in ``work/name/one-thread`` with one."""
+    workload, seed, frames = CASES[name]
+    case_dir = os.path.join(work, name)
+    os.makedirs(case_dir)
+    tracks = workloads.write_inputs(workload, seed, ROOT, case_dir)
+    digests = {"tracks.json": file_digest(tracks)}
+    stages = workloads.pass_stages(workload)
+    failed = run_stages(workload, seed, stages, "", case_dir, blas_env(threads), digests)
+    if failed:
+        return digests, [f"{name}: {failed} failed"]
+    failures = []
     if frames:
         argv = ["export", "--model", workloads.STAGE_OUTPUTS["optimize"], "--frames", "frames"]
-        if run_stage(argv, case_dir, env, "export-frames", digests):
+        if run_stage(argv, case_dir, blas_env(threads), "export-frames", digests):
             digests["frames/"] = dir_digest(os.path.join(case_dir, "frames"))
         else:
             failures.append(f"{name}: export --frames failed")
-    # The same optimize with one BLAS thread, in a subdirectory so that its
-    # prints name the same relative paths.
+    # In a subdirectory, so that the prints name the same relative paths.
     single = os.path.join(case_dir, "one-thread")
     os.makedirs(single)
-    opt = workloads.STAGE_OUTPUTS["optimize"]
-    argv = ["optimize", "--model", os.path.join("..", workloads.STAGE_OUTPUTS["init"]),
-            "--tracks", os.path.join("..", tracks), "--out", opt, *optimize_extra,
-            "--log", "loss.csv"]
     again: dict = {}
-    if run_stage(argv, single, blas_env(1), "optimize", again):
-        for path in (opt, "loss.csv"):
-            again[path] = file_digest(os.path.join(single, path))
-        if any(digests.get(key) != value for key, value in again.items()):
-            print(f"  note: {name}'s optimize output depends on the BLAS thread count")
-        digests.update({f"one-thread/{key}": value for key, value in again.items()})
-    else:
-        failures.append(f"{name}: optimize with one BLAS thread failed")
+    stages = [(stage, extra) for stage, extra in stages if stage in ONE_THREAD_STAGES]
+    failed = run_stages(workload, seed, stages, "..", single, blas_env(1), again)
+    if failed:
+        failures.append(f"{name}: {failed} with one BLAS thread failed")
+    moved = [key for key, value in again.items() if digests.get(key) != value]
+    if moved:
+        print(f"  note: {name}: {', '.join(moved)} depend on the BLAS thread count")
+    digests.update({f"one-thread/{key}": value for key, value in again.items()})
     return digests, failures
 
 
