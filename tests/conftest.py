@@ -92,13 +92,7 @@ def rng():
 
 
 def force_kdtree_route():
-    """A context in which every batch of a set of 256 or more tracks takes the
-    KD-tree route: batches as small as a test's would otherwise scan."""
+    """A decorator (or context) under which every batch of a set of 256 or
+    more tracks takes the KD-tree route: batches as small as a test's would
+    otherwise scan."""
     return mock.patch.object(tracking, "_SCAN_MAX_DISTANCES", 0)
-
-
-@pytest.fixture
-def kdtree_route():
-    """Runs the test under `force_kdtree_route`."""
-    with force_kdtree_route():
-        yield

@@ -128,9 +128,8 @@ class TestConsistencyLoss:
     @pytest.mark.parametrize(
         "chunk_elements", [None, 15, 1], ids=["default-chunks", "tiny-chunks", "one-pair-chunks"]
     )
-    def test_switching_rows_match_per_point_definition(
-        self, rng, monkeypatch, chunk_elements, kdtree_route
-    ):
+    @force_kdtree_route()
+    def test_switching_rows_match_per_point_definition(self, rng, monkeypatch, chunk_elements):
         # 300 tracks take the KD-tree route; in a dense random field every
         # sampled point changes its nearest row from frame to frame. The
         # alternating rows (frames 0, 1, 0, 1, 0) switch every frame too but
@@ -260,7 +259,8 @@ class TestConsistencyLoss:
             assert abs(fd - grad.reshape(-1)[idx]) <= 1e-6 * scale
 
     @pytest.mark.parametrize("cpus", [1, 3])
-    def test_kdtree_assign_matches_serial_queries(self, monkeypatch, cpus, kdtree_route):
+    @force_kdtree_route()
+    def test_kdtree_assign_matches_serial_queries(self, monkeypatch, cpus):
         # 400 lattice sites take the KD-tree route; the samples sit on lattice
         # points, edge midpoints and cell centers (ties between 1, 2 and 4
         # sites), and each frame shuffles the rows. With one usable CPU the
@@ -530,9 +530,8 @@ class TestStrokeDifferences:
         "chunk_elements", [None, 15, 1], ids=["default-chunks", "tiny-chunks", "one-pair-chunks"]
     )
     @pytest.mark.parametrize("num_tracks", [5, 300], ids=["scan", "kdtree"])
-    def test_stroke_terms_sum_to_total(
-        self, rng, monkeypatch, chunk_elements, num_tracks, kdtree_route
-    ):
+    @force_kdtree_route()
+    def test_stroke_terms_sum_to_total(self, rng, monkeypatch, chunk_elements, num_tracks):
         # Under the frozen assignment the objective is the sum of the
         # checker's per-stroke terms f_s, on both nearest-row routes and
         # however the pair walk is chunked. A batch of copies in any order and
@@ -991,7 +990,8 @@ class TestOptimizer:
         assert excinfo.value.iteration == 10
 
     @pytest.mark.parametrize("num_points", [4, 300])
-    def test_non_finite_final_loss_raises(self, rng, monkeypatch, num_points, kdtree_route):
+    @force_kdtree_route()
+    def test_non_finite_final_loss_raises(self, rng, monkeypatch, num_points):
         # The single update of a one-iteration run makes the consistency value
         # overflow (as above); the final breakdown is checked, so no model
         # with an infinite loss is returned. That breakdown re-assigns rows at
@@ -1014,7 +1014,8 @@ class TestOptimizer:
         assert excinfo.value.iteration == 1
 
     @pytest.mark.parametrize("num_points", [4, 300])
-    def test_non_finite_samples_raise_divergence(self, rng, num_points, kdtree_route):
+    @force_kdtree_route()
+    def test_non_finite_samples_raise_divergence(self, rng, num_points):
         # Steps of 1e200 make the coefficients overflow to inf by the third
         # iteration, whose unlogged evaluation assigns rows to inf and nan
         # samples before the gradient is checked: the scan takes them, and so

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import NOT_INT64
+from conftest import NOT_INT64, force_kdtree_route
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -312,7 +312,8 @@ class TestNearestSample:
         # frame 0: point 3 at (0,0), point 7 at (10,10); (5,5) is equidistant
         assert nearest_sample(np.array([5.0, 5.0]), 0, tracks) == 3
 
-    def test_brute_force_oracle(self, rng, kdtree_route):
+    @force_kdtree_route()
+    def test_brute_force_oracle(self, rng):
         # 16 points take the scan, 300 and 600 the KD-tree; the lattice has exact
         # ties, which go to the lowest row (not the lowest id when ids are reversed).
         for num_points, lattice, reverse_ids in ((16, False, False), (300, False, False),
@@ -334,7 +335,8 @@ class TestNearestSample:
                         best, best_d = k, d
                 assert nearest_sample(p, frame, tracks) == ids[best]
 
-    def test_kdtree_path_matches_scan(self, rng, kdtree_route):
+    @force_kdtree_route()
+    def test_kdtree_path_matches_scan(self, rng):
         # Enough points to engage the KD-tree inside batched queries.
         from motionsketch.tracking import nearest_rows
 
@@ -346,7 +348,8 @@ class TestNearestSample:
         assert np.array_equal(rows, np.argmin(d2, axis=1))
 
     @pytest.mark.parametrize("side", [10, 20])
-    def test_lattice_ties_pick_lowest_row(self, side, kdtree_route):
+    @force_kdtree_route()
+    def test_lattice_ties_pick_lowest_row(self, side):
         # 100 points take the scan, 400 the KD-tree. Queries at lattice
         # points, edge midpoints and cell centers are equidistant from 1, 2
         # and 4 sites; rows are shuffled so the lowest row is anywhere.
@@ -386,7 +389,8 @@ class TestNearestSample:
         assert np.array_equal(rows, np.argmin(d2, axis=-1).reshape(-1))
 
     @pytest.mark.parametrize("num_points", [40, 300])
-    def test_overflowing_distances_do_not_warn(self, num_points, kdtree_route):
+    @force_kdtree_route()
+    def test_overflowing_distances_do_not_warn(self, num_points):
         # Squared distances of 1e300 overflow to inf in the scan as in the
         # KD-tree: no RuntimeWarning, and the scan's lowest row.
         from motionsketch.tracking import nearest_rows
@@ -397,7 +401,8 @@ class TestNearestSample:
             rows = nearest_rows(np.array([[1e300, 0.0], [0.0, -1e300]]), 0, tracks)
         assert np.array_equal(rows, [0, 0])
 
-    def test_kdtree_three_way_tie(self, kdtree_route):
+    @force_kdtree_route()
+    def test_kdtree_three_way_tie(self):
         # Rows 5, 7 and 250 are equidistant from the query; the rest are far.
         from motionsketch.tracking import nearest_rows
 
@@ -407,7 +412,8 @@ class TestNearestSample:
         assert nearest_rows(np.zeros((1, 2)), 0, tracks)[0] == 5
 
     @pytest.mark.parametrize("num_points", [40, 300])
-    def test_per_frame_rows_match_nearest_rows(self, rng, num_points, kdtree_route):
+    @force_kdtree_route()
+    def test_per_frame_rows_match_nearest_rows(self, rng, num_points):
         # One query over all frames, in an unsorted frame order, gives each
         # frame's queries the rows of `nearest_rows` on both routes.
         from motionsketch.tracking import _nearest, nearest_rows
@@ -454,7 +460,8 @@ class TestNearestSample:
             assert np.array_equal(rows[mine], nearest_rows(points[mine], f, tracks))
 
     @pytest.mark.parametrize("cpus", [1, 3])
-    def test_lattice_queries_from_unsorted_frames(self, monkeypatch, cpus, kdtree_route):
+    @force_kdtree_route()
+    def test_lattice_queries_from_unsorted_frames(self, monkeypatch, cpus):
         # 400 lattice sites take the KD-tree route, rows shuffled per frame;
         # queries on lattice points, edge midpoints and cell centers tie
         # between 1, 2 and 4 sites. Queries from five frames in random order
