@@ -68,18 +68,18 @@ def _json_leaves(value):
         yield value
 
 
-def _json_floats(value, field: str, where: str, has_bools: bool) -> np.ndarray:
+def _json_floats(value, field: str, where: str) -> np.ndarray:
     """`value`, read from the JSON field `field` of the file `where`, as a
     float64 array. Every leaf must be a JSON number: a bool, a string or a
     null is a ParseError naming the field.
 
-    ``np.asarray`` without a dtype finds strings (kind U) and nulls (kind O),
-    but makes booleans mixed with numbers floats, so each leaf is checked
-    only when `has_bools`, whether the file's text holds ``true`` or
-    ``false``, or the kind is not numeric (an integer outside int64 is kind O
-    and is read as a float). A ragged list raises numpy's ValueError."""
+    ``np.asarray`` without a dtype finds strings (kind U), nulls (kind O) and
+    lists of booleans alone (kind b), but makes booleans mixed with numbers
+    the numbers 0 and 1. So each leaf is checked only when the kind is not
+    numeric or the array holds an exact 0 or 1 (an integer outside int64 is
+    kind O and is read as a float). A ragged list raises numpy's ValueError."""
     array = np.asarray(value)
-    if has_bools or array.dtype.kind not in "fiu":
+    if array.dtype.kind not in "fiu" or np.any((array == 0) | (array == 1)):
         bad = [v for v in _json_leaves(value) if type(v) not in (int, float)]
         if bad:
             raise ParseError(f"{where}: {field} must hold JSON numbers only, got {bad[0]!r}")

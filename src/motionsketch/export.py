@@ -130,8 +130,7 @@ def load_model(path: str) -> SketchAnimation:
         where = f"{path}: malformed model document"
         canvas = tuple(_json_int(doc["canvas"][k], "'canvas'", where) for k in (0, 1))
         num_frames = _json_int(doc["num_frames"], "'num_frames'", where)
-        has_bools = "true" in text or "false" in text
-        widths = _json_floats(doc["widths"], "'widths'", where, has_bools)
+        widths = _json_floats(doc["widths"], "'widths'", where)
         strokes = []
         for index, entry in enumerate(doc["strokes"]):
             stroke_unknown = set(entry) - _KNOWN_STROKE_FIELDS
@@ -142,7 +141,7 @@ def load_model(path: str) -> SketchAnimation:
             kind = BasisKind(entry["basis"])
             field = f"stroke {index} 'control_trajectories'"
             trajs = tuple(
-                TrajectoryPoly(kind, _json_floats(coeffs, field, where, has_bools))
+                TrajectoryPoly(kind, _json_floats(coeffs, field, where))
                 for coeffs in entry["control_trajectories"]
             )
             strokes.append(Stroke(trajs))

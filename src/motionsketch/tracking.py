@@ -124,7 +124,7 @@ class MotionHeatmap:
             raise ValidationError("heatmap values must lie in [0, 1]")
 
 
-def _xy_to_array(obj: dict, path: str, has_bools: bool) -> dict:
+def _xy_to_array(obj: dict, path: str) -> dict:
     # Each point's coordinates become an array as soon as its object is
     # parsed, so the file's nested lists of floats (several times the size of
     # the array) never exist all at once.
@@ -132,7 +132,7 @@ def _xy_to_array(obj: dict, path: str, has_bools: bool) -> dict:
         xy = obj["xy"]
         where = f"{path}: point {obj.get('id')!r}"
         try:
-            array = _json_floats(xy, "'xy'", where, has_bools) if isinstance(xy, list) else None
+            array = _json_floats(xy, "'xy'", where) if isinstance(xy, list) else None
         except ParseError:
             raise
         except (TypeError, ValueError, OverflowError):
@@ -161,9 +161,8 @@ def _load_tracks_json(path: str) -> TrackSet:
         raw = fh.read()
     if not raw or raw.isspace():
         raise ValidationError("no points: track file is empty")
-    has_bools = b"true" in raw or b"false" in raw
     try:
-        doc = json.loads(raw, object_hook=lambda obj: _xy_to_array(obj, path, has_bools))
+        doc = json.loads(raw, object_hook=lambda obj: _xy_to_array(obj, path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     try:

@@ -25,7 +25,7 @@ import warnings
 import numpy as np
 import pytest
 
-from motionsketch import load_tracks
+from motionsketch import errors, load_tracks
 from motionsketch.cli import main
 
 DEMO_TRACKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -253,9 +253,19 @@ def test_float_fields_refuse_non_numbers(kind, path, field, value, inputs, capsy
     assert not os.path.exists(out)
 
 
-def test_booleans_elsewhere_leave_float_fields_as_read(inputs, tmp_path):
-    # `true` outside the float fields (a visibility flag) turns on the
-    # per-element check, which passes numbers through unchanged.
+def test_booleans_elsewhere_leave_float_fields_as_read(inputs, tmp_path, monkeypatch):
+    # Visibility flags are booleans outside the float fields: no point's
+    # leaves are walked for them. Coordinates of exactly 0.0 or 1.0 (which a
+    # boolean among numbers would become) send their point to the leaf check,
+    # which passes numbers through unchanged.
+    walked = []
+
+    def counted_leaves(value):
+        walked.append(value)
+        return leaves(value)
+
+    leaves = errors._json_leaves
+    monkeypatch.setattr(errors, "_json_leaves", counted_leaves)
     doc = json.loads(inputs["tracks.json"])
     for point in doc["points"]:
         point["visible"] = [True] * len(point["xy"])
@@ -263,5 +273,19 @@ def test_booleans_elsewhere_leave_float_fields_as_read(inputs, tmp_path):
     path.write_text(json.dumps(doc))
     plain = load_tracks(DEMO_TRACKS)
     flagged = load_tracks(str(path))
+    assert walked == []
     assert np.array_equal(flagged.coords, plain.coords)
     assert np.array_equal(flagged.ids, plain.ids)
+
+    doc["points"][2]["xy"][4] = [0.0, 1.0]
+    doc["points"][5]["xy"][0] = [1, 0]
+    path.write_text(json.dumps(doc))
+    expected = plain.coords.copy()
+    expected[2, 4] = (0.0, 1.0)
+    expected[5, 0] = (1.0, 0.0)
+    got = load_tracks(str(path))
+    assert np.array_equal(got.coords, expected)
+    # The walk recurses through the patched name: its top-level calls are
+    # the two points' whole `xy` lists.
+    top = [v for v in walked if isinstance(v, list) and len(v) == plain.num_frames]
+    assert top == [doc["points"][2]["xy"], doc["points"][5]["xy"]]
