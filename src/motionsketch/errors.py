@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the strict JSON integer and
-float readers of the file loaders, and the array rule of the frozen value
+"""Exception types shared across the package, the text, strict JSON integer
+and float readers of the file loaders, and the array rule of the frozen value
 types."""
 
 import numpy as np
@@ -47,6 +47,20 @@ class DivergenceError(MotionSketchError, RuntimeError):
     def __init__(self, message: str, iteration: int | None = None):
         super().__init__(message)
         self.iteration = iteration
+
+
+def _read_text(path: str) -> str:
+    """The text of the file `path`, decoded as UTF-8 (a leading byte-order
+    mark is dropped). A byte that does not decode is a ParseError naming the
+    file and the line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        bad = exc.object[exc.start]
+        raise ParseError(f"{path}: line {line}: byte {bad:#04x} is not UTF-8") from None
 
 
 def _json_int(value, field: str, where: str) -> int:

@@ -28,6 +28,7 @@ from .errors import (
     _frozen_field,
     _json_floats,
     _json_int,
+    _read_text,
 )
 from .trajectory import (
     SketchAnimation,
@@ -106,10 +107,8 @@ def save_model(anim: SketchAnimation, path: str) -> dict:
 
 def load_model(path: str) -> SketchAnimation:
     """Load a model file; unknown fields are ignored with a warning."""
-    with open(path) as fh:
-        text = fh.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):

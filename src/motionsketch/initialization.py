@@ -10,13 +10,21 @@ animation already follows the scene roughly.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bernstein import MAX_DEGREE, BasisKind, basis_matrix, basis_row
-from .errors import CapacityError, DegenerateInputError, ParseError, ValidationError, _frozen_field
+from .errors import (
+    CapacityError,
+    DegenerateInputError,
+    ParseError,
+    ValidationError,
+    _frozen_field,
+    _read_text,
+)
 from .fitting import DEFAULT_RIDGE_LAMBDA, fit_ridge_columns
 from .tracking import MotionHeatmap, TrackSet, nearest_rows
 from .trajectory import (
@@ -318,18 +326,17 @@ def save_pgm(path: str, values: np.ndarray, maxval: int = 255) -> None:
 def load_mask_areas(path: str, canvas: tuple[int, int]) -> MaskAreas:
     """Read per-frame mask areas from CSV with header `frame,area_pixels`."""
     entries: dict[int, float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["frame", "area_pixels"]:
-            raise ParseError(f"{path}: expected header frame,area_pixels")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                entries[int(row[0])] = float(row[1])
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header[:2]] != ["frame", "area_pixels"]:
+        raise ParseError(f"{path}: expected header frame,area_pixels")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            entries[int(row[0])] = float(row[1])
+        except (ValueError, IndexError) as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
     if not entries:
         raise ValidationError(f"{path}: no area rows")
     frames = sorted(entries)

@@ -507,11 +507,6 @@ def consistency_assignments(
     return np.ascontiguousarray(rows.transpose(2, 0, 1))
 
 
-def _freeze_assignments(objective: _Objective, assignments: np.ndarray) -> _Frozen:
-    """`freeze` of public (N_f, N_s, N_p) assignments."""
-    return objective.freeze(assignments.reshape(len(objective.b_t), -1).T)
-
-
 def consistency_loss_grad(
     anim: SketchAnimation,
     tracks: TrackSet,
@@ -526,11 +521,9 @@ def consistency_loss_grad(
     The value is the exactly centered per-pair sum and the gradient the closed
     form of the module docstring; both are always computed.
     """
-    objective = _Objective(anim, tracks, None, _CONSISTENCY_ONLY, n_p)
-    frozen = None if assignments is None else _freeze_assignments(objective, assignments)
-    q = _trajectory_major(animation_coefficients(anim))
-    breakdown, grad = objective.value_grad(q, frozen)
-    return breakdown.consistency, _packed(grad)
+    breakdown, grad = total_loss(anim, tracks, None, _CONSISTENCY_ONLY, n_p,
+                                 assignments=assignments)
+    return breakdown.consistency, grad
 
 
 def attachment_loss_grad(
@@ -541,9 +534,8 @@ def attachment_loss_grad(
     `targets` has shape (N_s, N_f, 2). This is the pluggable data term standing
     in the semantic-loss slot; its gradient is exact (the map is linear).
     """
-    objective = _Objective(anim, None, targets, _ATTACHMENT_ONLY, 2)
-    breakdown, grad = objective.value_grad(_trajectory_major(animation_coefficients(anim)))
-    return breakdown.attachment, _packed(grad)
+    breakdown, grad = total_loss(anim, None, targets, _ATTACHMENT_ONLY, 2)
+    return breakdown.attachment, grad
 
 
 def total_loss(
@@ -563,7 +555,8 @@ def total_loss(
     objective = _Objective(anim, tracks, targets, weights, n_p, geometry_term)
     frozen = None
     if assignments is not None and weights.w_c > 0:
-        frozen = _freeze_assignments(objective, assignments)
+        # The public (N_f, N_s, N_p) assignments, as `freeze` takes them.
+        frozen = objective.freeze(assignments.reshape(len(objective.b_t), -1).T)
     breakdown, grad = objective.value_grad(_trajectory_major(animation_coefficients(anim)), frozen)
     return breakdown, _packed(grad)
 

@@ -63,11 +63,10 @@ def make_demo_tracks(
     t = np.linspace(0.0, 1.0, num_frames)
     center = np.array([w / 2.0, h / 2.0])
     drift = np.stack([30.0 * np.sin(2.0 * np.pi * t), 20.0 * np.sin(4.0 * np.pi * t)], axis=1)
-    coords = np.empty((num_points, num_frames, 2))
-    for k in range(num_points):
-        angle0 = 2.0 * np.pi * k / num_points + rng.uniform(-0.1, 0.1)
-        radius = (min(w, h) / 4.0) * (1.0 + 0.25 * np.sin(2.0 * np.pi * t + angle0))
-        angle = angle0 + 0.8 * np.sin(2.0 * np.pi * t)
-        ring = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-        coords[k] = center + drift + ring
-    return TrackSet(ids=np.arange(num_points), coords=coords)
+    # (points, 1) against (frames,): every point's ring over every frame.
+    angle0 = (2.0 * np.pi * np.arange(num_points) / num_points
+              + rng.uniform(-0.1, 0.1, num_points))[:, None]
+    radius = (min(w, h) / 4.0) * (1.0 + 0.25 * np.sin(2.0 * np.pi * t + angle0))
+    angle = angle0 + 0.8 * np.sin(2.0 * np.pi * t)
+    ring = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+    return TrackSet(ids=np.arange(num_points), coords=center + drift + ring)

@@ -7,41 +7,44 @@ arbitrary pixel of frame i lands in frame t by borrowing the displacement of
 its nearest tracked point.
 
 Nearest-track queries pick a route per batch. A batch scans its tracks in
-cache-sized blocks when the set has fewer than 256 points, or when the scan
-needs at most `_SCAN_MAX_DISTANCES` (query, track) distances; a larger batch
-of a large set goes to per-frame KD-trees on a thread pool. Both routes give
-the same rows and radii. Only the KD-tree route needs scipy and the pool:
-`scipy.spatial` is imported when the first tree is built and
-`concurrent.futures` when the first pool starts, so a process whose batches
-all scan loads neither.
+cache-sized blocks when the scan needs at most `_SCAN_MAX_DISTANCES`
+(query, track) distances; a larger batch goes to per-frame KD-trees on a
+thread pool. Both routes give the same rows and radii. Only the KD-tree
+route needs scipy and the pool: `scipy.spatial` is imported when the first
+tree is built and `concurrent.futures` when the first pool starts, so a
+process whose batches all scan loads neither.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, _frozen_field, _json_floats, _json_int
+from .errors import (
+    ParseError,
+    ValidationError,
+    _frozen_field,
+    _json_floats,
+    _json_int,
+    _read_text,
+)
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
 
-# Below this many tracked points a vectorized scan beats building KD-trees.
-_KDTREE_MIN_POINTS = 256
-
-# A batch of a large set scans when it needs at most this many (query, track)
-# distances, and queries the KD-trees when it needs more. Warm, on 2000
-# tracks x 200 frames (2-vCPU host), a batch spread over all frames scanned
-# as fast as it queried cached trees at 2^20 distances (25 ms each) and
-# slower at 2^21 (45 against 32 ms); building its frames' trees costs about
-# 80 ms more. A batch in one frame queries a new tree faster (3 against 5.5 ms
-# at 128 queries), but its scan loads no scipy, whose import costs ~0.35 s.
+# A batch scans when it needs at most this many (query, track) distances,
+# and queries the KD-trees when it needs more. Warm, on 2000 tracks x 200
+# frames (2-vCPU host), a batch spread over all frames scanned as fast as it
+# queried cached trees at 2^20 distances (25 ms each) and slower at 2^21
+# (45 against 32 ms); building its frames' trees costs about 80 ms more. A
+# batch in one frame queries a new tree faster (3 against 5.5 ms at 128
+# queries), but its scan loads no scipy, whose import costs ~0.35 s.
 _SCAN_MAX_DISTANCES = 1 << 20
 
 # Stabilizer in the Shepard denominator: far from every site the interpolant
@@ -90,19 +93,12 @@ class TrackSet:
         # twice, both results are equivalent and the dict update is atomic.
         tree = self._trees.get(frame)
         if tree is None:
-            # KD-tree route only (256+ tracks): not at module level, so scans skip scipy.spatial.
+            # KD-tree route only: not at module level, so scans skip scipy.spatial.
             from scipy.spatial import cKDTree
 
             tree = cKDTree(self.coords[:, frame, :])
             self._trees[frame] = tree
         return tree
-
-    @cached_property
-    def _frame_sites(self) -> np.ndarray:
-        """The coordinates frame-major, (N_f, K, 2) and contiguous, for the
-        scan of a small set (below `_KDTREE_MIN_POINTS`); built on first use.
-        A large set scans a strided view instead, so it never holds the copy."""
-        return np.ascontiguousarray(self.coords.transpose(1, 0, 2))
 
 
 @dataclass(frozen=True)
@@ -157,12 +153,11 @@ def _point_id(value, where: str) -> int:
 
 
 def _load_tracks_json(path: str) -> TrackSet:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if not raw or raw.isspace():
+    text = _read_text(path)
+    if not text or text.isspace():
         raise ValidationError("no points: track file is empty")
     try:
-        doc = json.loads(raw, object_hook=lambda obj: _xy_to_array(obj, path))
+        doc = json.loads(text, object_hook=lambda obj: _xy_to_array(obj, path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     try:
@@ -192,22 +187,21 @@ def _load_tracks_json(path: str) -> TrackSet:
 
 def _load_tracks_csv(path: str) -> TrackSet:
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError("no points: track file is empty")
-        expected = ["frame", "point_id", "x", "y"]
-        if [h.strip() for h in header[:4]] != expected:
-            raise ParseError(f"{path}: expected header {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                frame, raw_id, x, y = int(row[0]), row[1], float(row[2]), float(row[3])
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-            rows.append((frame, _point_id(raw_id, f"{path}: line {lineno}"), x, y))
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ValidationError("no points: track file is empty")
+    expected = ["frame", "point_id", "x", "y"]
+    if [h.strip() for h in header[:4]] != expected:
+        raise ParseError(f"{path}: expected header {','.join(expected)}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            frame, raw_id, x, y = int(row[0]), row[1], float(row[2]), float(row[3])
+        except (ValueError, IndexError) as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+        rows.append((frame, _point_id(raw_id, f"{path}: line {lineno}"), x, y))
     if not rows:
         raise ValidationError("no points: track file has no data rows")
     ids = sorted({r[1] for r in rows})
@@ -403,10 +397,9 @@ def _nearest(
     """Nearest rows and certified radii (see `_certified_radius`) of the
     queries `points` (N, 2), query n in frame ``frames[n]``.
 
-    A batch scans the queries against their frames' tracks in cache-sized
-    blocks when the set is small (its frame-major copy, `_frame_sites`) or
-    the batch needs at most `_SCAN_MAX_DISTANCES` distances (a strided view
-    of the coordinates). A larger batch of a large set queries each frame's
+    A batch scans the queries against their frames' tracks (a strided view
+    of the coordinates) in cache-sized blocks when it needs at most
+    `_SCAN_MAX_DISTANCES` distances. A larger batch queries each frame's
     KD-tree on a thread pool with one worker per usable CPU, at most one per
     frame (a single worker runs the frames serially): the queries release the
     GIL, the frames are independent and each writes only its own entries, so
@@ -416,8 +409,6 @@ def _nearest(
     caller's. Queries from a single frame run in the calling thread, and
     zero queries do no work.
     """
-    if tracks.num_points < _KDTREE_MIN_POINTS:
-        return _scan_rows_radius(points, tracks._frame_sites, frames)
     if len(points) * tracks.num_points <= _SCAN_MAX_DISTANCES:
         return _scan_rows_radius(points, tracks.coords.transpose(1, 0, 2), frames)
     rows = np.empty(len(points), dtype=np.intp)
@@ -445,10 +436,11 @@ def _nearest(
 def nearest_rows(points: np.ndarray, frame: int, tracks: TrackSet) -> np.ndarray:
     """Row indices of the nearest tracked point for each query (batched).
 
-    Uses a per-frame KD-tree once the track set is large, and a vectorized scan
-    for small sets. Both pick the lowest row on ties, which is the lowest id
-    only when the ids are sorted (as in every loaded track set), and both give
-    a non-finite query the scan's row.
+    Scans the tracks when the batch needs at most `_SCAN_MAX_DISTANCES`
+    (query, track) distances and queries per-frame KD-trees when it needs
+    more. Both pick the lowest row on ties, which is the lowest id only when
+    the ids are sorted (as in every loaded track set), and both give a
+    non-finite query the scan's row.
     """
     points = np.asarray(points, dtype=np.float64)
     flat = points.reshape(-1, 2)

@@ -92,7 +92,6 @@ def rng():
 
 
 def force_kdtree_route():
-    """A decorator (or context) under which every batch of a set of 256 or
-    more tracks takes the KD-tree route: batches as small as a test's would
-    otherwise scan."""
+    """A decorator (or context) under which every nonempty batch takes the
+    KD-tree route: batches as small as a test's would otherwise scan."""
     return mock.patch.object(tracking, "_SCAN_MAX_DISTANCES", 0)

@@ -68,7 +68,6 @@ def test_kdtree_route_imports_scipy_spatial_on_first_query():
     """
     scope: dict = {}
     exec(textwrap.dedent(setup), scope)
-    assert scope["tracks"].num_points >= tracking._KDTREE_MIN_POINTS
     assert 4000 * 300 > tracking._SCAN_MAX_DISTANCES
 
     lines = run_fresh(setup + """

@@ -12,7 +12,8 @@ stroke degrees) that a
 mutation deletes or sets to anything but a JSON integer within int64 must
 make the call fail with exit code 2, and so must a JSON float field (track
 `xy`, the model's `widths` and control trajectories) in which a mutation puts
-a boolean, a string or a null.
+a boolean, a string or a null. A byte that is not UTF-8 in a text input
+fails with exit code 2 too.
 """
 
 import copy
@@ -289,3 +290,20 @@ def test_booleans_elsewhere_leave_float_fields_as_read(inputs, tmp_path, monkeyp
     # the two points' whole `xy` lists.
     top = [v for v in walked if isinstance(v, list) and len(v) == plain.num_frames]
     assert top == [doc["points"][2]["xy"], doc["points"][5]["xy"]]
+
+
+@pytest.mark.parametrize("kind", ["tracks.json", "tracks.csv", "model.json", "areas.csv"])
+def test_undecodable_bytes_are_parse_errors(kind, inputs, capsys):
+    # A byte that is not UTF-8, in the middle of a text input, fails every
+    # call that reads it with exit code 2 and one error line naming the file.
+    raw = inputs[kind].encode()
+    middle = len(raw) // 2
+    source = str(inputs["base"] / f"undecodable.{kind}")
+    with open(source, "wb") as fh:
+        fh.write(raw[:middle] + b"\xff" + raw[middle:])
+    line = raw[:middle].count(b"\n") + 1
+    for argv, out in _commands(kind, source, str(inputs["base"] / "undecodable.out")):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err == f"error: {source}: line {line}: byte 0xff is not UTF-8\n"
+        assert not os.path.exists(out)

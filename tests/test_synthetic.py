@@ -1,10 +1,10 @@
-"""`make_benchmark_tracks` forms all points with array operations, bit for bit
-as the per-point loop it replaced."""
+"""`make_benchmark_tracks` and `make_demo_tracks` form all points with array
+operations, bit for bit as the per-point loops they replaced."""
 
 import numpy as np
 import pytest
 
-from motionsketch import make_benchmark_tracks
+from motionsketch import make_benchmark_tracks, make_demo_tracks
 from motionsketch.synthetic import _AMPLITUDE_SPLIT, _CYCLES
 
 
@@ -44,6 +44,38 @@ def looped_benchmark_coords(num_points, num_frames, seed=0, canvas=(640, 480),
 def test_tracks_equal_the_per_point_loop(num_points, num_frames, seed, options):
     got = make_benchmark_tracks(num_points, num_frames, seed, **options)
     expected = looped_benchmark_coords(num_points, num_frames, seed, **options)
+    assert got.coords.shape == (num_points, num_frames, 2)
+    assert np.array_equal(got.coords.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(got.ids, np.arange(num_points))
+
+
+def looped_demo_coords(num_points=16, num_frames=50, seed=7, canvas=(256, 256)):
+    """The reference: one point at a time, each drawing its angle jitter."""
+    rng = np.random.default_rng(seed)
+    w, h = canvas
+    t = np.linspace(0.0, 1.0, num_frames)
+    center = np.array([w / 2.0, h / 2.0])
+    drift = np.stack([30.0 * np.sin(2.0 * np.pi * t), 20.0 * np.sin(4.0 * np.pi * t)], axis=1)
+    coords = np.empty((num_points, num_frames, 2))
+    for k in range(num_points):
+        angle0 = 2.0 * np.pi * k / num_points + rng.uniform(-0.1, 0.1)
+        radius = (min(w, h) / 4.0) * (1.0 + 0.25 * np.sin(2.0 * np.pi * t + angle0))
+        angle = angle0 + 0.8 * np.sin(2.0 * np.pi * t)
+        ring = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+        coords[k] = center + drift + ring
+    return coords
+
+
+@pytest.mark.parametrize(("num_points", "num_frames", "seed", "canvas"), [
+    (1, 1, 0, (256, 256)),
+    (3, 7, 1, (256, 256)),
+    (16, 50, 7, (256, 256)),
+    (257, 33, 3, (384, 200)),
+    (40, 200, 9, (300, 301)),
+])
+def test_demo_tracks_equal_the_per_point_loop(num_points, num_frames, seed, canvas):
+    got = make_demo_tracks(num_points, num_frames, seed, canvas)
+    expected = looped_demo_coords(num_points, num_frames, seed, canvas)
     assert got.coords.shape == (num_points, num_frames, 2)
     assert np.array_equal(got.coords.view(np.int64), expected.view(np.int64))
     assert np.array_equal(got.ids, np.arange(num_points))

@@ -503,7 +503,6 @@ class TestNearestSample:
         assert np.array_equal(rows, brute_force_rows(points[mine], tracks.coords[:, 2]))
         rows, radius = _nearest(np.empty((0, 2)), np.empty(0, dtype=np.intp), tracks)
         assert rows.shape == radius.shape == (0,) and pools == [min(cpus, num_frames)]
-        assert "_frame_sites" not in vars(tracks)
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["scan-sized", "kdtree-sized"])
     def test_routes_agree_on_each_side_of_the_scan_budget(self, rng, monkeypatch, extra):
@@ -511,7 +510,7 @@ class TestNearestSample:
         # just as many queries as the budget lets scan, and one more, with
         # some non-finite queries. Each batch gives the same rows and radii,
         # bit for bit, on its default route and forced down either route. A
-        # scan of the large set builds neither trees nor a frame-major copy.
+        # scan builds no trees.
         from motionsketch import tracking
         from motionsketch.tracking import _nearest
 
@@ -523,7 +522,6 @@ class TestNearestSample:
         tracks = TrackSet(ids=np.arange(300), coords=coords)
         default = _nearest(points, frames, tracks)
         assert bool(tracks._trees) == bool(extra)
-        assert "_frame_sites" not in vars(tracks)
         results = []
         for budget in (0, 1 << 62):  # the KD-tree route, then the scan
             monkeypatch.setattr(tracking, "_SCAN_MAX_DISTANCES", budget)
