@@ -92,8 +92,12 @@ def interpolation_frame_indices(num_frames: int, n: int) -> np.ndarray:
 
 
 def _design_condition(design: np.ndarray) -> float:
+    """The 2-norm condition number s_max / s_min of `design`, or inf when
+    s_min is at or below eps * max(M, N) * s_max, the cutoff under which
+    ``np.linalg.lstsq(rcond=None)`` counts a singular value out of the rank:
+    past it the ratio is set by roundoff and means nothing."""
     s = np.linalg.svd(design, compute_uv=False)
-    if s[-1] == 0.0:
+    if s[-1] <= np.finfo(np.float64).eps * max(design.shape) * s[0]:
         return float("inf")
     return float(s[0] / s[-1])
 

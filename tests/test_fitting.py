@@ -25,7 +25,7 @@ from motionsketch import (
     run_fit_benchmark,
 )
 from motionsketch.bernstein import basis_matrix
-from motionsketch.fitting import interpolation_frame_indices
+from motionsketch.fitting import _design_condition, interpolation_frame_indices
 
 
 def samples_from_coeffs(coeffs, num_frames, basis=BasisKind.BERNSTEIN):
@@ -237,6 +237,19 @@ class TestEvaluateFit:
         assert report.mae == pytest.approx(np.mean(errors), rel=1e-12)
         assert report.max_abs_error == pytest.approx(np.max(errors), rel=1e-12)
         assert report.avg_abs_coeff == pytest.approx(np.mean(np.abs(traj.coeffs)), rel=1e-12)
+
+    @pytest.mark.parametrize(("frames", "degree"), [(50, 24), (100, 49), (200, 99), (400, 199)])
+    def test_condition_past_the_rank_cutoff_reads_inf(self, frames, degree):
+        # At or below eps * max(M, N) * s_max a singular value is out of
+        # numpy's rank (lstsq's and matrix_rank's cutoff), and the ratio is
+        # roundoff: the estimate reads inf exactly when the rank falls short.
+        design = basis_matrix(BasisKind.BERNSTEIN, degree, np.linspace(0.0, 1.0, frames))
+        condition = _design_condition(design)
+        full_rank = np.linalg.matrix_rank(design) == degree + 1
+        assert np.isfinite(condition) == full_rank
+        if full_rank:
+            s = np.linalg.svd(design, compute_uv=False)
+            assert condition == s[0] / s[-1]
 
     def test_report_invariant(self):
         with pytest.raises(ValidationError):
