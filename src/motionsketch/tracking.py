@@ -26,14 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    ParseError,
-    ValidationError,
-    _frozen_field,
-    _json_floats,
-    _json_int,
-    _read_text,
-)
+from .errors import ParseError, ValidationError, _frozen_field, _json_floats, _json_int, _read_text
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
