@@ -115,8 +115,11 @@ def _as_map(values, name: str) -> np.ndarray:
 
 
 def uniform_map(width: int, height: int) -> np.ndarray:
-    """All-ones map: the documented fallback when no edge/attention input exists."""
-    return np.ones((height, width))
+    """All-ones map: the documented fallback when no edge/attention input exists.
+
+    A read-only broadcast view of one float64 1.0, so it holds no canvas-sized
+    memory; copy it (``np.array``) to get a writable map."""
+    return np.broadcast_to(np.float64(1.0), (height, width))
 
 
 def compose_density_map(xdog, attention, motion, beta: float) -> DensityMap:
@@ -130,7 +133,10 @@ def compose_density_map(xdog, attention, motion, beta: float) -> DensityMap:
         raise ValidationError(
             f"map shapes differ: {edge.shape}, {att.shape}, {mot.shape}"
         )
-    raw = edge * ((1.0 - beta) * att + beta * mot)
+    # edge * ((1 - beta) * att + beta * mot), built in the buffer of raw.
+    raw = np.multiply(att, 1.0 - beta)
+    raw += beta * mot
+    raw *= edge
     total = raw.sum()
     if total <= 0.0:
         raise DegenerateInputError(
@@ -309,7 +315,8 @@ def load_pgm(path: str) -> np.ndarray:
         if len(body) != width * height * dtype.itemsize:
             raise ParseError(f"{path}: truncated PGM pixel data")
         values = np.frombuffer(body, dtype=dtype).astype(np.float64)
-    return (values / maxval).reshape(height, width)
+    values /= maxval
+    return values.reshape(height, width)
 
 
 def save_pgm(path: str, values: np.ndarray, maxval: int = 255) -> None:

@@ -282,16 +282,36 @@ def build_motion_heatmap(
     weights = motion_weights(tracks)
     sites = tracks.coords[:, 0, :]
     # The Gaussian factors into x and y kernels, so the Shepard sums over all
-    # sites are two matrix products instead of H*W*K exponentials.
+    # sites are two matrix products instead of H*W*K exponentials. Every
+    # canvas-sized step after the products works in place, in the order of
+    # ((ky * w) @ kx.T) / (ky @ kx.T + eps), min-max normalized.
     inv = 1.0 / (2.0 * bandwidth * bandwidth)
-    kx = np.exp(-((np.arange(width) + 0.5)[:, None] - sites[None, :, 0]) ** 2 * inv)
-    ky = np.exp(-((np.arange(height) + 0.5)[:, None] - sites[None, :, 1]) ** 2 * inv)
-    values = ((ky * weights) @ kx.T) / (ky @ kx.T + _SHEPARD_EPS)
+    kx = _axis_kernel(width, sites[:, 0], inv)
+    ky = _axis_kernel(height, sites[:, 1], inv)
+    denominator = ky @ kx.T
+    denominator += _SHEPARD_EPS
+    ky *= weights
+    values = ky @ kx.T
+    values /= denominator
+    del denominator
     lo, hi = values.min(), values.max()
     if hi == lo:
         # No spatial variation (e.g. every tracked point is static): all zero.
-        return MotionHeatmap(width=width, height=height, values=np.zeros((height, width)))
-    return MotionHeatmap(width=width, height=height, values=(values - lo) / (hi - lo))
+        values[...] = 0.0
+    else:
+        values -= lo
+        values /= hi - lo
+    return MotionHeatmap(width=width, height=height, values=values)
+
+
+def _axis_kernel(size: int, centers: np.ndarray, inv: float) -> np.ndarray:
+    """exp(-(c - s)^2 * inv) for pixel centers c = 0.5, 1.5, ... (rows) and
+    site coordinates s (columns), formed in one (size, K) buffer."""
+    kernel = (np.arange(size) + 0.5)[:, None] - centers[None, :]
+    np.square(kernel, out=kernel)
+    np.negative(kernel, out=kernel)
+    kernel *= inv
+    return np.exp(kernel, out=kernel)
 
 
 # Elements (frames x queries x points) per block of the batched scan, small

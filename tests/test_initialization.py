@@ -121,6 +121,32 @@ class TestComposeDensityMap:
             previous = value
 
 
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("maps", ["uniform", "pgm"])
+    def test_in_place_density_equals_the_formula_bit_for_bit(self, tmp_path, rng, beta, maps):
+        h, w = 48, 64
+        motion = rng.random((h, w))
+        if maps == "uniform":
+            xdog, attention = uniform_map(w, h), uniform_map(w, h)
+        else:
+            for name in ("xdog", "attention"):
+                save_pgm(str(tmp_path / f"{name}.pgm"), rng.random((h, w)))
+            xdog = load_pgm(str(tmp_path / "xdog.pgm"))
+            attention = load_pgm(str(tmp_path / "attention.pgm"))
+        density = compose_density_map(xdog, attention, motion, beta)
+        raw = np.array(xdog) * ((1.0 - beta) * np.array(attention) + beta * motion)
+        assert density.unnormalized.tobytes() == raw.tobytes()
+        assert density.probabilities.tobytes() == (raw / raw.sum()).tobytes()
+
+    def test_uniform_map_is_a_read_only_view_of_ones(self):
+        ones = uniform_map(7, 5)
+        assert ones.shape == (5, 7) and ones.dtype == np.float64
+        assert np.all(ones == 1.0)
+        assert ones.strides == (0, 0) and not ones.flags.writeable
+        with pytest.raises(ValueError):
+            ones[0, 0] = 2.0
+
+
 class TestSampleSeeds:
     def test_point_mass_stays_in_pixel(self):
         probs = np.zeros((5, 5))
@@ -335,6 +361,17 @@ class TestFileIngestion:
         loaded = load_pgm(str(path))
         assert loaded.shape == (2, 3)
         assert loaded[0, 2] == 1.0 and loaded[1, 2] == 0.0
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_pgm_pixels_are_the_integers_over_maxval(self, tmp_path, rng, maxval):
+        pixels = rng.integers(0, maxval + 1, (5, 7))
+        binary, ascii_ = tmp_path / "map.pgm", tmp_path / "map-ascii.pgm"
+        dtype = ">u2" if maxval > 255 else np.uint8
+        binary.write_bytes(f"P5\n7 5\n{maxval}\n".encode() + pixels.astype(dtype).tobytes())
+        ascii_.write_text(f"P2\n7 5\n{maxval}\n" + " ".join(map(str, pixels.ravel())))
+        expected = (pixels.astype(np.float64) / maxval).tobytes()
+        assert load_pgm(str(binary)).tobytes() == expected
+        assert load_pgm(str(ascii_)).tobytes() == expected
 
     def test_mask_areas_csv(self, tmp_path):
         path = tmp_path / "areas.csv"

@@ -1,6 +1,7 @@
 """Track ingestion, motion weights, heatmap, nearest queries, motion transfer."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,12 +27,16 @@ from motionsketch import (
     build_motion_heatmap,
     compose_density_map,
     load_tracks,
+    make_benchmark_tracks,
+    make_demo_tracks,
     motion_weight,
     motion_weights,
     nearest_sample,
     save_tracks,
     transfer_point,
+    uniform_map,
 )
+from motionsketch.tracking import _SHEPARD_EPS
 
 
 def simple_tracks():
@@ -57,6 +62,23 @@ def per_row_heatmap(tracks, width, height, bandwidth):
         kernels = np.exp(-d2 * inv)
         values[y] = (kernels @ weights) / (kernels.sum(axis=1) + 1e-12)
     return values
+
+
+def formula_heatmap(tracks, width, height):
+    """The heatmap as one expression per step, each step a new array:
+    ((ky * w) @ kx.T) / (ky @ kx.T + eps), min-max normalized (all zero when
+    flat), at the default bandwidth."""
+    bandwidth = 0.05 * max(width, height)
+    weights = motion_weights(tracks)
+    sites = tracks.coords[:, 0, :]
+    inv = 1.0 / (2.0 * bandwidth * bandwidth)
+    kx = np.exp(-((np.arange(width) + 0.5)[:, None] - sites[None, :, 0]) ** 2 * inv)
+    ky = np.exp(-((np.arange(height) + 0.5)[:, None] - sites[None, :, 1]) ** 2 * inv)
+    values = ((ky * weights) @ kx.T) / (ky @ kx.T + _SHEPARD_EPS)
+    lo, hi = values.min(), values.max()
+    if hi == lo:
+        return np.zeros((height, width))
+    return (values - lo) / (hi - lo)
 
 
 def brute_force_rows(queries, sites):
@@ -300,6 +322,44 @@ class TestHeatmap:
     def test_bad_bandwidth(self):
         with pytest.raises(ValidationError):
             build_motion_heatmap(simple_tracks(), 8, 8, bandwidth=0.0)
+
+    @pytest.mark.parametrize(
+        "tracks, width, height",
+        [
+            (make_demo_tracks(), 256, 256),
+            (make_demo_tracks(), 97, 61),
+            (make_benchmark_tracks(2000, 200, 2, canvas=(384, 384)), 384, 384),
+            # Every track moves by the same step: equal weights, a flat map.
+            (TrackSet(ids=np.arange(5), coords=np.arange(30.0).reshape(5, 3, 2)), 40, 30),
+        ],
+        ids=["demo", "demo-odd", "scene", "equal-weights"],
+    )
+    def test_in_place_steps_equal_the_formula_bit_for_bit(self, tracks, width, height):
+        values = build_motion_heatmap(tracks, width, height).values
+        assert values.tobytes() == formula_heatmap(tracks, width, height).tobytes()
+
+    def test_heatmap_and_density_hold_few_canvas_arrays(self):
+        # The canvas maps of `init` at 1024 x 768 (6 MiB each), in units of
+        # one canvas array. The heatmap holds its values and the copy its
+        # value type makes; the density adds raw, the probabilities and the
+        # value type's copies of both, over uniform maps that hold nothing.
+        # Each step building a new array put the peak at about 8 units.
+        width, height = 1024, 768
+        canvas = width * height * 8
+        tracks = make_demo_tracks()
+        tracemalloc.start()
+        try:
+            heatmap = build_motion_heatmap(tracks, width, height)
+            heatmap_peak = tracemalloc.get_traced_memory()[1]
+            density = compose_density_map(
+                uniform_map(width, height), uniform_map(width, height), heatmap, 0.5
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert density.probabilities.shape == (height, width)
+        assert heatmap_peak < 2.5 * canvas
+        assert peak < 5.5 * canvas
 
 
 class TestNearestSample:
