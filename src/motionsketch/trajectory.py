@@ -227,8 +227,9 @@ def animation_coefficients(anim: SketchAnimation) -> np.ndarray:
 
 def replace_coefficients(anim: SketchAnimation, coeffs: np.ndarray) -> SketchAnimation:
     """Rebuild the animation with new packed coefficients (same shape/basis)."""
-    kind = anim.strokes[0].basis
-    expected = animation_coefficients(anim).shape
+    first = anim.strokes[0]
+    kind = first.basis
+    expected = (anim.num_strokes, first.curve_degree + 1, first.trajectory_degree + 1, 2)
     if coeffs.shape != expected:
         raise ValidationError(f"packed coefficients must have shape {expected}, got {coeffs.shape}")
     strokes = tuple(

@@ -272,6 +272,24 @@ class TestAnimationTypes:
         assert_allclose(animation_coefficients(rebuilt), packed + 1.0)
         assert rebuilt.canvas == anim.canvas
 
+    def test_replace_checks_the_shape_without_packing(self, rng, monkeypatch):
+        from motionsketch import trajectory
+
+        anim = random_animation(rng, num_strokes=3, curve_degree=2, trajectory_degree=4)
+        packed = animation_coefficients(anim)
+
+        def no_packing(anim):
+            raise AssertionError("replace_coefficients packed the animation")
+
+        monkeypatch.setattr(trajectory, "animation_coefficients", no_packing)
+        rebuilt = replace_coefficients(anim, packed * 2.0)
+        assert np.array_equal(np.stack([
+            [traj.coeffs for traj in stroke.control_trajectories] for stroke in rebuilt.strokes
+        ]), packed * 2.0)
+        for shape in ((2, 3, 5, 2), (3, 4, 5, 2), (3, 3, 4, 2), (3, 3, 5, 3), (3, 3, 5)):
+            with pytest.raises(ValidationError, match="must have shape"):
+                replace_coefficients(anim, np.zeros(shape))
+
     def test_pack_rejects_mixed_degrees(self, rng):
         small = random_animation(rng, num_strokes=1, trajectory_degree=2).strokes[0]
         big = random_animation(rng, num_strokes=1, trajectory_degree=4).strokes[0]
