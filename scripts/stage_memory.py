@@ -2,7 +2,6 @@
 
     python3 scripts/stage_memory.py --workload demo
     python3 scripts/stage_memory.py --workload detail --seed 3
-    python3 scripts/stage_memory.py --workload demo --canvas 1920x1080
 
 The workload comes from ``benchmarks/workloads.py``. Like the benchmark, the
 script writes the workload's track file and then runs ``init`` and the
@@ -18,8 +17,7 @@ the previous one wrote. For every stage it prints:
   stages under ``tracemalloc``. Unlike ``rss_mb`` it shows a stage's peak
   even when an earlier stage's was higher.
 
-``--canvas`` replaces the workload's canvas, to see how a stage scales. A
-sample is one process; run the script again for another.
+A sample is one process; run the script again for another.
 
 Exit codes: 0 every stage succeeded, 1 a stage failed, 2 a usage error.
 """
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import io
 import os
@@ -84,20 +81,12 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, default=2)
-    parser.add_argument("--canvas", help="WIDTHxHEIGHT in place of the workload's canvas")
-    args = parser.parse_args(argv)
-    workload = workloads.WORKLOADS[args.workload]
-    if args.canvas:
-        try:
-            w, h = (int(v) for v in args.canvas.lower().split("x"))
-        except ValueError:
-            parser.error(f"bad canvas {args.canvas!r}, expected WIDTHxHEIGHT")
-        workload = dataclasses.replace(workload, canvas=(w, h))
-    return args, workload
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args, workload = parse_args(argv)
+    args = parse_args(argv)
+    workload = workloads.WORKLOADS[args.workload]
     with tempfile.TemporaryDirectory(prefix="stage-memory-") as work:
         tracks = workloads.write_inputs(workload, args.seed, ROOT, work)
         setup_mb = peak_rss_mb()

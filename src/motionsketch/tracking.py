@@ -293,7 +293,7 @@ def build_motion_heatmap(
     ky *= weights
     values = ky @ kx.T
     values /= denominator
-    del denominator
+    del denominator  # gone before MotionHeatmap copies `values`
     lo, hi = values.min(), values.max()
     if hi == lo:
         # No spatial variation (e.g. every tracked point is static): all zero.

@@ -120,7 +120,6 @@ class TestComposeDensityMap:
             assert value >= previous - 1e-12
             previous = value
 
-
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("maps", ["uniform", "pgm"])
     def test_in_place_density_equals_the_formula_bit_for_bit(self, tmp_path, rng, beta, maps):
