@@ -271,7 +271,9 @@ def build_motion_heatmap(
 
     Sites are the tracked positions in frame 0.
     Default bandwidth is 0.05 * max(width, height). The result is min-max
-    normalized to [0, 1]; if all motion weights are equal the map is all zero.
+    normalized to [0, 1]; if all motion weights are equal, or every pixel is
+    so far from every site that its kernel sum is subnormal, the map is all
+    zero.
     """
     if width < 1 or height < 1:
         raise ValidationError(f"canvas must be at least 1x1, got {width}x{height}")
@@ -289,13 +291,16 @@ def build_motion_heatmap(
     kx = _axis_kernel(width, sites[:, 0], inv)
     ky = _axis_kernel(height, sites[:, 1], inv)
     denominator = ky @ kx.T
+    # About 38 bandwidths from every site, every kernel sum is subnormal:
+    # rounding residue that min-max normalization would blow up to [0, 1].
+    far = denominator.max() < np.finfo(np.float64).tiny
     denominator += _SHEPARD_EPS
     ky *= weights
     values = ky @ kx.T
     values /= denominator
     del denominator  # gone before MotionHeatmap copies `values`
     lo, hi = values.min(), values.max()
-    if hi == lo:
+    if far or hi == lo:
         # No spatial variation (e.g. every tracked point is static): all zero.
         values[...] = 0.0
     else:

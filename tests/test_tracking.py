@@ -297,6 +297,9 @@ class TestHeatmap:
     )
     @example(num_points=1, width=20, height=16, bandwidth=0.3, spread=1.0, seed=0)
     @example(num_points=3, width=24, height=24, bandwidth=0.3, spread=80.0, seed=1)
+    # Every site at least 38 bandwidths away: the per-row kernels underflow
+    # to 0, the separable products to subnormals at one pixel.
+    @example(num_points=3, width=1, height=6, bandwidth=2.0, spread=80.0, seed=42092)
     def test_separable_matches_per_row_formula(
         self, num_points, width, height, bandwidth, spread, seed
     ):
