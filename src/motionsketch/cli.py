@@ -168,7 +168,7 @@ def _cmd_fit_bench(args) -> int:
     return 0
 
 
-def _density_map(tracks, xdog, attention, bandwidth, beta: float) -> DensityMap:
+def _density_map(tracks, xdog, attention, bandwidth, beta) -> DensityMap:
     """`init`'s density map from its edge and attention maps and the tracks'
     motion heatmap, or a uniform one if that is all zero. The heatmap is
     released on return."""
