@@ -27,19 +27,19 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import io
 import os
 import resource
 import sys
 import tempfile
-import time
 import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 sys.path[:0] = [SRC, os.path.join(ROOT, "benchmarks")]
 
-import workloads  # noqa: E402  (benchmarks/workloads.py, found through sys.path)
+# benchmarks/run.py and benchmarks/workloads.py, found through sys.path.
+import run  # noqa: E402
+import workloads  # noqa: E402
 
 
 def peak_rss_mb() -> float:
@@ -51,30 +51,39 @@ def digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def run_pass(workload, seed: int, tracks: str, pass_dir: str, traced: bool) -> list[dict]:
-    """Every stage of `workload` once, in this process; one row per stage.
-    Raises RuntimeError if a stage fails."""
-    from motionsketch import cli
+class StageMeter:
+    """A tracer for ``run.run_pass``: one row per stage with the peak RSS after
+    it and, while tracemalloc is on, its peak of traced allocations above what
+    was held when it started."""
 
-    os.makedirs(pass_dir)
-    rows = []
-    for stage, extra in workloads.pass_stages(workload):
-        argv = workloads.stage_argv(workload, stage, extra, tracks, seed, pass_dir)
+    def __init__(self):
+        self.rows: list[dict] = []
+
+    @contextlib.contextmanager
+    def span(self, name: str):
+        traced = tracemalloc.is_tracing()
         if traced:
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(argv)
-        row = {"stage": stage, "seconds": time.perf_counter() - start, "rss_mb": peak_rss_mb()}
+        yield
+        row = {"stage": name.removeprefix("cli."), "rss_mb": peak_rss_mb()}
         if traced:
             row["traced_mb"] = (tracemalloc.get_traced_memory()[1] - held) / 2**20
-        if code != 0:
-            raise RuntimeError(f"{stage} exited with code {code}")
-        output = workloads.STAGE_OUTPUTS[stage]
-        row["sha256"] = digest(os.path.join(pass_dir, output)) if output else ""
-        rows.append(row)
-    return rows
+        self.rows.append(row)
+
+
+def run_pass(workload, seed: int, tracks: str, pass_dir: str) -> list[dict]:
+    """Every stage of `workload` once, in this process, as the benchmark runs
+    them; one row per stage. Raises RuntimeError if a stage fails."""
+    meter, ledger = StageMeter(), run.Ledger()
+    result = run.run_pass(workload, tracks, seed, pass_dir, ledger, meter)
+    if result is None:
+        raise RuntimeError(ledger.failures[-1])
+    for row in meter.rows:
+        row["seconds"] = result["times"][row["stage"]]
+        output = result["outputs"].get(row["stage"])
+        row["sha256"] = digest(output) if output else ""
+    return meter.rows
 
 
 def parse_args(argv):
@@ -91,9 +100,9 @@ def main(argv=None) -> int:
         tracks = workloads.write_inputs(workload, args.seed, ROOT, work)
         setup_mb = peak_rss_mb()
         try:
-            rows = run_pass(workload, args.seed, tracks, os.path.join(work, "pass"), False)
+            rows = run_pass(workload, args.seed, tracks, os.path.join(work, "pass"))
             tracemalloc.start()
-            traced = run_pass(workload, args.seed, tracks, os.path.join(work, "traced"), True)
+            traced = run_pass(workload, args.seed, tracks, os.path.join(work, "traced"))
             tracemalloc.stop()
         except RuntimeError as exc:
             print(f"FAIL {exc}")

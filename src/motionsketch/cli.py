@@ -25,7 +25,6 @@ from .export import (
 )
 from .fitting import DEFAULT_BENCHMARK_CONFIGS, DEFAULT_RIDGE_LAMBDA, run_fit_benchmark
 from .initialization import (
-    DensityMap,
     InitConfig,
     MaskAreas,
     compose_density_map,
@@ -168,21 +167,6 @@ def _cmd_fit_bench(args) -> int:
     return 0
 
 
-def _density_map(tracks, xdog, attention, bandwidth, beta) -> DensityMap:
-    """`init`'s density map from its edge and attention maps and the tracks'
-    motion heatmap, or a uniform one if that is all zero. The heatmap is
-    released on return."""
-    height, width = xdog.shape
-    heatmap = build_motion_heatmap(tracks, width, height, bandwidth=bandwidth)
-    try:
-        return compose_density_map(xdog, attention, heatmap, beta)
-    except DegenerateInputError:
-        print("warning: density map is all zero, falling back to uniform",
-              file=sys.stderr)
-    ones = uniform_map(width, height)
-    return compose_density_map(ones, ones, ones, beta)
-
-
 def _cmd_init(args) -> int:
     if args.mask_areas and args.mask_area is not None:
         raise _UsageError("choose at most one of --mask-areas or --mask-area")
@@ -208,13 +192,20 @@ def _cmd_init(args) -> int:
     if attention is None:
         attention = uniform_map(width, height)
     try:
-        density = _density_map(tracks, xdog, attention, args.bandwidth, args.beta)
+        heatmap = build_motion_heatmap(tracks, width, height, bandwidth=args.bandwidth)
+        try:
+            density = compose_density_map(xdog, attention, heatmap, args.beta)
+        except DegenerateInputError:
+            print("warning: density map is all zero, falling back to uniform",
+                  file=sys.stderr)
+            ones = uniform_map(width, height)
+            density = compose_density_map(ones, ones, ones, args.beta)
     except MemoryError:
         raise CapacityError(
             f"canvas {width}x{height} is too large: its maps cannot be allocated"
         ) from None
     # The density map holds its own copies; seeding needs none of its inputs.
-    del xdog, attention
+    del heatmap, xdog, attention
 
     if args.mask_areas:
         mask = load_mask_areas(args.mask_areas, (width, height))

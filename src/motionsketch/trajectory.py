@@ -205,11 +205,11 @@ def trajectory_velocity(traj: TrajectoryPoly, t: float) -> np.ndarray:
 # --- packed-coefficient helpers used by the optimizer and exporters ---
 
 
-def animation_coefficients(anim: SketchAnimation) -> np.ndarray:
-    """Stack all trajectory coefficients into shape (N_s, m+1, n+1, 2).
+def _packed_shape(anim: SketchAnimation) -> tuple[int, int, int, int]:
+    """Shape (N_s, m+1, n+1, 2) of the packed coefficients, without stacking them.
 
-    Requires every stroke to share curve degree, trajectory degree and basis;
-    initialization always produces such animations.
+    Raises ValidationError unless every stroke shares curve degree, trajectory
+    degree and basis.
     """
     first = anim.strokes[0]
     m, n, kind = first.curve_degree, first.trajectory_degree, first.basis
@@ -220,6 +220,16 @@ def animation_coefficients(anim: SketchAnimation) -> np.ndarray:
             or stroke.basis is not kind
         ):
             raise ValidationError("animation strokes must share degrees and basis to be packed")
+    return (anim.num_strokes, m + 1, n + 1, 2)
+
+
+def animation_coefficients(anim: SketchAnimation) -> np.ndarray:
+    """Stack all trajectory coefficients into shape (N_s, m+1, n+1, 2).
+
+    Requires every stroke to share curve degree, trajectory degree and basis;
+    initialization always produces such animations.
+    """
+    _packed_shape(anim)
     return np.stack(
         [np.stack([traj.coeffs for traj in s.control_trajectories]) for s in anim.strokes]
     )
@@ -227,9 +237,8 @@ def animation_coefficients(anim: SketchAnimation) -> np.ndarray:
 
 def replace_coefficients(anim: SketchAnimation, coeffs: np.ndarray) -> SketchAnimation:
     """Rebuild the animation with new packed coefficients (same shape/basis)."""
-    first = anim.strokes[0]
-    kind = first.basis
-    expected = (anim.num_strokes, first.curve_degree + 1, first.trajectory_degree + 1, 2)
+    expected = _packed_shape(anim)
+    kind = anim.strokes[0].basis
     if coeffs.shape != expected:
         raise ValidationError(f"packed coefficients must have shape {expected}, got {coeffs.shape}")
     strokes = tuple(

@@ -325,22 +325,26 @@ class TestPipeline:
     @pytest.mark.parametrize("stage", ["build_motion_heatmap", "compose_density_map"])
     def test_init_canvas_too_large_to_allocate(self, capsys, monkeypatch, tmp_path,
                                                tracks_path, stage):
-        # A 100000 x 100000 canvas needs 80 GB per map; numpy's MemoryError
-        # is simulated so that nothing that large is asked for.
+        # numpy's MemoryError on a huge canvas is simulated on a small one,
+        # so that no large array is ever asked for.
         from motionsketch import cli
 
+        calls = []
+
         def out_of_memory(*args, **kwargs):
+            calls.append(stage)
             raise MemoryError("Unable to allocate 74.5 GiB")
 
         monkeypatch.setattr(cli, stage, out_of_memory)
         capsys.readouterr()
         code = main([
-            "init", "--tracks", tracks_path, "--canvas", "100000x100000",
+            "init", "--tracks", tracks_path, "--canvas", "8x8",
             "--out", str(tmp_path / "m.json"),
         ])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: canvas 100000x100000 is too large: its maps cannot be allocated"]
+        assert err == ["error: canvas 8x8 is too large: its maps cannot be allocated"]
+        assert calls == [stage]
         assert not (tmp_path / "m.json").exists()
 
     def test_init_rejects_canvas_map_mismatch(self, tmp_path, tracks_path):

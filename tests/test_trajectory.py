@@ -298,6 +298,20 @@ class TestAnimationTypes:
         )
         with pytest.raises(ValidationError):
             animation_coefficients(anim)
+        # An array shaped for the first stroke alone must not pass either.
+        with pytest.raises(ValidationError, match="share degrees and basis"):
+            replace_coefficients(anim, np.zeros((2, small.curve_degree + 1, 3, 2)))
+
+    def test_replace_rejects_mixed_bases(self, rng):
+        bern = random_animation(rng, num_strokes=1, trajectory_degree=3).strokes[0]
+        power = Stroke(tuple(
+            TrajectoryPoly(BasisKind.POWER, traj.coeffs) for traj in bern.control_trajectories
+        ))
+        anim = SketchAnimation(
+            strokes=(bern, power), num_frames=3, canvas=(10, 10), widths=np.ones(3)
+        )
+        with pytest.raises(ValidationError, match="share degrees and basis"):
+            replace_coefficients(anim, np.zeros((2, bern.curve_degree + 1, 4, 2)))
 
 
 class TestVelocity:
