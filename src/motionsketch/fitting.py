@@ -301,6 +301,7 @@ def run_fit_benchmark(
             skipped.append((frames, degree, f"{frames} frames cannot support degree {degree}"))
             continue
         times = np.linspace(0.0, 1.0, frames)
+        # Views of the frame-major track buffer, neither of them a copy.
         by_frame = tracks.coords[:, :frames, :].transpose(1, 0, 2)  # (frames, K, 2)
         rhs = by_frame.reshape(frames, -1)  # (frames, 2K)
         design = basis_matrix(basis, degree, times)

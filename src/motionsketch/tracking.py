@@ -1,10 +1,11 @@
 """Sparse point tracks: ingestion, motion weights, heatmap, and motion transfer.
 
-A track set stores per-frame 2-D coordinates for a few thousand sample points.
-It powers two things: the motion heatmap that biases stroke seeding toward
-moving regions, and the sparse-to-dense transfer that predicts where an
-arbitrary pixel of frame i lands in frame t by borrowing the displacement of
-its nearest tracked point.
+A track set stores per-frame 2-D coordinates for a few thousand sample points,
+frame-major, so each frame's sites are one contiguous block. It powers two
+things: the motion heatmap that biases stroke seeding toward moving regions,
+and the sparse-to-dense transfer that predicts where an arbitrary pixel of
+frame i lands in frame t by borrowing the displacement of its nearest tracked
+point.
 
 Nearest-track queries pick a route per batch. A batch scans its tracks in
 cache-sized blocks when the scan needs at most `_SCAN_MAX_DISTANCES`
@@ -47,7 +48,13 @@ _SHEPARD_EPS = 1e-12
 
 @dataclass(frozen=True)
 class TrackSet:
-    """Immutable set of tracked sample points, coords shape (K, N_f, 2)."""
+    """Immutable set of tracked sample points, coords shape (K, N_f, 2).
+
+    The set owns one read-only frame-major (N_f, K, 2) C-ordered buffer, and
+    `coords` is its transposed view: values and shape are those given, but a
+    frame's sites ``coords[:, f]`` are one contiguous (K, 2) block, so scans
+    and per-frame KD-trees read them without a copy.
+    """
 
     ids: np.ndarray
     coords: np.ndarray
@@ -55,13 +62,25 @@ class TrackSet:
 
     def __post_init__(self):
         ids = _frozen_field(self, "ids", "track point ids", dtype=np.int64)
-        coords = _frozen_field(self, "coords", "track coordinates")
         if ids.ndim != 1 or ids.size < 1:
             raise ValidationError("track set needs at least one point")
-        if coords.ndim != 3 or coords.shape[0] != ids.size or coords.shape[2] != 2:
+        # One copy, written straight into the frame-major buffer.
+        coords = self.coords
+        if isinstance(coords, (list, tuple)):  # np.shape would convert all rows first
+            shape = (len(coords), *np.shape(coords[:1])[1:])
+        else:
+            coords = np.asarray(coords)
+            shape = coords.shape
+        if len(shape) != 3 or shape[0] != ids.size or shape[2] != 2:
             raise ValidationError(
-                f"coords must have shape (num_points, num_frames, 2), got {coords.shape}"
+                f"coords must have shape (num_points, num_frames, 2), got {shape}"
             )
+        frames = np.empty((shape[1], ids.size, 2))
+        frames.transpose(1, 0, 2)[...] = coords
+        if not np.all(np.isfinite(frames)):
+            raise ValidationError("track coordinates must be finite")
+        frames.setflags(write=False)
+        object.__setattr__(self, "coords", frames.transpose(1, 0, 2))
         row_of = {int(p): k for k, p in enumerate(ids)}
         if len(row_of) != ids.size:
             raise ValidationError("track point ids must be unique")
@@ -89,6 +108,7 @@ class TrackSet:
             # KD-tree route only: not at module level, so scans skip scipy.spatial.
             from scipy.spatial import cKDTree
 
+            # The frame's sites are C-contiguous float64: the tree keeps a view.
             tree = cKDTree(self.coords[:, frame, :])
             self._trees[frame] = tree
         return tree
@@ -245,9 +265,13 @@ def save_tracks(tracks: TrackSet, path: str) -> None:
 
 def _motion_weights(coords: np.ndarray) -> np.ndarray:
     """Square root of the summed per-step Euclidean displacement of each row
-    of `coords` (K, N_f, 2)."""
-    steps = np.linalg.norm(np.diff(coords, axis=1), axis=2)
-    return np.sqrt(np.sum(steps, axis=1))
+    of `coords` (K, N_f, 2). A step is sqrt(dx*dx + dy*dy), bit-equal to
+    ``np.linalg.norm``; the steps are C-ordered whatever the layout, so each
+    row sums in numpy's pairwise order and a row alone gives the same bits."""
+    d = np.diff(coords, axis=1)
+    d *= d
+    steps = np.add(d[:, :, 0], d[:, :, 1], order="C")
+    return np.sqrt(np.sum(np.sqrt(steps, out=steps), axis=1))
 
 
 def motion_weight(tracks: TrackSet, point_id: int) -> float:
@@ -415,17 +439,17 @@ def _nearest(
     """Nearest rows and certified radii (see `_certified_radius`) of the
     queries `points` (N, 2), query n in frame ``frames[n]``.
 
-    A batch scans the queries against their frames' tracks (a strided view
-    of the coordinates) in cache-sized blocks when it needs at most
-    `_SCAN_MAX_DISTANCES` distances. A larger batch queries each frame's
-    KD-tree on a thread pool with one worker per usable CPU, at most one per
-    frame (a single worker runs the frames serially): the queries release the
-    GIL, the frames are independent and each writes only its own entries, so
-    the result does not depend on the worker count. Both routes pick the
-    lowest row on ties, give a non-finite query the scan's row, and give the
-    same radii. ``np.errstate`` is per thread, so each worker runs under the
-    caller's. Queries from a single frame run in the calling thread, and
-    zero queries do no work.
+    A batch scans the queries against their frames' tracks (each frame one
+    contiguous block of the coordinates) in cache-sized blocks when it needs
+    at most `_SCAN_MAX_DISTANCES` distances. A larger batch queries each
+    frame's KD-tree on a thread pool with one worker per usable CPU, at most
+    one per frame (a single worker runs the frames serially): the queries
+    release the GIL, the frames are independent and each writes only its own
+    entries, so the result does not depend on the worker count. Both routes
+    pick the lowest row on ties, give a non-finite query the scan's row, and
+    give the same radii. ``np.errstate`` is per thread, so each worker runs
+    under the caller's. Queries from a single frame run in the calling
+    thread, and zero queries do no work.
     """
     if len(points) * tracks.num_points <= _SCAN_MAX_DISTANCES:
         return _scan_rows_radius(points, tracks.coords.transpose(1, 0, 2), frames)

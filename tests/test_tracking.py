@@ -36,7 +36,7 @@ from motionsketch import (
     transfer_point,
     uniform_map,
 )
-from motionsketch.tracking import _SHEPARD_EPS
+from motionsketch.tracking import _SHEPARD_EPS, _motion_weights
 
 
 def simple_tracks():
@@ -244,15 +244,31 @@ class TestMotionWeight:
         with pytest.raises(LookupError):
             motion_weight(simple_tracks(), 99)
 
-    @pytest.mark.parametrize("source", ["demo", "random-300"])
+    @pytest.mark.parametrize("source", ["demo", "random-300", "fortran", "transposed"])
     def test_each_row_is_motion_weights(self, rng, source):
-        # One formula: each point's weight is its row of `motion_weights`, bit for bit.
+        # One formula: each point's weight is its row of `motion_weights`, bit
+        # for bit, whatever the layout of the array the set was built from.
         if source == "demo":
             tracks = load_tracks("data/demo_tracks.json")
         else:
-            tracks = TrackSet(ids=rng.permutation(300), coords=rng.uniform(0, 100, (300, 40, 2)))
+            coords = rng.uniform(0, 100, (300, 40, 2))
+            if source == "fortran":
+                coords = np.asfortranarray(coords)
+            elif source == "transposed":
+                coords = np.ascontiguousarray(coords.transpose(1, 0, 2)).transpose(1, 0, 2)
+            tracks = TrackSet(ids=rng.permutation(300), coords=coords)
         weights = motion_weights(tracks)
         assert all(motion_weight(tracks, pid) == weights[k] for k, pid in enumerate(tracks.ids))
+
+    def test_weights_do_not_depend_on_the_layout(self, rng):
+        # Each row sums its steps in one order whether the coordinates are
+        # point-major (C), column-major (F) or frame-major (a transposed
+        # view): that of the norm formula on a C-ordered array, bit for bit.
+        coords = rng.uniform(0, 100, (300, 40, 2))
+        formula = np.sqrt(np.sum(np.linalg.norm(np.diff(coords, axis=1), axis=2), axis=1))
+        frame_major = np.ascontiguousarray(coords.transpose(1, 0, 2)).transpose(1, 0, 2)
+        for layout in (coords, np.asfortranarray(coords), frame_major):
+            assert _motion_weights(layout).tobytes() == formula.tobytes()
 
 
 class TestHeatmap:
@@ -700,6 +716,45 @@ def test_value_types_refuse_non_finite_entries_and_store_read_only_arrays(kind, 
             kwargs[name][(0,) * kwargs[name].ndim] = bad
             with pytest.raises(ValidationError, match="finite"):
                 kind(**kwargs)
+
+
+def test_track_set_stores_each_frame_contiguously(rng):
+    # One frame-major buffer: `coords` is its read-only (K, N_f, 2) transpose,
+    # each frame's sites are one C-contiguous block, and a frame's KD-tree
+    # keeps a view of that block instead of a copy.
+    coords = rng.uniform(0, 100, (300, 7, 2))
+    tracks = TrackSet(ids=np.arange(300), coords=coords)
+    assert tracks.coords.shape == (300, 7, 2)
+    assert not tracks.coords.flags.writeable
+    assert np.array_equal(tracks.coords, coords)
+    assert all(tracks.coords[:, f].flags.c_contiguous for f in range(7))
+    with force_kdtree_route():
+        assert nearest_sample(coords[5, 3], 3, tracks) == 5
+    assert np.shares_memory(tracks._trees[3].data, tracks.coords)
+
+
+@pytest.mark.parametrize("coords", [5.0, [], [1.0, 2.0], np.zeros((2, 3)), np.zeros((3, 4, 2)),
+                                    np.zeros((2, 4, 3)), [np.zeros((4, 1))] * 2])
+def test_track_set_refuses_coords_of_another_shape(coords):
+    with pytest.raises(ValidationError, match="shape"):
+        TrackSet(ids=np.arange(2), coords=coords)
+
+
+@pytest.mark.parametrize("source", ["array", "rows"])
+def test_track_set_construction_copies_the_tracks_once(rng, source):
+    # From a (K, N_f, 2) array, or from the per-point (N_f, 2) rows the JSON
+    # loader passes, the frame-major buffer is the only track-sized
+    # allocation; a point-major copy transposed afterwards peaks at two.
+    coords = rng.uniform(0, 100, (2000, 50, 2))
+    value = coords if source == "array" else list(coords)
+    tracemalloc.start()
+    try:
+        tracks = TrackSet(ids=np.arange(2000), coords=value)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(tracks.coords, coords)
+    assert peak < 1.5 * coords.nbytes
 
 
 def test_frame_rate_plan_refuses_two_dimensional_times():
