@@ -11,18 +11,15 @@ workload's stages, each in a fresh interpreter, inside the case's own
 directory with relative paths, so no print depends on where the case runs.
 ``optimize`` also writes its loss log, and demo and detail also run
 ``export --frames``. Every output file, every standard output and every
-standard error gets a digest. The stages run with one BLAS thread per usable
-CPU; ``init``, ``optimize`` (on the first run's model, so that it is
-checked on its own) and, where the workload has it, ``fit-bench`` then run
-once more with one BLAS thread, and the golden file pins that run's digests
-too, so a case whose bytes start to depend on the thread count fails. The
-script notes each output whose two runs differ.
+standard error gets a digest. The stages run in the inherited environment:
+each CLI command runs its BLAS with one thread, so no digest depends on the
+number of CPUs or on the BLAS variables.
 
 The golden file records the environment it was made in: Python, numpy,
 scipy, the OpenBLAS version and kernel that ``numpy.show_config()`` reports,
-the CPU features numpy found, the machine and the BLAS thread count of the
-first run. Floating-point bytes may move between such environments, so in
-another one the check compares nothing and reports "environment differs".
+the CPU features numpy found and the machine. Floating-point bytes may move
+between such environments, so in another one the check compares nothing and
+reports "environment differs".
 
 Exit codes: 0 every digest matches, 1 a mismatch or a failed stage, 2 a
 usage error, 3 the environment differs from the golden file's.
@@ -73,11 +70,6 @@ CASES = {
 }
 CASES["longclip-seed2"] = (LONG_CLIP, 2, False)
 
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-# The stages that run again with one BLAS thread.
-ONE_THREAD_STAGES = ("init", "optimize", "fit-bench")
-
 
 def environment() -> dict:
     """What the output bytes may depend on, besides the code."""
@@ -92,7 +84,6 @@ def environment() -> dict:
         "openblas": config["Build Dependencies"]["blas"].get("openblas configuration", ""),
         "simd": config["SIMD Extensions"]["found"],
         "machine": f"{platform.system()} {platform.machine()}",
-        "blas threads": len(os.sched_getaffinity(0)),
     }
 
 
@@ -112,15 +103,10 @@ def dir_digest(path: str) -> str:
     return sha256(lines.encode())
 
 
-def blas_env(threads: int) -> dict:
+def run_stage(argv: list[str], cwd: str, label: str, digests: dict) -> bool:
+    """One CLI call in a fresh interpreter; records its prints' digests."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env.update({var: str(threads) for var in BLAS_VARS})
-    return env
-
-
-def run_stage(argv: list[str], cwd: str, env: dict, label: str, digests: dict) -> bool:
-    """One CLI call in a fresh interpreter; records its prints' digests."""
     done = subprocess.run(
         [sys.executable, "-m", "motionsketch", *argv],
         cwd=cwd, env=env, capture_output=True, timeout=900,
@@ -132,58 +118,29 @@ def run_stage(argv: list[str], cwd: str, env: dict, label: str, digests: dict) -
     return done.returncode == 0
 
 
-def run_stages(workload, seed, stages, inputs, cwd, env, digests) -> str | None:
-    """Runs `stages` of `workload` in `cwd`, reading the track file and the
-    model that ``optimize`` starts from in the directory `inputs` (relative
-    to `cwd`), and records the digests of their prints and outputs; returns
-    the first stage that failed, or None."""
-    tracks = os.path.join(inputs, "tracks.json")
-    for stage, extra in stages:
-        argv = workloads.stage_argv(workload, stage, extra, tracks, seed, "")
-        if stage == "optimize":
-            argv[argv.index("--model") + 1] = os.path.join(inputs, workloads.STAGE_OUTPUTS["init"])
-            argv += ["--log", "loss.csv"]
-        if not run_stage(argv, cwd, env, stage, digests):
-            return stage
-        output = workloads.STAGE_OUTPUTS[stage]
-        for path in (output, "loss.csv" if stage == "optimize" else None):
-            if path:
-                digests[path] = file_digest(os.path.join(cwd, path))
-    return None
-
-
-def run_case(name: str, work: str, threads: int) -> tuple[dict, list[str]]:
-    """(digest per output, failures) of one case, run in ``work/name`` with
-    `threads` BLAS threads, then in ``work/name/one-thread`` with one."""
+def run_case(name: str, work: str) -> tuple[dict, list[str]]:
+    """(digest per output, failures) of one case, run in ``work/name``."""
     workload, seed, frames = CASES[name]
     case_dir = os.path.join(work, name)
     os.makedirs(case_dir)
     tracks = workloads.write_inputs(workload, seed, ROOT, case_dir)
     digests = {"tracks.json": file_digest(tracks)}
-    stages = workloads.pass_stages(workload)
-    failed = run_stages(workload, seed, stages, "", case_dir, blas_env(threads), digests)
-    if failed:
-        return digests, [f"{name}: {failed} failed"]
-    failures = []
+    for stage, extra in workloads.pass_stages(workload):
+        argv = workloads.stage_argv(workload, stage, extra, "tracks.json", seed, "")
+        if stage == "optimize":
+            argv += ["--log", "loss.csv"]
+        if not run_stage(argv, case_dir, stage, digests):
+            return digests, [f"{name}: {stage} failed"]
+        output = workloads.STAGE_OUTPUTS[stage]
+        for path in (output, "loss.csv" if stage == "optimize" else None):
+            if path:
+                digests[path] = file_digest(os.path.join(case_dir, path))
     if frames:
         argv = ["export", "--model", workloads.STAGE_OUTPUTS["optimize"], "--frames", "frames"]
-        if run_stage(argv, case_dir, blas_env(threads), "export-frames", digests):
-            digests["frames/"] = dir_digest(os.path.join(case_dir, "frames"))
-        else:
-            failures.append(f"{name}: export --frames failed")
-    # In a subdirectory, so that the prints name the same relative paths.
-    single = os.path.join(case_dir, "one-thread")
-    os.makedirs(single)
-    again: dict = {}
-    stages = [(stage, extra) for stage, extra in stages if stage in ONE_THREAD_STAGES]
-    failed = run_stages(workload, seed, stages, "..", single, blas_env(1), again)
-    if failed:
-        failures.append(f"{name}: {failed} with one BLAS thread failed")
-    moved = [key for key, value in again.items() if digests.get(key) != value]
-    if moved:
-        print(f"  note: {name}: {', '.join(moved)} depend on the BLAS thread count")
-    digests.update({f"one-thread/{key}": value for key, value in again.items()})
-    return digests, failures
+        if not run_stage(argv, case_dir, "export-frames", digests):
+            return digests, [f"{name}: export --frames failed"]
+        digests["frames/"] = dir_digest(os.path.join(case_dir, "frames"))
+    return digests, []
 
 
 def parse_args(argv):
@@ -219,7 +176,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="output-identity-") as work:
         for name in names:
             print(f"{name} ...", flush=True)
-            digests, failed = run_case(name, work, here["blas threads"])
+            digests, failed = run_case(name, work)
             failures += failed
             expected = golden["cases"].get(name)
             if args.update:

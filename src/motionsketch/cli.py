@@ -2,12 +2,19 @@
 
 Subcommands: fit-bench, init, optimize, export, interp, check-grad.
 Exit codes: 0 success, 1 validation/usage error, 2 I/O or parse error.
+
+A command runs numpy's BLAS with one thread. BLAS may split a long
+contraction into partial sums by thread, so a result such as the ridge
+solve of a long clip would depend on the thread count; the caller's count
+is restored when `main` returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import ctypes
 import os
 import sys
 
@@ -310,6 +317,30 @@ _HANDLERS = {
 }
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's bundled OpenBLAS runs one thread inside the block, and the
+    caller's count is back after it. Where numpy's library lacks these
+    symbols (a numpy built against another BLAS), the block runs unpinned."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        set_threads = None
+    if set_threads is None:  # yields outside the handler: the block's errors do not chain
+        yield
+        return
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -321,7 +352,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        with _one_blas_thread():
+            return _HANDLERS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,6 +2,8 @@
 and float readers of the file loaders, and the array rule of the frozen value
 types."""
 
+import dataclasses
+
 import numpy as np
 
 
@@ -112,6 +114,21 @@ def _frozen_field(value, name: str, what: str, dtype=np.float64) -> np.ndarray:
     arr.setflags(write=False)
     object.__setattr__(value, name, arr)
     return arr
+
+
+def _rebuild(kind, fields: dict):
+    return kind(**fields)
+
+
+class _FrozenValue:
+    """Base of the frozen value types: ``copy`` and ``pickle`` rebuild a value
+    through its constructor from the fields its equality compares, so the
+    arrays of the result are read-only copies in the value's own layout and a
+    cache such as ``TrackSet._trees`` starts empty."""
+
+    def __reduce__(self):
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.compare}
+        return _rebuild, (type(self), fields)
 
 
 def _check_time_grid(times: np.ndarray, what: str) -> None:

@@ -26,6 +26,7 @@ from .errors import (
     UnsupportedVersionError,
     _check_time_grid,
     _frozen_field,
+    _FrozenValue,
     _json_floats,
     _json_int,
     _read_text,
@@ -52,7 +53,7 @@ _CUBIC_NODES = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
 
 
 @dataclass(frozen=True)
-class FrameRatePlan:
+class FrameRatePlan(_FrozenValue):
     """Output frame times in [0, 1] for resampling an animation."""
 
     input_fps: float

@@ -30,6 +30,7 @@ from .errors import (
     ValidationError,
     _check_time_grid,
     _frozen_field,
+    _FrozenValue,
 )
 from .tracking import TrackSet
 from .trajectory import TrajectoryPoly
@@ -47,7 +48,7 @@ class FitMethod(Enum):
 
 
 @dataclass(frozen=True)
-class FitSamples:
+class FitSamples(_FrozenValue):
     """Per-frame sample positions at normalized times (times[0]=0, times[-1]=1)."""
 
     times: np.ndarray

@@ -23,6 +23,7 @@ from .errors import (
     ParseError,
     ValidationError,
     _frozen_field,
+    _FrozenValue,
     _read_text,
 )
 from .fitting import DEFAULT_RIDGE_LAMBDA, fit_ridge_columns
@@ -37,7 +38,7 @@ from .trajectory import (
 
 
 @dataclass(frozen=True)
-class DensityMap:
+class DensityMap(_FrozenValue):
     """Normalized sampling probabilities per pixel, plus the pre-normalization map."""
 
     width: int
@@ -87,7 +88,7 @@ class InitConfig:
 
 
 @dataclass(frozen=True)
-class MaskAreas:
+class MaskAreas(_FrozenValue):
     """Per-frame pixel counts of the target object in its mask."""
 
     areas: np.ndarray

@@ -13,12 +13,10 @@ weighted point gradients, written into one array, back to the coefficients.
 Every array keeps the layout its products need, so no evaluation copies one
 into another layout. The coefficients, the gradient and the Adam moments are
 trajectory-major, (n+1, N_s, m+1, 2): B_t and its adjoint are BLAS products
-with the (n+1) x rest matrix, read transposed, each contraction summed in
-blocks of 128 (`_summed_product`), so no result depends on the BLAS thread
-count. Curve points, sample motions, own and the point gradient are
-point-major with the frames last, (N_s, N_p+1, 2, N_f) and (P, 2, N_f) with
-P = N_s N_p: B_u and its adjoint are one batched matmul over the strokes, and
-a point's motion is one row.
+with the (n+1) x rest matrix, read transposed. Curve points, sample motions,
+own and the point gradient are point-major with the frames last,
+(N_s, N_p+1, 2, N_f) and (P, 2, N_f) with P = N_s N_p: B_u and its adjoint
+are one batched matmul over the strokes, and a point's motion is one row.
 
 The consistency term sums, over every source frame i and target frame t,
 the squared mismatch between a sampled point's displacement and that of the
@@ -38,8 +36,8 @@ respect to sample point p at frame s, are
 and the offset is fixed with the assignment.
 
 A is built dense, one block of points at a time (about 2^17 counts, 1 MiB):
-one `np.bincount` of the block's (point, row) keys gives its counts, BLAS
-products with Y give its rows of A @ Y, and its nonzeros, read in row-major
+one `np.bincount` of the block's (point, row) keys gives its counts, one BLAS
+product with Y gives its rows of A @ Y, and its nonzeros, read in row-major
 order, give its pairs, sorted by point and then by row (a CSR matrix's
 order). Only the pairs and A @ Y (in the offset) outlive the block, so the
 counts never occupy more than a block.
@@ -164,24 +162,6 @@ _PAIR_CHUNK_ELEMENTS = 1 << 15
 # 54-74 ms at 2^15, 38-43 ms at 2^17 and 37-42 ms at 2^18 (2-vCPU host).
 _COUNT_BLOCK_ELEMENTS = 1 << 17
 
-# Contraction length per BLAS product of `_summed_product`, whose partial
-# products add up in a fixed order. BLAS may split a longer contraction into
-# partial sums that depend on its thread count: with OpenBLAS 0.3.31, one
-# product over 2000 rows differed between 1 and 2 threads, while products
-# over up to 384 rows did not.
-_PRODUCT_ROWS = 128
-
-
-def _summed_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The matrix product a @ b (into `out` if given), its contraction cut into
-    blocks of `_PRODUCT_ROWS` whose products are added in order, so the result
-    does not depend on the BLAS thread count. One block is one plain product."""
-    out = np.matmul(a[:, :_PRODUCT_ROWS], b[:_PRODUCT_ROWS], out=out)
-    for start in range(_PRODUCT_ROWS, len(b), _PRODUCT_ROWS):
-        out += a[:, start : start + _PRODUCT_ROWS] @ b[start : start + _PRODUCT_ROWS]
-    return out
-
-
 def _trajectory_major(packed: np.ndarray) -> np.ndarray:
     """Packed coefficients (N_s, m+1, n+1, 2) as a trajectory-major copy
     (n+1, N_s, m+1, 2), the optimizer's layout."""
@@ -274,7 +254,7 @@ class _Objective:
         """Curve points at the frame times, shape (B, N_p+1, 2, N_f), of the
         trajectory-major coefficients `q` (n+1, B, m+1, 2): the N_p sampled
         stroke points, then the stroke midpoint."""
-        at_frames = _summed_product(q.reshape(len(q), -1).T, self.b_t.T)  # (B*(m+1)*2, N_f)
+        at_frames = q.reshape(len(q), -1).T @ self.b_t.T  # (B*(m+1)*2, N_f)
         points = self.b_u @ at_frames.reshape(q.shape[1], q.shape[2], -1)
         return points.reshape(q.shape[1], len(self.b_u), 2, -1)
 
@@ -329,7 +309,7 @@ class _Objective:
         docstring) that does not depend on X.
 
         The counts of a block of points are one `np.bincount` of their
-        (point, row) keys, dense (points x K), and `_summed_product` maps the
+        (point, row) keys, dense (points x K), and one BLAS product maps the
         block to its rows of A @ Y. Each block's nonzeros, read in row-major
         order, are its pairs: sorted by point, then by row.
         """
@@ -348,7 +328,7 @@ class _Objective:
             keys.append(nonzero + start * num_rows)
             counts.append(dense[nonzero])
             dense = dense.reshape(len(part), num_rows).astype(np.float64)
-            _summed_product(dense, y, out=offset[start : start + block])
+            np.matmul(dense, y, out=offset[start : start + block])
         pair_points, pair_rows = np.divmod(np.concatenate(keys), num_rows)
         # own[p, c, i] = Y[r_i, c, i], one gather from the flat (K, 2, N_f) array.
         columns = np.arange(2 * num_frames).reshape(2, num_frames)
@@ -479,7 +459,7 @@ class _Objective:
             point_grad[:, -1] = (2.0 * w.w_s * self.attachment_scale) * residual
         # The adjoints of `points`: B_u^T per stroke, then B_t^T.
         at_frames = self.b_u.T @ point_grad.reshape(len(points), len(self.b_u), -1)
-        grad = _summed_product(self.b_t.T, at_frames.reshape(-1, len(self.b_t)).T).reshape(q.shape)
+        grad = (self.b_t.T @ at_frames.reshape(-1, len(self.b_t)).T).reshape(q.shape)
         if w.w_g > 0:
             geometry, g = self.geometry_term(replace_coefficients(self.anim, _packed(q)))
             grad += w.w_g * _trajectory_major(g)

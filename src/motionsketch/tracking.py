@@ -27,7 +27,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, _frozen_field, _json_floats, _json_int, _read_text
+from .errors import (
+    ParseError,
+    ValidationError,
+    _frozen_field,
+    _FrozenValue,
+    _json_floats,
+    _json_int,
+    _read_text,
+)
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
@@ -47,7 +55,7 @@ _SHEPARD_EPS = 1e-12
 
 
 @dataclass(frozen=True)
-class TrackSet:
+class TrackSet(_FrozenValue):
     """Immutable set of tracked sample points, coords shape (K, N_f, 2).
 
     The set owns one read-only frame-major (N_f, K, 2) C-ordered buffer, and
@@ -115,7 +123,7 @@ class TrackSet:
 
 
 @dataclass(frozen=True)
-class MotionHeatmap:
+class MotionHeatmap(_FrozenValue):
     """Per-pixel normalized motion magnitude in [0, 1], values shape (H, W)."""
 
     width: int

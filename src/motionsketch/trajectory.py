@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import BasisKind, _check_unit, basis_matrix, basis_row, bernstein_matrix_direct
-from .errors import DomainError, ValidationError, _frozen_field
+from .errors import DomainError, ValidationError, _frozen_field, _FrozenValue
 
 
 @dataclass(frozen=True)
-class TrajectoryPoly:
+class TrajectoryPoly(_FrozenValue):
     """One control point's motion: degree-n polynomial coefficients in 2-D.
 
     `coeffs` has shape (n+1, 2). In the Bernstein basis the coefficients act as
@@ -71,7 +71,7 @@ class Stroke:
 
 
 @dataclass(frozen=True)
-class SketchAnimation:
+class SketchAnimation(_FrozenValue):
     """N_s strokes on a fixed canvas, with a per-frame stroke-width schedule.
 
     Frame i maps to normalized time t_i = i / (num_frames - 1).

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and output contracts."""
 
+import ctypes
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from motionsketch import load_model, make_demo_tracks, save_tracks
+from motionsketch import cli, load_model, make_demo_tracks, save_tracks
 from motionsketch.cli import main
 
 
@@ -357,3 +358,47 @@ class TestPipeline:
             "--canvas", "64x64", "--out", str(tmp_path / "m.json"),
         ])
         assert code == 1
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def blas_threads(self):
+        """The getter of numpy's OpenBLAS thread count, set to 3 for the test."""
+        try:
+            lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except AttributeError:
+            pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+        before = get()
+        set_(3)
+        yield get
+        set_(before)
+
+    @pytest.mark.parametrize(("canvas", "malformed", "code"), [
+        (["--canvas", "64x64"], False, 0),
+        ([], False, 1),  # no --canvas: a usage error
+        (["--canvas", "64x64"], True, 2),  # a parse error
+    ])
+    def test_the_callers_count_is_back_after_main(self, blas_threads, tmp_path, tracks_path,
+                                                   canvas, malformed, code):
+        if malformed:
+            tracks_path = tmp_path / "bad.json"
+            tracks_path.write_text("{not json")
+        assert main(["init", "--tracks", str(tracks_path), "--out", str(tmp_path / "m.json"),
+                     "--num-strokes", "2", "--degree", "3", *canvas]) == code
+        assert blas_threads() == 3
+
+    def test_a_command_runs_with_one_thread(self, blas_threads, monkeypatch, tracks_path):
+        seen = []
+        monkeypatch.setitem(cli._HANDLERS, "fit-bench",
+                            lambda args: seen.append(blas_threads()) or 0)
+        assert main(["fit-bench", "--tracks", tracks_path]) == 0
+        assert seen == [1]
+        assert blas_threads() == 3
+
+    def test_a_library_without_the_symbols_runs_unpinned(self, blas_threads, monkeypatch,
+                                                         tmp_path, tracks_path):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())
+        assert main(["init", "--tracks", tracks_path, "--canvas", "64x64", "--num-strokes", "2",
+                     "--degree", "3", "--out", str(tmp_path / "m.json")]) == 0
+        assert blas_threads() == 3

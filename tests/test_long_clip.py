@@ -7,10 +7,14 @@ check-grad, each a call of `cli.main`.
 """
 
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 from conftest import eval_piecewise_path, parse_animated_keys
 
+import motionsketch
 from motionsketch import (
     animation_coefficients,
     load_model,
@@ -21,12 +25,16 @@ from motionsketch import (
 from motionsketch.cli import main
 
 
+def long_clip_tracks(path):
+    save_tracks(make_benchmark_tracks(60, 500, seed=2, canvas=(256, 256), amplitude=40.0),
+                str(path))
+
+
 def test_long_clip_end_to_end(tmp_path, capsys):
     tracks, model, opt, log = (str(tmp_path / name) for name in
                                ("tracks.json", "model.json", "opt.json", "loss.csv"))
     anim_svg, interp_svg = str(tmp_path / "anim.svg"), str(tmp_path / "interp.svg")
-    save_tracks(make_benchmark_tracks(60, 500, seed=2, canvas=(256, 256), amplitude=40.0),
-                tracks)
+    long_clip_tracks(tracks)
     stages = {
         "init": ["init", "--tracks", tracks, "--canvas", "256x256", "--num-strokes", "4",
                  "--seed", "2", "--out", model],
@@ -70,3 +78,26 @@ def test_long_clip_end_to_end(tmp_path, capsys):
     for a in (initial, anim):
         assert np.abs(animation_coefficients(a)).max() < 1e4
     assert "max relative gradient error:" in printed
+
+
+def test_init_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # The ridge solve at degree 249 gives other bits with 2 OpenBLAS threads
+    # than with 1, so the CLI runs BLAS with one thread whatever the
+    # environment sets. Each run is a fresh process, as OpenBLAS reads the
+    # variable when numpy loads.
+    long_clip_tracks(tmp_path / "tracks.json")
+    src = os.path.dirname(os.path.dirname(motionsketch.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        runs.append(subprocess.Popen(
+            [sys.executable, "-m", "motionsketch", "init", "--tracks", "../tracks.json",
+             "--canvas", "256x256", "--num-strokes", "4", "--seed", "2", "--out", "model.json"],
+            cwd=tmp_path / threads, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE))
+    for run in runs:
+        _, err = run.communicate(timeout=300)
+        assert run.returncode == 0, err
+    models = [(tmp_path / threads / "model.json").read_bytes() for threads in ("1", "2")]
+    assert models[0] == models[1]

@@ -1,6 +1,8 @@
 """Track ingestion, motion weights, heatmap, nearest queries, motion transfer."""
 
+import copy
 import json
+import pickle
 import tracemalloc
 import warnings
 
@@ -716,6 +718,32 @@ def test_value_types_refuse_non_finite_entries_and_store_read_only_arrays(kind, 
             kwargs[name][(0,) * kwargs[name].ndim] = bad
             with pytest.raises(ValidationError, match="finite"):
                 kind(**kwargs)
+
+
+@pytest.mark.parametrize("round_trip", [copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+                         ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize(("kind", "arguments"), VALUE_TYPES,
+                         ids=[kind.__name__ for kind, _ in VALUE_TYPES])
+def test_value_types_survive_copy_and_pickle(kind, arguments, round_trip):
+    # A copy is rebuilt through the constructor: equal, read-only arrays, a
+    # frame-major TrackSet and no KD-trees carried over from the original.
+    value = kind(**arguments())
+    if kind is TrackSet:
+        with force_kdtree_route():
+            nearest_sample(np.zeros(2), 0, value)
+        assert value._trees
+    copied = round_trip(value)
+    names = [name for name, arr in arguments().items() if isinstance(arr, np.ndarray)]
+    arrays = [(getattr(value, name), getattr(copied, name)) for name in names]
+    if kind is SketchAnimation:
+        arrays.append((value.strokes[0].control_trajectories[0].coeffs,
+                       copied.strokes[0].control_trajectories[0].coeffs))
+    for original, array in arrays:
+        assert np.array_equal(array, original)
+        assert not array.flags.writeable
+    if kind is TrackSet:
+        assert all(copied.coords[:, f].flags.c_contiguous for f in range(copied.num_frames))
+        assert copied._trees == {}
 
 
 def test_track_set_stores_each_frame_contiguously(rng):
