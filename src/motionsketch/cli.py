@@ -320,8 +320,9 @@ _HANDLERS = {
 @contextlib.contextmanager
 def _one_blas_thread():
     """numpy's bundled OpenBLAS runs one thread inside the block, and the
-    caller's count is back after it. Where numpy's library lacks these
-    symbols (a numpy built against another BLAS), the block runs unpinned."""
+    caller's count is back after it. Where numpy's library lacks the
+    thread-count symbols (a numpy built against another BLAS), the block
+    runs unpinned."""
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
         get_threads = lib.scipy_openblas_get_num_threads64_
