@@ -211,7 +211,7 @@ def _cmd_init(args) -> int:
         raise CapacityError(
             f"canvas {width}x{height} is too large: its maps cannot be allocated"
         ) from None
-    # The density map holds its own copies; seeding needs none of its inputs.
+    # The density map holds its own probabilities; seeding needs none of its inputs.
     del heatmap, xdog, attention
 
     if args.mask_areas:

@@ -39,17 +39,15 @@ from .trajectory import (
 
 @dataclass(frozen=True)
 class DensityMap(_FrozenValue):
-    """Normalized sampling probabilities per pixel, plus the pre-normalization map."""
+    """Normalized sampling probabilities per pixel, shape (height, width)."""
 
     width: int
     height: int
     probabilities: np.ndarray
-    unnormalized: np.ndarray
 
     def __post_init__(self):
         probs = _frozen_field(self, "probabilities", "density probabilities")
-        raw = _frozen_field(self, "unnormalized", "unnormalized density")
-        if probs.shape != (self.height, self.width) or raw.shape != probs.shape:
+        if probs.shape != (self.height, self.width):
             raise ValidationError("density maps must have shape (H, W)")
         if np.any(probs < 0):
             raise ValidationError("densities must be nonnegative")
@@ -134,7 +132,7 @@ def compose_density_map(xdog, attention, motion, beta: float) -> DensityMap:
         raise ValidationError(
             f"map shapes differ: {edge.shape}, {att.shape}, {mot.shape}"
         )
-    # edge * ((1 - beta) * att + beta * mot), built in the buffer of raw.
+    # edge * ((1 - beta) * att + beta * mot) / total, all in the buffer of raw.
     raw = np.multiply(att, 1.0 - beta)
     raw += beta * mot
     raw *= edge
@@ -143,8 +141,9 @@ def compose_density_map(xdog, attention, motion, beta: float) -> DensityMap:
         raise DegenerateInputError(
             "density map is all zero; fall back to a uniform map"
         )
+    raw /= total
     h, w = raw.shape
-    return DensityMap(width=w, height=h, probabilities=raw / total, unnormalized=raw)
+    return DensityMap(width=w, height=h, probabilities=raw)
 
 
 def sample_stroke_seeds(density: DensityMap, n_strokes: int, seed: int) -> np.ndarray:

@@ -90,7 +90,6 @@ class TestComposeDensityMap:
         ones = np.ones((4, 4))
         got = compose_density_map(ones, ones, np.zeros((4, 4)), 0.5)
         assert_allclose(got.probabilities, np.full((4, 4), 1 / 16))
-        assert_allclose(got.unnormalized, np.full((4, 4), 0.5))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
@@ -108,16 +107,19 @@ class TestComposeDensityMap:
         assert abs(got.probabilities.sum() - 1.0) < 1e-9
 
     def test_motion_influence_monotone_in_beta(self, rng):
-        # At the pixel where motion is maximal and attention minimal, raising
-        # beta never lowers the pre-normalization density.
+        # Raising beta never lowers the probability of the pixel where motion
+        # most exceeds attention, relative to the pixel where attention most
+        # exceeds motion.
         xdog = rng.uniform(0.2, 1.0, (6, 6))
         attention = rng.uniform(0.0, 1.0, (6, 6))
         motion = rng.uniform(0.0, 1.0, (6, 6))
         pixel = np.unravel_index(np.argmax(motion - attention), motion.shape)
+        other = np.unravel_index(np.argmax(attention - motion), motion.shape)
         previous = -np.inf
         for beta in np.linspace(0.0, 1.0, 11):
-            value = compose_density_map(xdog, attention, motion, beta).unnormalized[pixel]
-            assert value >= previous - 1e-12
+            probs = compose_density_map(xdog, attention, motion, beta).probabilities
+            value = probs[pixel] / probs[other]
+            assert value >= previous * (1 - 1e-12)
             previous = value
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
@@ -134,7 +136,6 @@ class TestComposeDensityMap:
             attention = load_pgm(str(tmp_path / "attention.pgm"))
         density = compose_density_map(xdog, attention, motion, beta)
         raw = np.array(xdog) * ((1.0 - beta) * np.array(attention) + beta * motion)
-        assert density.unnormalized.tobytes() == raw.tobytes()
         assert density.probabilities.tobytes() == (raw / raw.sum()).tobytes()
 
     def test_uniform_map_is_a_read_only_view_of_ones(self):

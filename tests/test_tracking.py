@@ -361,9 +361,9 @@ class TestHeatmap:
     def test_heatmap_and_density_hold_few_canvas_arrays(self):
         # The canvas maps of `init` at 1024 x 768 (6 MiB each), in units of
         # one canvas array. The heatmap holds its values and the copy its
-        # value type makes; the density adds raw, the probabilities and the
-        # value type's copies of both, over uniform maps that hold nothing.
-        # A new array per step (about 8 units at the peak) fails the bound.
+        # value type makes; the density holds the heatmap, raw (normalized
+        # in place) and the value type's copy of it, over uniform maps that
+        # hold nothing. A second density array (5 units) fails the bound.
         width, height = 1024, 768
         canvas = width * height * 8
         tracks = make_demo_tracks()
@@ -379,7 +379,7 @@ class TestHeatmap:
             tracemalloc.stop()
         assert density.probabilities.shape == (height, width)
         assert heatmap_peak < 2.5 * canvas
-        assert peak < 5.5 * canvas
+        assert peak < 3.5 * canvas
 
 
 class TestNearestSample:
@@ -676,8 +676,7 @@ VALUE_TYPES = [
     (FitSamples, lambda: {"times": np.linspace(0, 1, 5), "positions": np.zeros((5, 2))}),
     (FrameRatePlan,
      lambda: {"input_fps": 6.0, "output_fps": 12.0, "output_frame_times": np.linspace(0, 1, 5)}),
-    (DensityMap, lambda: {"width": 4, "height": 3, "probabilities": np.full((3, 4), 1 / 12),
-                          "unnormalized": np.ones((3, 4))}),
+    (DensityMap, lambda: {"width": 4, "height": 3, "probabilities": np.full((3, 4), 1 / 12)}),
     (MaskAreas, lambda: {"areas": np.ones(4), "canvas": (4, 3)}),
     (TrajectoryPoly, lambda: {"basis": BasisKind.BERNSTEIN, "coeffs": np.zeros((3, 2))}),
     (SketchAnimation, lambda: {
