@@ -118,8 +118,8 @@ def _ridge_solve(design: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
 
     Every column of `rhs` is fitted in the one solve.
     """
-    if not lam >= 0.0:
-        raise DomainError(f"ridge lambda must be nonnegative, got {lam}")
+    if not 0.0 <= lam < np.inf:
+        raise DomainError(f"ridge lambda must be nonnegative and finite, got {lam}")
     if lam == 0.0:
         return _lstsq(design, rhs)
     k = design.shape[1]

@@ -78,8 +78,10 @@ class InitConfig:
             )
         if self.rng_seed < 0:
             raise ValidationError(f"rng seed must be nonnegative, got {self.rng_seed}")
-        if not self.ridge_lambda >= 0.0:
-            raise ValidationError(f"ridge lambda must be nonnegative, got {self.ridge_lambda}")
+        if not 0.0 <= self.ridge_lambda < math.inf:
+            raise ValidationError(
+                f"ridge lambda must be nonnegative and finite, got {self.ridge_lambda}"
+            )
         span = self.initial_stroke_span
         if span is not None and not 0.0 <= span < math.inf:
             raise ValidationError(f"stroke span must be finite and nonnegative, got {span}")
@@ -268,7 +270,10 @@ def derive_attachment_targets(anim: SketchAnimation, tracks: TrackSet) -> np.nda
 
 
 def load_pgm(path: str) -> np.ndarray:
-    """Read a PGM image (P2 ASCII or P5 binary, 8- or 16-bit) rescaled to [0, 1]."""
+    """Read a PGM image (P2 ASCII or P5 binary, 8- or 16-bit) rescaled to [0, 1].
+
+    P2 pixels are decimal integers and no pixel exceeds maxval; any other
+    pixel is a ParseError naming the file."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -303,11 +308,14 @@ def load_pgm(path: str) -> np.ndarray:
         raise ParseError(f"{path}: bad PGM dimensions {width}x{height}, maxval {maxval}")
 
     if magic == "P2":
-        values = np.array(rest[pos:].split(), dtype=np.float64)
-        if values.size != width * height:
-            raise ParseError(
-                f"{path}: expected {width * height} pixels, got {values.size}"
-            )
+        pixels = rest[pos:].split()
+        if len(pixels) != width * height:
+            raise ParseError(f"{path}: expected {width * height} pixels, got {len(pixels)}")
+        if not b"".join(pixels).isdigit():
+            bad = next(p for p in pixels if not p.isdigit())
+            raise ParseError(f"{path}: P2 pixel {bad.decode('ascii', 'replace')!r} "
+                             "is not a decimal integer")
+        values = np.array(pixels, dtype=np.float64)
     else:
         pos += 1  # single whitespace byte after maxval
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
@@ -315,6 +323,8 @@ def load_pgm(path: str) -> np.ndarray:
         if len(body) != width * height * dtype.itemsize:
             raise ParseError(f"{path}: truncated PGM pixel data")
         values = np.frombuffer(body, dtype=dtype).astype(np.float64)
+    if values.max() > maxval:
+        raise ParseError(f"{path}: pixel value {values.max():.0f} exceeds maxval {maxval}")
     values /= maxval
     return values.reshape(height, width)
 

@@ -564,7 +564,6 @@ def optimize_animation(
     moment2 = np.zeros_like(q)
     scratch = np.empty_like(q)
     beta1, beta2 = config.moment_decay_1, config.moment_decay_2
-    history: list[tuple[int, float]] = []
     components: list[tuple[int, float, float, float]] = []
 
     for it in range(1, config.iterations + 1):
@@ -576,7 +575,6 @@ def optimize_animation(
                 f"non-finite loss or gradient at iteration {it}", iteration=it
             )
         if logged:
-            history.append((it, loss.total))
             components.append((it, loss.total, loss.consistency, loss.attachment))
         # A gradient at roundoff scale means converged; the scale-free moment
         # normalization would otherwise amplify numerical noise into drift.
@@ -602,7 +600,8 @@ def optimize_animation(
     if not np.isfinite(final.total):
         it = config.iterations
         raise DivergenceError(f"non-finite loss after iteration {it}", iteration=it)
-    breakdown = replace(final, history=tuple(history), component_history=tuple(components))
+    history = tuple(entry[:2] for entry in components)
+    breakdown = replace(final, history=history, component_history=tuple(components))
     return replace_coefficients(anim, _packed(q)), breakdown
 
 

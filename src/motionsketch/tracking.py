@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -222,6 +223,9 @@ def _load_tracks_csv(path: str) -> TrackSet:
             frame, raw_id, x, y = int(row[0]), row[1], float(row[2]), float(row[3])
         except (ValueError, IndexError) as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+        # NaN marks a missing frame below, so a non-finite value stops here.
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValidationError(f"{path}: line {lineno}: track coordinates must be finite")
         rows.append((frame, _point_id(raw_id, f"{path}: line {lineno}"), x, y))
     if not rows:
         raise ValidationError("no points: track file has no data rows")

@@ -133,6 +133,20 @@ class TestExitCodes:
         assert "ridge lambda must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("command", ["init", "fit-bench"])
+    def test_infinite_ridge_lambda_exit_one(self, capsys, tmp_path, tracks_path, command):
+        # An infinite lambda used to reach lstsq and end in a LinAlgError
+        # traceback ("SVD did not converge").
+        args = [command, "--tracks", tracks_path, "--lambda", "inf"]
+        if command == "init":
+            args += ["--canvas", "32x32", "--out", str(tmp_path / "m.json")]
+        else:
+            args += ["--configs", "8:3"]
+        assert main(args) == 1
+        assert "error: ridge lambda must be nonnegative and finite, got inf" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("args, message", [
         (["--seed", "-1"], "rng seed must be nonnegative, got -1"),
         (["--curve-degree", "2000"], "curve degree 2000 exceeds the configured maximum 1024"),
@@ -358,6 +372,20 @@ class TestPipeline:
             "--canvas", "64x64", "--out", str(tmp_path / "m.json"),
         ])
         assert code == 1
+
+
+    def test_init_refuses_a_fractional_pgm_pixel(self, capsys, tmp_path, tracks_path):
+        # A P2 pixel of 3.5 used to load, and init exited 0.
+        pgm = tmp_path / "map.pgm"
+        pgm.write_text("P2\n2 1\n255\n0 3.5\n")
+        code = main([
+            "init", "--tracks", tracks_path, "--xdog", str(pgm),
+            "--out", str(tmp_path / "m.json"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {pgm}: P2 pixel '3.5' is not a decimal integer\n")
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestOneBlasThread:

@@ -152,10 +152,11 @@ class TestRidge:
         assert np.abs(traj.coeffs).max() < 1e-3
 
     def test_negative_lambda_rejected(self, rng):
-        # Every ridge path shares one solve, and the solve rejects the value.
+        # Every ridge path shares one solve, and the solve rejects the value
+        # (an infinite one too, which lstsq cannot take).
         samples = noisy_sinusoid_samples(rng, 10)
         tracks = make_benchmark_tracks(2, 20)
-        for lam in (-1.0, float("nan")):
+        for lam in (-1.0, float("nan"), float("inf")):
             with pytest.raises(DomainError):
                 fit_ridge(samples, 3, lam)
             with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 """Density maps, seed sampling, target assignment, animation init, widths."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from motionsketch import (
     FitSamples,
     InitConfig,
     MaskAreas,
+    ParseError,
     TrackSet,
     ValidationError,
     animation_coefficients,
@@ -217,7 +219,7 @@ class TestWidthSchedule:
 
 
 class TestInitConfig:
-    @pytest.mark.parametrize("lam", [-1.0, -1e-300, float("nan")])
+    @pytest.mark.parametrize("lam", [-1.0, -1e-300, float("nan"), float("inf")])
     def test_rejects_bad_ridge_lambda(self, lam):
         with pytest.raises(ValidationError, match="ridge lambda"):
             InitConfig(num_strokes=1, ridge_lambda=lam)
@@ -372,6 +374,23 @@ class TestFileIngestion:
         expected = (pixels.astype(np.float64) / maxval).tobytes()
         assert load_pgm(str(binary)).tobytes() == expected
         assert load_pgm(str(ascii_)).tobytes() == expected
+
+    @pytest.mark.parametrize("token", ["x", "3.5", "nan", "-3", "300"])
+    def test_pgm_ascii_refuses_a_pixel_that_is_no_sample(self, tmp_path, token):
+        # Each used to load as a number, fail later as a non-finite density,
+        # or end in a ValueError traceback.
+        path = tmp_path / "map.pgm"
+        path.write_text(f"P2\n3 1\n255\n0 {token} 255\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "):
+            load_pgm(str(path))
+
+    def test_pgm_binary_refuses_a_sample_above_maxval(self, tmp_path):
+        path = tmp_path / "map16.pgm"
+        samples = np.array([0, 1000, 1001], dtype=">u2")
+        path.write_bytes(b"P5\n3 1\n1000\n" + samples.tobytes())
+        message = f"{path}: pixel value 1001 exceeds maxval 1000"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_pgm(str(path))
 
     def test_mask_areas_csv(self, tmp_path):
         path = tmp_path / "areas.csv"

@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+import re
 import tracemalloc
 import warnings
 
@@ -38,6 +39,7 @@ from motionsketch import (
     transfer_point,
     uniform_map,
 )
+from motionsketch.cli import main
 from motionsketch.tracking import _SHEPARD_EPS, _motion_weights
 
 
@@ -214,6 +216,19 @@ class TestLoading:
         path.write_text("frame,point_id,x,y\n0,1,0,0\n0,2,1,1\n1,1,0,0\n")
         with pytest.raises(ValidationError, match="divisible"):
             load_tracks(str(path))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_coordinate_names_its_line(self, tmp_path, value):
+        # NaN also marks a missing frame, so a nan coordinate used to be
+        # reported as "point id 1 is missing one or more frames".
+        path = tmp_path / "t.csv"
+        path.write_text(f"frame,point_id,x,y\n0,1,0,0\n1,1,{value},0\n")
+        message = f"{path}: line 3: track coordinates must be finite"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_tracks(str(path))
+        out = tmp_path / "m.json"
+        assert main(["init", "--tracks", str(path), "--canvas", "8x8", "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_csv_empty(self, tmp_path):
         path = tmp_path / "t.csv"
