@@ -9,11 +9,11 @@ point.
 
 Nearest-track queries pick a route per batch. A batch scans its tracks in
 cache-sized blocks when the scan needs at most `_SCAN_MAX_DISTANCES`
-(query, track) distances; a larger batch goes to per-frame KD-trees on a
-thread pool. Both routes give the same rows and radii. Only the KD-tree
-route needs scipy and the pool: `scipy.spatial` is imported when the first
-tree is built and `concurrent.futures` when the first pool starts, so a
-process whose batches all scan loads neither.
+(query, track) distances; a larger batch queries per-frame KD-trees, one
+frame after another in the calling thread. Both routes give the same rows
+and radii. Only the KD-tree route needs scipy: `scipy.spatial` is imported
+when the first tree is built, so a process whose batches all scan does not
+load it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import csv
 import io
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -110,8 +109,7 @@ class TrackSet(_FrozenValue):
             raise LookupError(f"unknown track point id {point_id}") from None
 
     def _tree(self, frame: int) -> cKDTree:
-        # Lazy per-frame cache; concurrent first queries may build a tree
-        # twice, both results are equivalent and the dict update is atomic.
+        # Lazy per-frame cache.
         tree = self._trees.get(frame)
         if tree is None:
             # KD-tree route only: not at module level, so scans skip scipy.spatial.
@@ -437,14 +435,6 @@ def _tree_rows_radius(
     return rows, _certified_radius(dist[:, 0], dist[:, 1])
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _nearest(
     points: np.ndarray, frames: np.ndarray, tracks: TrackSet
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -453,37 +443,21 @@ def _nearest(
 
     A batch scans the queries against their frames' tracks (each frame one
     contiguous block of the coordinates) in cache-sized blocks when it needs
-    at most `_SCAN_MAX_DISTANCES` distances. A larger batch queries each
-    frame's KD-tree on a thread pool with one worker per usable CPU, at most
-    one per frame (a single worker runs the frames serially): the queries
-    release the GIL, the frames are independent and each writes only its own
-    entries, so the result does not depend on the worker count. Both routes
-    pick the lowest row on ties, give a non-finite query the scan's row, and
-    give the same radii. ``np.errstate`` is per thread, so each worker runs
-    under the caller's. Queries from a single frame run in the calling
-    thread, and zero queries do no work.
+    at most `_SCAN_MAX_DISTANCES` distances. A larger batch is grouped by
+    frame and queries each frame's KD-tree in turn, in the calling thread and
+    under its ``np.errstate``. Both routes pick the lowest row on ties, give a
+    non-finite query the scan's row, and give the same radii. Zero queries do
+    no work.
     """
     if len(points) * tracks.num_points <= _SCAN_MAX_DISTANCES:
         return _scan_rows_radius(points, tracks.coords.transpose(1, 0, 2), frames)
     rows = np.empty(len(points), dtype=np.intp)
     radius = np.empty(len(points))
     order = np.argsort(frames, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(frames[order])) + 1)
-    errors = np.geterr()
-
-    def frame_rows(index: np.ndarray) -> None:
-        with np.errstate(**errors):
-            rows[index], radius[index] = _tree_rows_radius(
-                points[index], int(frames[index[0]]), tracks
-            )
-
-    if len(groups) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # the KD-tree route's alone
-
-        with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(groups))) as pool:
-            list(pool.map(frame_rows, groups))
-    elif len(points):
-        frame_rows(order)
+    for index in np.split(order, np.flatnonzero(np.diff(frames[order])) + 1):
+        rows[index], radius[index] = _tree_rows_radius(
+            points[index], int(frames[index[0]]), tracks
+        )
     return rows, radius
 
 

@@ -1,6 +1,8 @@
-"""Cold start: the package imports numpy only, and scipy and the thread pool
-(`concurrent.futures`) load only on the KD-tree route of the nearest-track
-query, which only batches too large to scan take. No stage loads `numpy.ma`.
+"""Cold start: the package imports numpy only, and scipy loads only on the
+KD-tree route of the nearest-track query, which only batches too large to
+scan take. The package itself starts no threads; `concurrent.futures` is
+watched because `import scipy.spatial` loads it, so it appears exactly when
+scipy does. No stage loads `numpy.ma`.
 
 Every test runs its code in a fresh interpreter, since this test process has
 long since imported all three.
@@ -51,8 +53,8 @@ def test_package_and_cli_import_no_scipy():
 
 def test_kdtree_route_imports_scipy_spatial_on_first_query():
     # 300 tracks and 4000 queries in 6 frames, too many distances to scan
-    # (the KD-tree route), so the first query runs the first cKDTree import on
-    # the pool's workers.
+    # (the KD-tree route), so the first query runs the first cKDTree import,
+    # which also loads `concurrent.futures` (scipy.spatial imports it).
     setup = """
         import hashlib
         import numpy as np
@@ -73,7 +75,6 @@ def test_kdtree_route_imports_scipy_spatial_on_first_query():
     lines = run_fresh(setup + """
         import json, sys
         print(json.dumps("scipy.spatial" in sys.modules))
-        sys.setswitchinterval(1e-6)
         print(json.dumps(nearest_digest()))
     """)
     before, got, loaded = (json.loads(line) for line in lines[-3:])
@@ -86,7 +87,7 @@ def test_kdtree_route_imports_scipy_spatial_on_first_query():
 def test_scene_size_init_scans_and_loads_no_scipy(tmp_path):
     # 2000 tracks take the KD-tree route only for large batches: init's one
     # query, 128 seeds in frame 0, needs 256k distances and scans, as on the
-    # scene workload. No tree is built, so no scipy and no pool.
+    # scene workload. No tree is built, so no scipy and no `concurrent.futures`.
     from motionsketch import make_benchmark_tracks, save_tracks
 
     assert 128 * 2000 <= tracking._SCAN_MAX_DISTANCES
@@ -122,7 +123,7 @@ def test_log_route_row_loads_no_scipy():
 def test_demo_init_export_interp_load_no_scipy(tmp_path):
     # The demo's 16 tracks take the scan route and its degree-24 trajectories
     # the direct basis; none of these stages freezes an assignment. Nor do
-    # they load numpy.ma or the thread pool.
+    # they load numpy.ma or `concurrent.futures`.
     lines = run_fresh(f"""
         from motionsketch import cli
         steps = (
@@ -143,7 +144,7 @@ def test_demo_init_export_interp_load_no_scipy(tmp_path):
 def test_demo_optimize_and_check_grad_load_no_scipy(tmp_path):
     # The demo's 16 tracks take the scan route, and the frozen assignment's
     # counts are dense numpy blocks: neither stage loads scipy.sparse, or any
-    # other scipy module, numpy.ma or the thread pool.
+    # other scipy module, numpy.ma or `concurrent.futures`.
     lines = run_fresh(f"""
         from motionsketch import cli
         steps = (
@@ -163,7 +164,7 @@ def test_demo_optimize_and_check_grad_load_no_scipy(tmp_path):
 def test_detail_degree_80_stages_load_no_scipy(tmp_path):
     # Degree-80 trajectories take the log-route basis in every stage; the
     # demo's 16 tracks keep the nearest-track query on the scan route. No
-    # stage loads scipy, numpy.ma or the thread pool.
+    # stage loads scipy, numpy.ma or `concurrent.futures`.
     lines = run_fresh(f"""
         from motionsketch import bernstein, cli
         steps = (

@@ -258,34 +258,18 @@ class TestConsistencyLoss:
             fd = (values[0] - values[1]) / (2.0 * step)
             assert abs(fd - grad.reshape(-1)[idx]) <= 1e-6 * scale
 
-    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("seed", [1, 3])
     @force_kdtree_route()
-    def test_kdtree_assign_matches_serial_queries(self, monkeypatch, cpus):
+    def test_kdtree_assign_matches_serial_queries(self, seed):
         # 400 lattice sites take the KD-tree route; the samples sit on lattice
         # points, edge midpoints and cell centers (ties between 1, 2 and 4
-        # sites), and each frame shuffles the rows. With one usable CPU the
-        # pool has one worker; with three it has three, switching threads
-        # often. Either way the rows equal the serial per-frame queries. A
-        # second call moves every other point by half its certified radius
-        # (kept without a query) and the rest past it; the tied points have
-        # radius 0, so every frame is queried again.
-        import concurrent.futures
-        import sys
-
-        from motionsketch import tracking
+        # sites), and each frame shuffles the rows. The rows equal the serial
+        # per-frame queries. A second call moves every other point, in
+        # directions drawn from `seed`, by half its certified radius (kept
+        # without a query) and the rest past it; the tied points have radius
+        # 0, so every frame is queried again.
         from motionsketch.tracking import nearest_rows
 
-        monkeypatch.setattr(tracking.os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-        pools = []
-        pool_type = concurrent.futures.ThreadPoolExecutor
-
-        def recording_pool(max_workers):
-            pools.append(max_workers)
-            return pool_type(max_workers=max_workers)
-
-        # `_nearest` imports the pool from its module when it starts one.
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
         num_frames, side = 4, 20
         grid = 2.0 * np.stack(np.meshgrid(np.arange(side), np.arange(side)), -1).reshape(-1, 2)
         perms = [np.random.default_rng(f).permutation(len(grid)) for f in range(num_frames)]
@@ -298,20 +282,14 @@ class TestConsistencyLoss:
         ])
         anim = random_animation(np.random.default_rng(0), num_strokes=3, num_frames=num_frames)
         objective = optimize._Objective(anim, tracks, None, LossWeights(w_s=0.0, w_c=1.0), 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            rows = frame_major_assign(objective, samples)
-            radius = np.sqrt(objective._radius2).transpose(2, 0, 1)
-            direction = np.random.default_rng(1).normal(size=samples.shape)
-            direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
-            outside = np.arange(radius.size).reshape(radius.shape) % 2 == 1
-            step = np.where(outside, radius + 1.5, 0.5 * radius)
-            moved = samples + step[..., None] * direction
-            moved_rows = frame_major_assign(objective, moved)
-        finally:
-            sys.setswitchinterval(interval)
-        assert pools == [cpus, cpus]  # the two assign calls; the oracle starts more
+        rows = frame_major_assign(objective, samples)
+        radius = np.sqrt(objective._radius2).transpose(2, 0, 1)
+        direction = np.random.default_rng(seed).normal(size=samples.shape)
+        direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+        outside = np.arange(radius.size).reshape(radius.shape) % 2 == 1
+        step = np.where(outside, radius + 1.5, 0.5 * radius)
+        moved = samples + step[..., None] * direction
+        moved_rows = frame_major_assign(objective, moved)
         assert np.any(radius > 0) and np.any(radius == 0)
         for points, got in ((samples, rows), (moved, moved_rows)):
             serial = np.stack([nearest_rows(points[f], f, tracks) for f in range(num_frames)])
@@ -991,19 +969,16 @@ class TestOptimizer:
 
     @pytest.mark.parametrize("num_points", [4, 300])
     @force_kdtree_route()
-    def test_non_finite_final_loss_raises(self, rng, monkeypatch, num_points):
+    def test_non_finite_final_loss_raises(self, rng, num_points):
         # The single update of a one-iteration run makes the consistency value
         # overflow (as above); the final breakdown is checked, so no model
         # with an infinite loss is returned. That breakdown re-assigns rows at
         # the diverged coefficients, where squared distances overflow: on the
-        # scan route, and on the KD-tree route in the tie recheck run by pool
-        # workers (two usable CPUs). With every warning turned into an error
-        # and no errstate set here, the DivergenceError is the only report.
+        # scan route, and on the KD-tree route in its tie recheck. With every
+        # warning turned into an error and no errstate set here, the
+        # DivergenceError is the only report.
         import warnings
 
-        from motionsketch import tracking
-
-        monkeypatch.setattr(tracking.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         anim = random_animation(rng)
         tracks = random_tracks(rng, num_points=num_points)
         config = OptimConfig(iterations=1, step_size=1e156, n_p=3)

@@ -554,41 +554,25 @@ class TestNearestSample:
             mine = frame_of == f
             assert np.array_equal(rows[mine], nearest_rows(points[mine], f, tracks))
 
-    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("seed", [1, 3])
     @force_kdtree_route()
-    def test_lattice_queries_from_unsorted_frames(self, monkeypatch, cpus):
+    def test_lattice_queries_from_unsorted_frames(self, seed):
         # 400 lattice sites take the KD-tree route, rows shuffled per frame;
         # queries on lattice points, edge midpoints and cell centers tie
         # between 1, 2 and 4 sites. Queries from five frames in random order
-        # get the brute-force rows from a pool of one worker per usable CPU;
-        # queries from one frame, and zero queries, start no pool, and the
-        # scan's frame-major copy of the tracks is never built.
-        import concurrent.futures
-
-        from motionsketch import tracking
+        # get the brute-force rows, as do queries from one frame; zero
+        # queries give empty results.
         from motionsketch.tracking import _nearest
 
-        monkeypatch.setattr(tracking.os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-        pools = []
-        pool_type = concurrent.futures.ThreadPoolExecutor
-
-        def recording_pool(max_workers):
-            pools.append(max_workers)
-            return pool_type(max_workers=max_workers)
-
-        # `_nearest` imports the pool from its module when it starts one.
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
         num_frames, side = 5, 20
         grid = 2.0 * np.stack(np.meshgrid(np.arange(side), np.arange(side)), -1).reshape(-1, 2)
         perms = [np.random.default_rng(f).permutation(len(grid)) for f in range(num_frames)]
         tracks = TrackSet(ids=np.arange(len(grid)),
                           coords=np.stack([grid[p] for p in perms], axis=1))
-        rng = np.random.default_rng(cpus)
+        rng = np.random.default_rng(seed)
         points = rng.integers(0, 2 * side - 1, (300, 2)).astype(np.float64)
         frame_of = rng.integers(0, num_frames, len(points))
         rows, radius = _nearest(points, frame_of, tracks)
-        assert pools == [min(cpus, num_frames)]
         for f in range(num_frames):
             mine = frame_of == f
             assert np.array_equal(rows[mine], brute_force_rows(points[mine], tracks.coords[:, f]))
@@ -597,7 +581,32 @@ class TestNearestSample:
         rows, radius = _nearest(points[mine], frame_of[mine], tracks)
         assert np.array_equal(rows, brute_force_rows(points[mine], tracks.coords[:, 2]))
         rows, radius = _nearest(np.empty((0, 2)), np.empty(0, dtype=np.intp), tracks)
-        assert rows.shape == radius.shape == (0,) and pools == [min(cpus, num_frames)]
+        assert rows.shape == radius.shape == (0,)
+
+    @force_kdtree_route()
+    def test_kdtree_route_starts_no_thread(self, rng, monkeypatch):
+        # Queries from six frames take the KD-tree route in the calling
+        # thread: with `threading.Thread.start` made to raise, they still get
+        # the brute-force rows.
+        import threading
+
+        from motionsketch.tracking import _nearest
+
+        def no_thread(self):
+            raise AssertionError("the KD-tree route started a thread")
+
+        num_frames = 6
+        tracks = TrackSet(ids=np.arange(300),
+                          coords=np.round(rng.uniform(0, 30, (300, num_frames, 2))))
+        points = np.round(rng.uniform(-1, 31, (200, 2)) * 2) / 2
+        frame_of = rng.integers(0, num_frames, len(points))
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        rows, _ = _nearest(points, frame_of, tracks)
+        monkeypatch.undo()
+        assert len(tracks._trees) == num_frames
+        for f in range(num_frames):
+            mine = frame_of == f
+            assert np.array_equal(rows[mine], brute_force_rows(points[mine], tracks.coords[:, f]))
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["scan-sized", "kdtree-sized"])
     def test_routes_agree_on_each_side_of_the_scan_budget(self, rng, monkeypatch, extra):
