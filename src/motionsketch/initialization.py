@@ -351,9 +351,12 @@ def load_mask_areas(path: str, canvas: tuple[int, int]) -> MaskAreas:
         if not row:
             continue
         try:
-            entries[int(row[0])] = float(row[1])
+            frame, area = int(row[0]), float(row[1])
         except (ValueError, IndexError) as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+        if frame in entries:
+            raise ValidationError(f"{path}: line {lineno}: frame {frame} already has an area")
+        entries[frame] = area
     if not entries:
         raise ValidationError(f"{path}: no area rows")
     frames = sorted(entries)

@@ -206,7 +206,7 @@ def _load_tracks_json(path: str) -> TrackSet:
 
 
 def _load_tracks_csv(path: str) -> TrackSet:
-    rows = []
+    cells: dict[tuple[int, int], tuple[float, float]] = {}  # (frame, point id) -> (x, y)
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     header = next(reader, None)
     if header is None:
@@ -221,27 +221,30 @@ def _load_tracks_csv(path: str) -> TrackSet:
             frame, raw_id, x, y = int(row[0]), row[1], float(row[2]), float(row[3])
         except (ValueError, IndexError) as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-        # NaN marks a missing frame below, so a non-finite value stops here.
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValidationError(f"{path}: line {lineno}: track coordinates must be finite")
-        rows.append((frame, _point_id(raw_id, f"{path}: line {lineno}"), x, y))
-    if not rows:
+        key = (frame, _point_id(raw_id, f"{path}: line {lineno}"))
+        if key in cells:
+            raise ValidationError(
+                f"{path}: line {lineno}: point id {key[1]} already has frame {frame}"
+            )
+        cells[key] = (x, y)
+    if not cells:
         raise ValidationError("no points: track file has no data rows")
-    ids = sorted({r[1] for r in rows})
-    if len(rows) % len(ids) != 0:
+    ids = sorted({pid for _, pid in cells})
+    if len(cells) % len(ids) != 0:
         raise ValidationError(
-            f"row count {len(rows)} is not divisible by point count {len(ids)}"
+            f"row count {len(cells)} is not divisible by point count {len(ids)}"
         )
-    num_frames = len(rows) // len(ids)
-    coords = np.full((len(ids), num_frames, 2), np.nan)
+    # Distinct cells, as many as the (point, frame) slots and each in range,
+    # fill every slot once.
+    num_frames = len(cells) // len(ids)
+    coords = np.empty((len(ids), num_frames, 2))
     row_of = {pid: k for k, pid in enumerate(ids)}
-    for frame, pid, x, y in rows:
+    for (frame, pid), xy in cells.items():
         if not (0 <= frame < num_frames):
             raise ValidationError(f"frame index {frame} outside 0..{num_frames - 1}")
-        coords[row_of[pid], frame] = (x, y)
-    if np.any(np.isnan(coords)):
-        missing = ids[int(np.argwhere(np.isnan(coords[:, :, 0]))[0][0])]
-        raise ValidationError(f"point id {missing} is missing one or more frames")
+        coords[row_of[pid], frame] = xy
     return TrackSet(ids=np.array(ids), coords=coords)
 
 

@@ -166,6 +166,18 @@ class TestExitCodes:
         assert len(err) == 1 and err[0] == f"error: {message}"
         assert not out.exists()
 
+    def test_init_refuses_a_repeated_mask_area_frame(self, capsys, tmp_path, tracks_path):
+        # The repeated frame's last area used to be taken without a word.
+        areas = tmp_path / "areas.csv"
+        areas.write_text("frame,area_pixels\n" + "".join(f"{f},500\n" for f in range(8))
+                         + "3,600\n")
+        out = tmp_path / "m.json"
+        assert main(["init", "--tracks", tracks_path, "--canvas", "32x32", "--out", str(out),
+                     "--mask-areas", str(areas)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {areas}: line 10: frame 3 already has an area"]
+        assert not out.exists()
+
     def test_interp_refuses_an_unrepresentable_frame_count(self, capsys, tmp_path, model_path):
         # 7 intervals at 1e300 times the frame rate: numpy cannot make the
         # key times, so it is a domain error, not numpy's ValueError.

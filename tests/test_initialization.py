@@ -397,3 +397,11 @@ class TestFileIngestion:
         path.write_text("frame,area_pixels\n0,100\n1,400\n2,900\n")
         mask = load_mask_areas(str(path), (64, 64))
         assert_allclose(mask.areas, [100, 400, 900])
+
+    def test_mask_areas_csv_refuses_a_repeated_frame(self, tmp_path):
+        # The last row of a repeated frame used to win silently: [10, 30].
+        path = tmp_path / "areas.csv"
+        path.write_text("frame,area_pixels\n0,10\n1,20\n1,30\n")
+        message = f"{path}: line 4: frame 1 already has an area"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_mask_areas(str(path), (64, 64))

@@ -230,6 +230,18 @@ class TestLoading:
         assert main(["init", "--tracks", str(path), "--canvas", "8x8", "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_csv_repeated_row_names_its_line(self, tmp_path):
+        # Each (point, frame) pair given twice used to be reported as
+        # "point id 1 is missing one or more frames".
+        path = tmp_path / "t.csv"
+        path.write_text("frame,point_id,x,y\n0,1,0,0\n0,1,0,0\n1,2,1,1\n1,2,1,1\n")
+        message = f"{path}: line 3: point id 1 already has frame 0"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_tracks(str(path))
+        out = tmp_path / "m.json"
+        assert main(["init", "--tracks", str(path), "--canvas", "8x8", "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_csv_empty(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("frame,point_id,x,y\n")
