@@ -30,8 +30,7 @@ from .fitting import DEFAULT_RIDGE_LAMBDA, fit_ridge_columns
 from .tracking import MotionHeatmap, TrackSet, nearest_rows
 from .trajectory import (
     SketchAnimation,
-    Stroke,
-    TrajectoryPoly,
+    _packed_animation,
     animation_coefficients,
     default_trajectory_degree,
 )
@@ -235,16 +234,8 @@ def init_animation(
     rhs = ctrl_targets.transpose(2, 0, 1, 3).reshape(num_frames, -1)
     coeffs = fit_ridge_columns(times, rhs, n, config.ridge_lambda)
     coeffs = coeffs.reshape(n + 1, config.num_strokes, m + 1, 2).transpose(1, 2, 0, 3)
-    strokes = [
-        Stroke(tuple(TrajectoryPoly(BasisKind.BERNSTEIN, ctrl) for ctrl in stroke_coeffs))
-        for stroke_coeffs in coeffs
-    ]
-
-    return SketchAnimation(
-        strokes=tuple(strokes),
-        num_frames=num_frames,
-        canvas=(density.width, density.height),
-        widths=widths,
+    return _packed_animation(
+        BasisKind.BERNSTEIN, coeffs, num_frames, (density.width, density.height), widths
     )
 
 

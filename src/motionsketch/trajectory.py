@@ -241,13 +241,20 @@ def replace_coefficients(anim: SketchAnimation, coeffs: np.ndarray) -> SketchAni
     kind = anim.strokes[0].basis
     if coeffs.shape != expected:
         raise ValidationError(f"packed coefficients must have shape {expected}, got {coeffs.shape}")
+    return _packed_animation(kind, coeffs, anim.num_frames, anim.canvas, anim.widths)
+
+
+def _packed_animation(
+    kind: BasisKind,
+    coeffs: np.ndarray,
+    num_frames: int,
+    canvas: tuple[int, int],
+    widths: np.ndarray,
+) -> SketchAnimation:
+    """The animation whose strokes have the packed coefficients `coeffs`
+    (N_s, m+1, n+1, 2) in basis `kind`."""
     strokes = tuple(
         Stroke(tuple(TrajectoryPoly(kind, ctrl) for ctrl in stroke_coeffs))
         for stroke_coeffs in coeffs
     )
-    return SketchAnimation(
-        strokes=strokes,
-        num_frames=anim.num_frames,
-        canvas=anim.canvas,
-        widths=anim.widths,
-    )
+    return SketchAnimation(strokes=strokes, num_frames=num_frames, canvas=canvas, widths=widths)
