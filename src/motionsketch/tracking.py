@@ -109,7 +109,6 @@ class TrackSet(_FrozenValue):
             raise LookupError(f"unknown track point id {point_id}") from None
 
     def _tree(self, frame: int) -> cKDTree:
-        # Lazy per-frame cache.
         tree = self._trees.get(frame)
         if tree is None:
             # KD-tree route only: not at module level, so scans skip scipy.spatial.
